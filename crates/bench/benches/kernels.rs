@@ -24,6 +24,7 @@
 //! `BENCH_kernels.json` in the working directory so future performance
 //! PRs have a trajectory to beat.
 
+use nettag_bench::time_it;
 use nettag_nn::simd::{self, SimdTier};
 use nettag_nn::{
     data_parallel, info_nce, weighted_sum, GradStore, Graph, Mlp, NodeId, Param, SampleTape,
@@ -33,7 +34,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Seed-replica dense matmul: i-k-j loops with the original zero-skip
 /// branch, kept verbatim so speedups are measured against the real seed
@@ -81,33 +81,6 @@ impl SeedSparse {
         }
         out
     }
-}
-
-/// Times `f` adaptively: batch sized during warm-up, best-of-4 batches,
-/// reported as seconds per iteration.
-fn time_it<R>(mut f: impl FnMut() -> R) -> f64 {
-    let mut iters = 1u64;
-    let per = loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt > 0.2 || iters >= 1 << 16 {
-            break dt / iters as f64;
-        }
-        iters *= 2;
-    };
-    let batch = ((0.12 / per.max(1e-9)) as u64).clamp(1, 1 << 16);
-    let mut best = f64::INFINITY;
-    for _ in 0..4 {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            black_box(f());
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / batch as f64);
-    }
-    best
 }
 
 struct Entry {

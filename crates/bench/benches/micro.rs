@@ -1,8 +1,11 @@
-//! Criterion micro-benchmarks of the pipeline's hot paths: symbolic
-//! expression extraction (+ the 2-hop ablation from DESIGN.md, sweeping
-//! hop depth), cone chunking, STA, power, ExprLLM and TAGFormer inference.
+//! Micro-benchmarks of the pipeline's hot paths: symbolic expression
+//! extraction (+ the 2-hop ablation from DESIGN.md, sweeping hop depth),
+//! cone chunking, STA, power, ExprLLM and TAGFormer inference.
+//!
+//! Run with `cargo bench -p nettag-bench --bench micro`; each line prints
+//! the best per-iteration time of [`nettag_bench::time_it`].
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nettag_bench::time_it;
 use nettag_core::{NetTag, NetTagConfig};
 use nettag_expr::token::tokenize_expr;
 use nettag_netlist::{chunk_into_cones, gate_expr, Library, Tag, TagOptions};
@@ -11,7 +14,11 @@ use nettag_physical::{
 };
 use nettag_synth::{generate_design, Family, GenerateConfig};
 
-fn bench_expression_extraction(c: &mut Criterion) {
+fn report(name: &str, seconds: f64) {
+    println!("{name:<28} {:>12.2} us/iter", seconds * 1e6);
+}
+
+fn bench_expression_extraction() {
     let design = generate_design(Family::VexRiscv, 0, 7, &GenerateConfig::default());
     let target = design
         .netlist
@@ -20,36 +27,39 @@ fn bench_expression_extraction(c: &mut Criterion) {
         .map(|(id, _)| id)
         .last()
         .expect("has gates");
-    let mut group = c.benchmark_group("expr_extraction");
     for hops in [1usize, 2, 3] {
-        group.bench_with_input(BenchmarkId::from_parameter(hops), &hops, |b, &hops| {
-            b.iter(|| gate_expr(&design.netlist, target, hops));
-        });
+        report(
+            &format!("expr_extraction/{hops}"),
+            time_it(|| gate_expr(&design.netlist, target, hops)),
+        );
     }
-    group.finish();
 }
 
-fn bench_chunking_and_tag(c: &mut Criterion) {
+fn bench_chunking_and_tag() {
     let design = generate_design(Family::Chipyard, 0, 7, &GenerateConfig::default());
     let lib = Library::default();
-    c.bench_function("register_cone_chunking", |b| {
-        b.iter(|| chunk_into_cones(&design.netlist));
-    });
-    c.bench_function("tag_conversion", |b| {
-        b.iter(|| Tag::from_netlist(&design.netlist, &lib, &TagOptions::default()));
-    });
+    report(
+        "register_cone_chunking",
+        time_it(|| chunk_into_cones(&design.netlist)),
+    );
+    report(
+        "tag_conversion",
+        time_it(|| Tag::from_netlist(&design.netlist, &lib, &TagOptions::default())),
+    );
 }
 
-fn bench_physical(c: &mut Criterion) {
+fn bench_physical() {
     let design = generate_design(Family::VexRiscv, 1, 7, &GenerateConfig::default());
     let lib = Library::default();
     let placement = place(&design.netlist, &lib, &PlaceConfig::default());
     let parasitics = extract(&design.netlist, &lib, &placement);
-    c.bench_function("sta", |b| {
-        b.iter(|| analyze_timing(&design.netlist, &lib, &parasitics, &TimingConfig::default()));
-    });
-    c.bench_function("activity_sim_16cycles", |b| {
-        b.iter(|| {
+    report(
+        "sta",
+        time_it(|| analyze_timing(&design.netlist, &lib, &parasitics, &TimingConfig::default())),
+    );
+    report(
+        "activity_sim_16cycles",
+        time_it(|| {
             measure_activity(
                 &design.netlist,
                 &ActivityConfig {
@@ -57,30 +67,29 @@ fn bench_physical(c: &mut Criterion) {
                     ..ActivityConfig::default()
                 },
             )
-        });
-    });
+        }),
+    );
 }
 
-fn bench_model_inference(c: &mut Criterion) {
+fn bench_model_inference() {
     let model = NetTag::new(NetTagConfig::small());
     let vocab = NetTag::vocab();
     let expr = nettag_expr::parse_expr("!((R1 ^ R2) | !R2) & Ite(s, a, b ^ c)").expect("parses");
     let toks = tokenize_expr(&vocab, &expr, model.config.max_tokens);
-    c.bench_function("exprllm_encode", |b| {
-        b.iter(|| model.exprllm.encode(&toks));
-    });
+    report("exprllm_encode", time_it(|| model.exprllm.encode(&toks)));
     let design = generate_design(Family::OpenCores, 0, 7, &GenerateConfig::default());
     let lib = Library::default();
     let tag = Tag::from_netlist(&design.netlist, &lib, &model.tag_options());
     let features = model.node_features(&tag);
-    c.bench_function("tagformer_encode", |b| {
-        b.iter(|| model.tagformer.encode(&features, &tag.edges));
-    });
+    report(
+        "tagformer_encode",
+        time_it(|| model.tagformer.encode(&features, &tag.edges)),
+    );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_expression_extraction, bench_chunking_and_tag, bench_physical, bench_model_inference
+fn main() {
+    bench_expression_extraction();
+    bench_chunking_and_tag();
+    bench_physical();
+    bench_model_inference();
 }
-criterion_main!(benches);

@@ -3,12 +3,14 @@
 //! Shared machinery for the per-table/per-figure experiment benches: the
 //! `NETTAG_SCALE` knob (`smoke` / `default` / `full`), a pipeline that
 //! generates corpora, pre-trains NetTAG once, and exposes the task suite,
-//! plus table printing with the paper's reference numbers alongside.
+//! plus table printing with the paper's reference numbers alongside, and
+//! [`time_it`], the adaptive timer the micro benches share.
 
 use nettag_core::data::{build_pretrain_data, DataConfig, PretrainData};
 use nettag_core::{pretrain, NetTag, NetTagConfig, PretrainConfig};
 use nettag_netlist::Library;
 use nettag_tasks::{build_suite, pretrain_designs, GnnConfig, SuiteConfig, TaskSuite};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Experiment scale, selected via the `NETTAG_SCALE` environment variable.
@@ -270,6 +272,33 @@ pub fn pct(v: f64) -> String {
 /// Formats a float to 2 decimals.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
+}
+
+/// Times `f` adaptively: batch sized during warm-up, best-of-4 batches,
+/// reported as seconds per iteration.
+pub fn time_it<R>(mut f: impl FnMut() -> R) -> f64 {
+    let mut iters = 1u64;
+    let per = loop {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        let dt = t0.elapsed().as_secs_f64();
+        if dt > 0.2 || iters >= 1 << 16 {
+            break dt / iters as f64;
+        }
+        iters *= 2;
+    };
+    let batch = ((0.12 / per.max(1e-9)) as u64).clamp(1, 1 << 16);
+    let mut best = f64::INFINITY;
+    for _ in 0..4 {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / batch as f64);
+    }
+    best
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 use crate::config::NetTagConfig;
 use crate::exprllm::ExprLlm;
 use crate::tagformer::TagFormer;
-use nettag_expr::token::Vocab;
+use nettag_expr::token::{TokenId, Vocab};
 use nettag_netlist::{
     chunk_into_cones, cone_to_netlist, Library, Netlist, PhysProps, Tag, TagOptions,
 };
 use nettag_nn::{Layer, Param, Tensor};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// The pre-trainable NetTAG model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,43 +82,85 @@ impl NetTag {
 
     /// Computes frozen input features for TAGFormer: per-node ExprLLM text
     /// embedding concatenated with the 8-dim physical vector
-    /// (`n_i = (T_i, x_phys_i)`, eq. 2).
+    /// (`n_i = (T_i, x_phys_i)`, eq. 2). A batch of one
+    /// [`Self::node_features_batch`].
     pub fn node_features(&self, tag: &Tag) -> Tensor {
-        self.node_features_with_vocab(tag, &Self::vocab())
+        self.node_features_batch(&[tag])
+            .pop()
+            .expect("one tag in, one out")
     }
 
-    /// [`Self::node_features`] with a caller-held [`Vocab`]. Building the
-    /// vocabulary costs more than embedding a small cone, so long-lived
-    /// callers (the serving engine, batch pipelines) construct it once
-    /// and pass it in; results are identical.
-    pub fn node_features_with_vocab(&self, tag: &Tag, vocab: &Vocab) -> Tensor {
-        let n = tag.len();
-        let dim = self.config.embed_dim + 8;
-        let mut out = Tensor::zeros(n, dim);
-        // Frozen per-gate ExprLLM encoding dominates TAG preparation and
-        // is independent per node: each worker owns a contiguous block of
-        // output rows (ExprLLM inference builds thread-local graphs).
-        nettag_par::for_each_row_block_mut(&mut out.data, dim, |first_row, chunk| {
-            for (bi, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                let i = first_row + bi;
-                if self.text_scale != 0.0 {
-                    let toks = tag.node_tokens(vocab, i, self.config.max_tokens, false);
-                    let text = self.exprllm.encode(&toks);
-                    for (o, v) in row.iter_mut().zip(text.data.iter()) {
-                        *o = v * self.text_scale;
-                    }
-                }
-                let phys = tag.nodes[i].phys.feature_vector();
-                row[self.config.embed_dim..].copy_from_slice(&phys);
+    /// [`Self::node_features`] for many TAGs at once — the single place
+    /// ExprLLM rows become TAGFormer inputs, shared by the offline API,
+    /// pre-training, the tasks and serving.
+    ///
+    /// Every node of every TAG is tokenized (in parallel), each distinct
+    /// token sequence is encoded once in one [`ExprLlm::encode_batch`],
+    /// and its row is scattered, times `text_scale`, to every node that
+    /// carries it, followed by the node's physical vector. Token
+    /// sequences are canonical (`Tag::node_tokens` renames variables) and
+    /// the encoding is a pure function of them, so the result is bitwise
+    /// independent of what else shares the batch. With `text_scale == 0`
+    /// nothing is tokenized and the text half stays zero.
+    pub fn node_features_batch(&self, tags: &[&Tag]) -> Vec<Tensor> {
+        let dim = self.config.embed_dim;
+        // `rows[k]`: the unique-text row of the k-th node over all TAGs.
+        let (text, rows) = if self.text_scale != 0.0 {
+            let vocab = Self::vocab();
+            let nodes: Vec<(&Tag, usize)> = tags
+                .iter()
+                .flat_map(|&t| (0..t.len()).map(move |i| (t, i)))
+                .collect();
+            let seqs = nettag_par::map_slice(&nodes, |&(t, i)| {
+                t.node_tokens(&vocab, i, self.config.max_tokens, false)
+            });
+            let mut first: HashMap<Vec<TokenId>, usize> = HashMap::new();
+            let rows: Vec<usize> = seqs
+                .into_iter()
+                .map(|s| {
+                    let next = first.len();
+                    *first.entry(s).or_insert(next)
+                })
+                .collect();
+            let mut unique = vec![Vec::new(); first.len()];
+            for (s, row) in first {
+                unique[row] = s;
             }
-        });
-        out
+            (self.exprllm.encode_batch(&unique), rows)
+        } else {
+            (Tensor::zeros(0, dim), Vec::new())
+        };
+        let mut rows = rows.into_iter();
+        tags.iter()
+            .map(|tag| {
+                let mut out = Tensor::zeros(tag.len(), dim + 8);
+                for (node, row) in tag.nodes.iter().zip(out.data.chunks_exact_mut(dim + 8)) {
+                    if let Some(r) = rows.next() {
+                        for (o, v) in row.iter_mut().zip(text.row_slice(r)) {
+                            *o = v * self.text_scale;
+                        }
+                    }
+                    row[dim..].copy_from_slice(&node.phys.feature_vector());
+                }
+                out
+            })
+            .collect()
     }
 
-    /// Embeds a TAG (inference): per-gate + graph embeddings.
+    /// Embeds a TAG (inference): per-gate + graph embeddings. A batch of
+    /// one [`Self::embed_tags`].
     pub fn embed_tag(&self, tag: &Tag) -> TagEmbedding {
-        let features = self.node_features(tag);
-        self.embed_tag_with_features(tag, &features)
+        self.embed_tags(&[tag]).pop().expect("one tag in, one out")
+    }
+
+    /// Embeds many TAGs: one [`Self::node_features_batch`] over all of
+    /// them, then one TAGFormer pass per TAG.
+    pub fn embed_tags(&self, tags: &[&Tag]) -> Vec<TagEmbedding> {
+        let features = self.node_features_batch(tags);
+        tags.iter()
+            .zip(&features)
+            .map(|(tag, f)| self.embed_tag_with_features(tag, f))
+            .collect()
     }
 
     /// Embeds a TAG from pre-computed node features (saves recomputing the
@@ -147,19 +190,19 @@ impl NetTag {
             };
             return self.embed_tag(&tag).cls;
         }
-        let mut total = Tensor::zeros(1, self.config.embed_dim);
-        for cone in chunk_into_cones(netlist) {
-            let sub = cone_to_netlist(netlist, &cone);
-            if sub.gate_count() < 2 {
-                continue;
-            }
-            let tag = match phys {
-                Some(p) => {
-                    // Map parent-gate phys onto cone gates by name.
-                    let by_name: std::collections::HashMap<&str, PhysProps> = netlist
-                        .iter()
-                        .map(|(id, g)| (g.name.as_str(), p[id.index()]))
-                        .collect();
+        // Parent-gate phys, mapped onto cone gates by name.
+        let by_name: Option<HashMap<&str, PhysProps>> = phys.map(|p| {
+            netlist
+                .iter()
+                .map(|(id, g)| (g.name.as_str(), p[id.index()]))
+                .collect()
+        });
+        let tags: Vec<Tag> = chunk_into_cones(netlist)
+            .iter()
+            .map(|cone| cone_to_netlist(netlist, cone))
+            .filter(|sub| sub.gate_count() >= 2)
+            .map(|sub| match &by_name {
+                Some(by_name) => {
                     let fallback = nettag_netlist::synthesis_phys_estimates(&sub, lib);
                     let props: Vec<PhysProps> = sub
                         .iter()
@@ -173,22 +216,13 @@ impl NetTag {
                     Tag::from_netlist_with_phys(&sub, &props, &opts)
                 }
                 None => Tag::from_netlist(&sub, lib, &opts),
-            };
-            total.add_assign(&self.embed_tag(&tag).cls);
+            })
+            .collect();
+        let mut total = Tensor::zeros(1, self.config.embed_dim);
+        for emb in self.embed_tags(&tags.iter().collect::<Vec<_>>()) {
+            total.add_assign(&emb.cls);
         }
         total
-    }
-
-    /// Embeds one register cone of a netlist (cone granularity).
-    pub fn embed_cone(
-        &self,
-        netlist: &Netlist,
-        lib: &Library,
-        cone: &nettag_netlist::Cone,
-    ) -> Tensor {
-        let sub = cone_to_netlist(netlist, cone);
-        let tag = Tag::from_netlist(&sub, lib, &self.tag_options());
-        self.embed_tag(&tag).cls
     }
 }
 

@@ -15,7 +15,7 @@ use crate::encoders::{rtl_vocab, tokenize_rtl, LayoutEncoder, RtlEncoder};
 use crate::nettag::NetTag;
 use nettag_expr::token::{tokenize_expr, Vocab};
 use nettag_expr::{augment_equivalent, AugmentConfig};
-use nettag_netlist::ALL_CELL_KINDS;
+use nettag_netlist::{Tag, ALL_CELL_KINDS};
 use nettag_nn::{
     data_parallel, info_nce, weighted_sum, Adam, GradStore, Graph, Layer, Mlp, NodeId, SampleTape,
     Tensor,
@@ -214,21 +214,25 @@ pub fn freeze_cone_features(
     data: &PretrainData,
     rtl_vocab_: &Vocab,
 ) -> Vec<FrozenCone> {
-    // ExprLLM is frozen here, so every cone's feature pass is pure
-    // inference — the heaviest stage of step-2 setup parallelizes over
-    // cones. Nested helpers run inline (crates/par serializes regions
-    // entered from worker threads), so the inner node_features fan-out
-    // does NOT add parallelism here; with few large cones the grain is
-    // the cone count.
-    nettag_par::map_indexed(data.cones.len(), |index| {
-        let c = &data.cones[index];
-        FrozenCone {
-            features: model.node_features(&c.tag),
-            aug_features: model.node_features(&c.aug_tag),
+    // ExprLLM is frozen here, so the features are one pure-inference
+    // batch over every cone's original and augmented TAG: each distinct
+    // gate text across the whole corpus is encoded once.
+    let tags: Vec<&Tag> = data
+        .cones
+        .iter()
+        .flat_map(|c| [&c.tag, &c.aug_tag])
+        .collect();
+    let mut features = model.node_features_batch(&tags).into_iter();
+    data.cones
+        .iter()
+        .enumerate()
+        .map(|(index, c)| FrozenCone {
+            features: features.next().expect("one feature set per tag"),
+            aug_features: features.next().expect("one feature set per tag"),
             rtl_tokens: tokenize_rtl(rtl_vocab_, &c.rtl_text, model.config.max_tokens),
             index,
-        }
-    })
+        })
+        .collect()
 }
 
 /// Step 2: TAGFormer fusion pre-training + cross-stage alignment (eq. 8).

@@ -99,11 +99,12 @@ pub fn chunk_into_cones(netlist: &Netlist) -> Vec<Cone> {
 /// primary output. Gate names are preserved so symbolic expressions match
 /// across the parent netlist and the extracted cone.
 pub fn cone_to_netlist(netlist: &Netlist, cone: &Cone) -> Netlist {
-    let mut out = Netlist::new(format!(
-        "{}__cone_{}",
-        netlist.name(),
-        netlist.gate(cone.root).name
-    ));
+    // Members plus the output, allocated exactly once: extracted cones
+    // often outlive their parent (queued for serving, kept as samples).
+    let mut out = Netlist::with_capacity(
+        format!("{}__cone_{}", netlist.name(), netlist.gate(cone.root).name),
+        cone.gates.len() + 1,
+    );
     let mut map = std::collections::HashMap::new();
     // Frontier first, as inputs (this may include the root register itself
     // when it feeds its own next-state logic).
@@ -120,7 +121,7 @@ pub fn cone_to_netlist(netlist: &Netlist, cone: &Cone) -> Netlist {
             continue;
         }
         let g = netlist.gate(id);
-        let fanin = g.fanin.iter().map(|f| map[f]).collect();
+        let fanin: Vec<GateId> = g.fanin.iter().map(|f| map[f]).collect();
         let new = out.add_gate(g.name.clone(), g.kind, fanin);
         map.insert(id, new);
     }

@@ -8,6 +8,7 @@ use crate::cell::CellKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a gate node within one [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -27,14 +28,15 @@ impl fmt::Display for GateId {
 }
 
 /// One gate instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// Instance name (`U3`, `R1`, …).
     pub name: String,
     /// Library cell kind.
     pub kind: CellKind,
-    /// Ordered input pins (driver gate ids).
-    pub fanin: Vec<GateId>,
+    /// Ordered input pins (driver gate ids). A boxed slice rather than a
+    /// `Vec`: pins never grow in place, and the gate stays 8 bytes smaller.
+    pub fanin: Box<[GateId]>,
     /// Drive-strength multiplier set by sizing optimization (1.0 = nominal).
     pub size: f64,
 }
@@ -100,21 +102,69 @@ impl std::error::Error for NetlistError {}
 /// let n = n.validate().expect("well-formed");
 /// assert_eq!(n.gate_count(), 4);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
-    /// Derived: fanout adjacency (built by `validate`/`rebuild_fanout`).
-    fanouts: Vec<Vec<GateId>>,
+    /// Derived fan-out adjacency: a snapshot of the fan-ins as of the last
+    /// `validate`/`rebuild_fanout` (`None` before either). The snapshot is
+    /// built on first use, since many netlists never ask (extracted cones
+    /// on their way to a socket, for one), and at the latest before a
+    /// gate changes.
+    fanouts: Option<OnceLock<Fanouts>>,
+}
+
+/// Fan-out adjacency in CSR form: gate `i`'s sinks are
+/// `ids[start[i]..start[i + 1]]`, in ascending sink order.
+#[derive(Debug, Clone)]
+struct Fanouts {
+    start: Vec<u32>,
+    ids: Vec<GateId>,
+}
+
+impl Fanouts {
+    fn of(gates: &[Gate]) -> Fanouts {
+        let n = gates.len();
+        let mut start = vec![0u32; n + 1];
+        for g in gates {
+            for f in g.fanin.iter().filter(|f| f.index() < n) {
+                start[f.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![GateId(0); start[n] as usize];
+        for (i, g) in gates.iter().enumerate() {
+            for f in g.fanin.iter().filter(|f| f.index() < n) {
+                ids[next[f.index()] as usize] = GateId(i as u32);
+                next[f.index()] += 1;
+            }
+        }
+        Fanouts { start, ids }
+    }
+
+    fn sinks(&self, id: GateId) -> &[GateId] {
+        match self.start.get(id.index()..id.index() + 2) {
+            Some(&[lo, hi]) => &self.ids[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl Netlist {
     /// Creates an empty netlist with a design name.
     pub fn new(name: impl Into<String>) -> Netlist {
+        Netlist::with_capacity(name, 0)
+    }
+
+    /// [`Netlist::new`] with room for `gates` gates.
+    pub(crate) fn with_capacity(name: impl Into<String>, gates: usize) -> Netlist {
         Netlist {
             name: name.into(),
-            gates: Vec::new(),
-            fanouts: Vec::new(),
+            gates: Vec::with_capacity(gates),
+            fanouts: None,
         }
     }
 
@@ -128,19 +178,20 @@ impl Netlist {
         self.name = name.into();
     }
 
-    /// Adds a gate and returns its id. Fan-out tables are rebuilt lazily by
-    /// [`Netlist::validate`] / [`Netlist::rebuild_fanout`].
+    /// Adds a gate and returns its id. Fan-out tables keep their last
+    /// snapshot until [`Netlist::validate`] / [`Netlist::rebuild_fanout`].
     pub fn add_gate(
         &mut self,
         name: impl Into<String>,
         kind: CellKind,
-        fanin: Vec<GateId>,
+        fanin: impl Into<Box<[GateId]>>,
     ) -> GateId {
+        self.settle_fanouts();
         let id = GateId(self.gates.len() as u32);
         self.gates.push(Gate {
             name: name.into(),
             kind,
-            fanin,
+            fanin: fanin.into(),
             size: 1.0,
         });
         id
@@ -166,6 +217,7 @@ impl Netlist {
     ///
     /// Panics if `id` is out of range.
     pub fn gate_mut(&mut self, id: GateId) -> &mut Gate {
+        self.settle_fanouts();
         &mut self.gates[id.index()]
     }
 
@@ -209,23 +261,24 @@ impl Netlist {
 
     /// Fan-out list of a gate (empty before [`Netlist::rebuild_fanout`]).
     pub fn fanout(&self, id: GateId) -> &[GateId] {
-        self.fanouts
-            .get(id.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        match &self.fanouts {
+            Some(f) => f.get_or_init(|| Fanouts::of(&self.gates)).sinks(id),
+            None => &[],
+        }
     }
 
-    /// Recomputes the fan-out adjacency from fan-in lists.
+    /// Snapshots the fan-out adjacency of the current fan-in lists (the
+    /// tables are built on first use).
     pub fn rebuild_fanout(&mut self) {
-        let mut fo = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            for &f in &g.fanin {
-                if f.index() < fo.len() {
-                    fo[f.index()].push(GateId(i as u32));
-                }
-            }
+        self.fanouts = Some(OnceLock::new());
+    }
+
+    /// Builds a requested fan-out snapshot still pending, so it records
+    /// the fan-ins of its request rather than a later edit.
+    fn settle_fanouts(&mut self) {
+        if let Some(f) = &self.fanouts {
+            f.get_or_init(|| Fanouts::of(&self.gates));
         }
-        self.fanouts = fo;
     }
 
     /// Validates structure (arities, dangling refs, unique names, no
@@ -256,10 +309,10 @@ impl Netlist {
                 });
             }
         }
-        self.rebuild_fanout();
         // Kahn's algorithm over combinational edges only: an edge u->v is
         // combinational iff v is not sequential (register D pins terminate
         // paths) — registers' outputs still start new paths.
+        let fanouts = Fanouts::of(&self.gates);
         let n = self.gates.len();
         let mut indeg = vec![0usize; n];
         for (i, g) in self.gates.iter().enumerate() {
@@ -271,7 +324,7 @@ impl Netlist {
         let mut seen = 0usize;
         while let Some(u) = queue.pop() {
             seen += 1;
-            for &v in &self.fanouts[u] {
+            for &v in fanouts.sinks(GateId(u as u32)) {
                 let vi = v.index();
                 if self.gates[vi].kind.is_sequential() {
                     continue;
@@ -292,6 +345,8 @@ impl Netlist {
                 .unwrap_or_default();
             return Err(NetlistError::CombinationalCycle { gate });
         }
+        self.gates.shrink_to_fit();
+        self.rebuild_fanout();
         Ok(self)
     }
 
@@ -329,6 +384,24 @@ mod tests {
         let a = n.find("a").expect("exists");
         let u1 = n.find("U1").expect("exists");
         assert_eq!(n.fanout(a), &[u1]);
+    }
+
+    #[test]
+    fn fanout_is_a_snapshot_until_rebuilt() {
+        // Fan-outs are built lazily, yet they keep reporting the fan-ins of
+        // the last validate/rebuild even when a gate changes before the
+        // first query.
+        let mut n = two_input_example().validate().expect("valid");
+        let a = n.find("a").expect("exists");
+        let b = n.find("b").expect("exists");
+        let u1 = n.find("U1").expect("exists");
+        n.gate_mut(u1).fanin = Box::new([b, b]);
+        assert_eq!(n.fanout(a), &[u1]);
+        assert_eq!(n.fanout(b), &[u1]);
+        n.rebuild_fanout();
+        assert!(n.fanout(a).is_empty());
+        assert_eq!(n.fanout(b), &[u1, u1]);
+        assert!(Netlist::new("fresh").fanout(GateId(0)).is_empty());
     }
 
     #[test]

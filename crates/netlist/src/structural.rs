@@ -200,10 +200,27 @@ fn root_hash(
 }
 
 /// Roots of the digest: primary outputs, then sequential elements (their
-/// D-pin cones are the state-transition functions), in id order.
+/// D-pin cones are the state-transition functions), then every other gate
+/// no gate reads, in id order. The last group matters for extracted cones:
+/// logic that fed only a register's enable or reset pin stays in the cone
+/// (and reaches the TAG) but drives neither the output nor a register.
 fn digest_roots(netlist: &Netlist) -> Vec<GateId> {
+    let mut read = vec![false; netlist.gate_count()];
+    for (_, g) in netlist.iter() {
+        for &f in &g.fanin {
+            read[f.index()] = true;
+        }
+    }
     let mut roots = netlist.outputs();
     roots.extend(netlist.registers());
+    roots.extend(
+        netlist
+            .iter()
+            .filter(|(id, g)| {
+                !read[id.index()] && g.kind != CellKind::Output && !g.kind.is_sequential()
+            })
+            .map(|(id, _)| id),
+    );
     roots
 }
 
@@ -242,8 +259,9 @@ fn digest(netlist: &Netlist, phys: Option<&[PhysProps]>) -> u128 {
 }
 
 /// 128-bit structural digest of a netlist: cell kinds, drive sizes, and
-/// pin-ordered connectivity from every output and register cone, with cut
-/// points (inputs / sequential elements) identified by first-visit order.
+/// pin-ordered connectivity from every output and register cone and from
+/// every gate nothing reads, with cut points (inputs / sequential
+/// elements) identified by first-visit order.
 /// Gate names and — for single-rooted netlists such as extracted cones —
 /// gate insertion order do not affect the result.
 ///
@@ -434,6 +452,34 @@ mod tests {
             structural_hash(&build(CellKind::And2)),
             structural_hash(&build(CellKind::Or2))
         );
+    }
+
+    #[test]
+    fn enable_logic_outside_the_d_cone_is_structure() {
+        // R = DFFE(d: a & b, en: b op c). The extracted cone's output sees
+        // only the D logic, but the enable gate stays in the cone netlist
+        // (and its TAG), so it must reach the digest too.
+        let cone_of = |en_kind: CellKind| {
+            let mut n = Netlist::new("en");
+            let a = n.add_gate("a", CellKind::Input, vec![]);
+            let b = n.add_gate("b", CellKind::Input, vec![]);
+            let c = n.add_gate("c", CellKind::Input, vec![]);
+            let d = n.add_gate("D", CellKind::And2, vec![a, b]);
+            let en = n.add_gate("EN", en_kind, vec![b, c]);
+            let r = n.add_gate("R", CellKind::DffE, vec![d, en]);
+            n.add_gate("q", CellKind::Output, vec![r]);
+            let n = n.validate().expect("valid");
+            let cone = crate::cone::register_cone(&n, r);
+            cone_to_netlist(&n, &cone)
+        };
+        let (or, xor) = (cone_of(CellKind::Or2), cone_of(CellKind::Xor2));
+        assert!(or.find("EN").is_some(), "enable logic stays in the cone");
+        assert_ne!(structural_hash(&or), structural_hash(&xor));
+        let lib = Library::default();
+        let with_phys = |n: &Netlist| {
+            structural_hash_with_phys(n, &crate::tag::synthesis_phys_estimates(n, &lib))
+        };
+        assert_ne!(with_phys(&or), with_phys(&xor));
     }
 
     #[test]

@@ -184,7 +184,7 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
                     .ok_or_else(|| err(*line, &format!("undriven net {n}")))
             })
             .collect();
-        netlist.gate_mut(by_net[out]).fanin = fanin?;
+        netlist.gate_mut(by_net[out]).fanin = fanin?.into();
     }
     for (lhs, rhs, line) in &assigns {
         let driver = by_net

@@ -12,15 +12,17 @@
 //! typed [`ServeError::Overloaded`] instead of queueing unboundedly.
 //!
 //! A batcher coalesces everything that arrives within a small window (up
-//! to `max_batch`) into **one** batched forward pass: every missing
-//! cone's gate-attribute token sequences — plus any standalone
-//! expression requests — join a single
-//! [`ExprLlm::encode_batch`](nettag_core::ExprLlm::encode_batch) call
-//! (which fans out across the persistent `nettag-par` worker pool), and
-//! each cone then takes one tapeless TAGFormer pass. Responses are
-//! bitwise independent of batch composition and lane assignment: a
-//! request answers with the same bits whether it ran alone, coalesced
-//! with strangers, or hit the cache (pinned by the `serve` integration
+//! to `max_batch`) and answers it in three steps: plan (prune expired
+//! requests, answer cache hits, dedup identical structures), compute,
+//! reply. Every missing cone goes through the model's one embedding
+//! pipeline, [`NetTag::embed_tags`], which encodes each distinct gate
+//! text of the batch once in a single ExprLLM pass and then runs one
+//! tapeless TAGFormer pass per cone; standalone expression requests take
+//! their own ExprLLM pass over just their sequences. Both fan out across
+//! the persistent `nettag-par` worker pool. Responses are bitwise
+//! independent of batch composition and lane assignment: a request
+//! answers with the same bits whether it ran alone, coalesced with
+//! strangers, or hit the cache (pinned by the `serve` integration
 //! tests).
 //!
 //! **Fault tolerance.** Batch execution runs inside `catch_unwind`: a
@@ -751,7 +753,7 @@ enum Plan {
     Wait { key: u128, predict: bool },
     /// Answered by the fused embedding computed under `key` this batch.
     WaitFused { key: u128 },
-    /// Answered by row `row` of the batched ExprLLM pass.
+    /// Answered by row `row` of the batch's expression ExprLLM pass.
     ExprRow { row: usize },
 }
 
@@ -829,14 +831,12 @@ fn run_batch(
         (Arc::clone(&st.model), st.generation)
     };
     let opts = model.tag_options();
-    let embed_dim = model.config.embed_dim;
     // Planning pass: prune expired requests, consult the cache, dedup
-    // within the batch, and collect every token sequence the batch
-    // needs.
-    let mut union: Vec<Vec<TokenId>> = Vec::new();
-    // (key, tag, row offset of this cone's tokens in `union`).
-    let mut compute: Vec<(u128, Tag, usize)> = Vec::new();
+    // within the batch, and collect the TAGs and expression token
+    // sequences the batch needs.
+    let mut compute: Vec<(u128, Tag)> = Vec::new();
     let mut scheduled: HashSet<u128> = HashSet::new();
+    let mut exprs: Vec<Vec<TokenId>> = Vec::new();
     // Fused requests scheduled this batch, plus `[CLS]` embeddings the
     // fused pass can take from the cache instead of recomputing.
     let mut fused_compute: Vec<(u128, Netlist, Vec<PhysProps>)> = Vec::new();
@@ -849,23 +849,11 @@ fn run_batch(
     let schedule_cls = |key: u128,
                         netlist: &Netlist,
                         props: &[PhysProps],
-                        union: &mut Vec<Vec<TokenId>>,
-                        compute: &mut Vec<(u128, Tag, usize)>,
+                        compute: &mut Vec<(u128, Tag)>,
                         scheduled: &mut HashSet<u128>| {
-        if !scheduled.insert(key) {
-            return;
+        if scheduled.insert(key) {
+            compute.push((key, Tag::from_netlist_with_phys(netlist, props, &opts)));
         }
-        let tag = Tag::from_netlist_with_phys(netlist, props, &opts);
-        let offset = if model.text_scale != 0.0 {
-            let o = union.len();
-            for i in 0..tag.len() {
-                union.push(tag.node_tokens(&shared.vocab, i, model.config.max_tokens, false));
-            }
-            o
-        } else {
-            usize::MAX
-        };
-        compute.push((key, tag, offset));
     };
     let now = Instant::now();
     for (idx, (kind, deadline)) in items.into_iter().enumerate() {
@@ -893,14 +881,7 @@ fn run_batch(
                         tally.dedup_hits += 1;
                     } else {
                         tally.cache_misses += 1;
-                        schedule_cls(
-                            key,
-                            &netlist,
-                            &props,
-                            &mut union,
-                            &mut compute,
-                            &mut scheduled,
-                        );
+                        schedule_cls(key, &netlist, &props, &mut compute, &mut scheduled);
                     }
                     Plan::Wait { key, predict }
                 }
@@ -925,14 +906,7 @@ fn run_batch(
                             if let Some(cls) = shared.cache.get(key, generation) {
                                 cls_from_cache.insert(key, cls);
                             } else {
-                                schedule_cls(
-                                    key,
-                                    &netlist,
-                                    &props,
-                                    &mut union,
-                                    &mut compute,
-                                    &mut scheduled,
-                                );
+                                schedule_cls(key, &netlist, &props, &mut compute, &mut scheduled);
                             }
                         }
                         fused_compute.push((key, netlist, props));
@@ -943,44 +917,25 @@ fn run_batch(
                 }
             }
             RequestKind::Expr { expr } => {
-                let toks = tokenize_expr(&shared.vocab, &expr, model.config.max_tokens);
-                union.push(toks);
+                exprs.push(tokenize_expr(&shared.vocab, &expr, model.config.max_tokens));
                 Plan::ExprRow {
-                    row: union.len() - 1,
+                    row: exprs.len() - 1,
                 }
             }
         };
         plans.push((idx, plan));
     }
-    // One batched ExprLLM forward over every token sequence the batch
-    // needs (all missing cones' gates + all standalone expressions) —
-    // this is the expensive pass, and it rides the worker pool.
-    let text = if union.is_empty() {
-        None
-    } else {
-        Some(model.exprllm.encode_batch(&union))
-    };
-    // Per-cone tapeless TAGFormer pass over the scattered features,
-    // mirroring `NetTag::node_features` bit for bit.
+    // Every missing cone goes through the model's one embedding pipeline
+    // (each distinct gate text encoded once, then TAGFormer per cone);
+    // standalone expressions take their own ExprLLM pass.
+    let tags: Vec<&Tag> = compute.iter().map(|(_, tag)| tag).collect();
     let mut computed: HashMap<u128, Arc<Tensor>> = HashMap::with_capacity(compute.len());
-    for (key, tag, offset) in compute {
-        let dim = embed_dim + 8;
-        let mut feats = Tensor::zeros(tag.len(), dim);
-        for i in 0..tag.len() {
-            let row = &mut feats.data[i * dim..(i + 1) * dim];
-            if offset != usize::MAX {
-                let t = text.as_ref().expect("union encoded").row_slice(offset + i);
-                for (o, v) in row.iter_mut().zip(t.iter()) {
-                    *o = v * model.text_scale;
-                }
-            }
-            row[embed_dim..].copy_from_slice(&tag.nodes[i].phys.feature_vector());
-        }
-        let (_nodes, cls) = model.tagformer.encode(&feats, &tag.edges);
-        let emb = Arc::new(cls);
-        shared.cache.insert(key, Arc::clone(&emb), generation);
-        computed.insert(key, emb);
+    for ((key, _), emb) in compute.iter().zip(model.embed_tags(&tags)) {
+        let emb = Arc::new(emb.cls);
+        shared.cache.insert(*key, Arc::clone(&emb), generation);
+        computed.insert(*key, emb);
     }
+    let expr_text = model.exprllm.encode_batch(&exprs);
     // Fused pass: geometry extraction (deterministic seeded flow) +
     // tapeless cross-attentive fusion over the `[CLS]` embedding this
     // batch computed (or found cached).
@@ -1027,12 +982,9 @@ fn run_batch(
                 );
                 Ok(Response::Embedding(emb))
             }
-            Plan::ExprRow { row } => {
-                let t = text.as_ref().expect("union encoded");
-                Ok(Response::Embedding(Arc::new(Tensor::row(
-                    t.row_slice(row).to_vec(),
-                ))))
-            }
+            Plan::ExprRow { row } => Ok(Response::Embedding(Arc::new(Tensor::row(
+                expr_text.row_slice(row).to_vec(),
+            )))),
         };
         if let Some(reply) = replies[idx].take() {
             reply.send(result);

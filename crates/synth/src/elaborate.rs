@@ -113,7 +113,7 @@ pub fn elaborate(rtl: &RtlModule) -> Design {
             if let Some(en) = en_bit {
                 fanin.push(en);
             }
-            e.netlist.gate_mut(reg).fanin = fanin;
+            e.netlist.gate_mut(reg).fanin = fanin.into();
         }
     }
     // 5. Registered outputs: a Reg that is also read as a port.

@@ -48,7 +48,7 @@ fn rebuild(
     for (id, g) in design.netlist.iter() {
         let Some(&new) = map.get(&id) else { continue };
         let fanin: Vec<GateId> = g.fanin.iter().map(|&f| map[&resolve(f)]).collect();
-        netlist.gate_mut(new).fanin = fanin;
+        netlist.gate_mut(new).fanin = fanin.into();
     }
     let netlist = netlist
         .validate()
@@ -221,7 +221,7 @@ pub fn infer_complex_cells(design: &Design) -> Design {
         };
         let gate = out.netlist.gate_mut(id);
         gate.kind = new_kind;
-        gate.fanin = fanin;
+        gate.fanin = fanin.into();
     }
     sweep_dead(&out)
 }
@@ -277,7 +277,7 @@ pub fn decompose_uniform(design: &Design, prob: f64, rng: &mut StdRng) -> Design
             && !matches!(g.kind, CellKind::Inv | CellKind::Buf | CellKind::Nand2)
             && rng.gen_bool(prob);
         if !decompose {
-            out.gate_mut(target).fanin = fanin;
+            out.gate_mut(target).fanin = fanin.into();
             continue;
         }
         let mut b = NandBuilder {
@@ -366,7 +366,7 @@ impl NandBuilder<'_> {
         let set = |net: &mut Netlist, target: GateId, kind: CellKind, fanin: Vec<GateId>| {
             let g = net.gate_mut(target);
             g.kind = kind;
-            g.fanin = fanin;
+            g.fanin = fanin.into();
         };
         match kind {
             CellKind::And2 | CellKind::And3 | CellKind::And4 => {
@@ -533,7 +533,7 @@ fn expand_and_to_nand_inv(d: &Design, rng: &mut StdRng) -> Design {
     out.labels.push(label);
     let gate = out.netlist.gate_mut(id);
     gate.kind = CellKind::Inv;
-    gate.fanin = vec![inner];
+    gate.fanin = Box::new([inner]);
     out.netlist.rebuild_fanout();
     out
 }
@@ -561,7 +561,7 @@ fn de_morgan_random(d: &Design, rng: &mut StdRng) -> Design {
     } else {
         CellKind::And2
     };
-    gate.fanin = vec![inv_a, inv_b];
+    gate.fanin = Box::new([inv_a, inv_b]);
     out.netlist.rebuild_fanout();
     out
 }

@@ -50,6 +50,7 @@ pub fn geom_samples(model: &NetTag, design: &Design, lib: &Library) -> GeomSampl
         congestion: Vec::new(),
         slack: Vec::new(),
     };
+    let mut tags = Vec::new();
     for reg in design.netlist.registers() {
         let name = &design.netlist.gate(reg).name;
         let Some(slack) = signoff.register_slack(name) else {
@@ -65,15 +66,16 @@ pub fn geom_samples(model: &NetTag, design: &Design, lib: &Library) -> GeomSampl
         let hpwl = outcome.placement.total_hpwl(&outcome.netlist);
         let die = outcome.placement.die.max(f64::MIN_POSITIVE);
         out.geom.push(geometry_features(&outcome, &props));
-        out.cls.push(
-            model
-                .embed_tag(&Tag::from_netlist(&sub, lib, &model.tag_options()))
-                .cls,
-        );
+        tags.push(Tag::from_netlist(&sub, lib, &model.tag_options()));
         out.wirelength.push(hpwl.ln_1p() as f32);
         out.congestion.push((hpwl / (die * die)) as f32);
         out.slack.push(slack as f32);
     }
+    out.cls = model
+        .embed_tags(&tags.iter().collect::<Vec<_>>())
+        .into_iter()
+        .map(|e| e.cls)
+        .collect();
     out
 }
 

@@ -9,7 +9,7 @@
 use crate::gnn::{structural_features, GnnConfig, GnnGraph, GnnGraphModel};
 use crate::metrics::{sensitivity_metrics, BinarySensitivity};
 use nettag_core::{ClassifierHead, FinetuneConfig, NetTag};
-use nettag_netlist::{cone_to_netlist, register_cone, Library, Netlist};
+use nettag_netlist::{cone_to_netlist, register_cone, Library, Netlist, Tag};
 use nettag_synth::Design;
 
 /// Register cone samples of one design.
@@ -26,7 +26,7 @@ pub struct RegisterSamples {
 
 /// Extracts per-register samples from a design.
 pub fn register_samples(model: &NetTag, design: &Design, lib: &Library) -> RegisterSamples {
-    let mut features = Vec::new();
+    let mut tags = Vec::new();
     let mut graphs = Vec::new();
     let mut labels = Vec::new();
     let mut names = Vec::new();
@@ -39,21 +39,17 @@ pub fn register_samples(model: &NetTag, design: &Design, lib: &Library) -> Regis
         if sub.gate_count() < 2 {
             continue;
         }
-        features.push(
-            model
-                .embed_tag(&nettag_netlist::Tag::from_netlist(
-                    &sub,
-                    lib,
-                    &model.tag_options(),
-                ))
-                .pooled(),
-        );
+        tags.push(Tag::from_netlist(&sub, lib, &model.tag_options()));
         graphs.push(cone_graph(&sub, lib));
         labels.push(is_state);
         names.push(design.netlist.gate(reg).name.clone());
     }
     RegisterSamples {
-        features,
+        features: model
+            .embed_tags(&tags.iter().collect::<Vec<_>>())
+            .iter()
+            .map(|e| e.pooled())
+            .collect(),
         graphs,
         labels,
         names,

@@ -34,7 +34,7 @@ pub fn slack_samples(
     let mut optimized = flow.clone();
     optimized.optimize = true;
     let outcome = run_flow(&design.netlist, lib, &optimized);
-    let mut features = Vec::new();
+    let mut tags = Vec::new();
     let mut graphs = Vec::new();
     let mut targets = Vec::new();
     for reg in design.netlist.registers() {
@@ -47,16 +47,16 @@ pub fn slack_samples(
         if sub.gate_count() < 2 {
             continue;
         }
-        features.push(
-            model
-                .embed_tag(&Tag::from_netlist(&sub, lib, &model.tag_options()))
-                .pooled(),
-        );
+        tags.push(Tag::from_netlist(&sub, lib, &model.tag_options()));
         graphs.push(cone_graph(&sub, lib));
         targets.push(slack as f32);
     }
     SlackSamples {
-        features,
+        features: model
+            .embed_tags(&tags.iter().collect::<Vec<_>>())
+            .iter()
+            .map(|e| e.pooled())
+            .collect(),
         graphs,
         targets,
     }

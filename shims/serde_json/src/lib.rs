@@ -274,12 +274,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both
+                    // delimiters are ASCII, so the run is whole UTF-8
+                    // characters; checking only the run keeps parsing
+                    // linear in the input.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
+                    );
                 }
             }
         }

@@ -9,7 +9,7 @@ use nettag::expr::{
 };
 use nettag::synth::{
     check_equivalent_random, generate_design, optimize, restructure_equivalent, Family,
-    GenerateConfig,
+    GenerateConfig, ALL_FAMILIES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,4 +99,65 @@ fn physical_optimization_preserves_function() {
     };
     let mut rng = StdRng::seed_from_u64(0xE3);
     assert!(check_equivalent_random(&a, &b, 20, &mut rng));
+}
+
+#[test]
+fn equal_cone_digests_imply_equal_model_input() {
+    // The serving cache answers a cone with the embedding of any earlier
+    // cone under the same `structural_hash_with_phys`, so equal digests
+    // must mean equal TAGFormer input: per-node token sequences, phys
+    // feature bits and edges, node for node.
+    use nettag::core::NetTag;
+    use nettag::netlist::{
+        chunk_into_cones, cone_to_netlist, structural_hash_with_phys, synthesis_phys_estimates,
+        Library, Tag, TagOptions,
+    };
+    use std::collections::HashMap;
+    let lib = Library::default();
+    let vocab = NetTag::vocab();
+    let opts = TagOptions::default();
+    let gen = GenerateConfig {
+        scale: 0.5,
+        ..GenerateConfig::default()
+    };
+    type Input = (Vec<Vec<u32>>, Vec<[u32; 8]>, Vec<(u32, u32)>);
+    let mut seen: HashMap<u128, Input> = HashMap::new();
+    let mut repeats = 0;
+    for k in 0..48 {
+        let family = ALL_FAMILIES[k % ALL_FAMILIES.len()];
+        let design = generate_design(family, k / ALL_FAMILIES.len(), 0x5eed, &gen);
+        for cone in chunk_into_cones(&design.netlist) {
+            let sub = cone_to_netlist(&design.netlist, &cone);
+            if !(2..=220).contains(&sub.gate_count()) {
+                continue;
+            }
+            let props = synthesis_phys_estimates(&sub, &lib);
+            let key = structural_hash_with_phys(&sub, &props);
+            let tag = Tag::from_netlist_with_phys(&sub, &props, &opts);
+            let input: Input = (
+                (0..tag.len())
+                    .map(|i| tag.node_tokens(&vocab, i, 1024, false))
+                    .collect(),
+                tag.nodes
+                    .iter()
+                    .map(|n| n.phys.feature_vector().map(f32::to_bits))
+                    .collect(),
+                tag.edges.clone(),
+            );
+            match seen.get(&key) {
+                Some(first) => {
+                    repeats += 1;
+                    assert!(
+                        *first == input,
+                        "design {k} cone {}: digest shared with a different model input",
+                        sub.name()
+                    );
+                }
+                None => {
+                    seen.insert(key, input);
+                }
+            }
+        }
+    }
+    assert!(repeats > 0, "the designs must repeat some cone structure");
 }
