@@ -184,7 +184,7 @@ pub fn netlist_to_aig_tracked(netlist: &Netlist) -> (Aig, Vec<Option<GateId>>) {
             g.kind,
             CellKind::Input | CellKind::Dff | CellKind::DffE | CellKind::DffR
         ) {
-            let l = aig.add_input(g.name.clone());
+            let l = aig.add_input(g.name.to_string());
             lits.insert(id.0, l);
             continue;
         }
@@ -243,7 +243,7 @@ pub fn netlist_to_aig_tracked(netlist: &Netlist) -> (Aig, Vec<Option<GateId>>) {
             creators.push(Some(id));
         }
         if g.kind == CellKind::Output {
-            aig.add_output(g.name.clone(), l);
+            aig.add_output(g.name.to_string(), l);
         }
     }
     // Register D pins are outputs of the combinational logic too.

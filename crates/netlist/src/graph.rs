@@ -5,6 +5,7 @@
 //! {T, E}` of paper Sec. II-B before text attributes are attached.
 
 use crate::cell::CellKind;
+use crate::inline::{GateName, Pins};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -27,16 +28,16 @@ impl fmt::Display for GateId {
     }
 }
 
-/// One gate instance.
+/// One gate instance. Its name and pins are stored inline in the common
+/// case, so a gate owns no heap allocation (64 bytes in all).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// Instance name (`U3`, `R1`, …).
-    pub name: String,
+    pub name: GateName,
     /// Library cell kind.
     pub kind: CellKind,
-    /// Ordered input pins (driver gate ids). A boxed slice rather than a
-    /// `Vec`: pins never grow in place, and the gate stays 8 bytes smaller.
-    pub fanin: Box<[GateId]>,
+    /// Ordered input pins (driver gate ids).
+    pub fanin: Pins,
     /// Drive-strength multiplier set by sizing optimization (1.0 = nominal).
     pub size: f64,
 }
@@ -182,9 +183,9 @@ impl Netlist {
     /// snapshot until [`Netlist::validate`] / [`Netlist::rebuild_fanout`].
     pub fn add_gate(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<GateName>,
         kind: CellKind,
-        fanin: impl Into<Box<[GateId]>>,
+        fanin: impl Into<Pins>,
     ) -> GateId {
         self.settle_fanouts();
         let id = GateId(self.gates.len() as u32);
@@ -298,14 +299,14 @@ impl Netlist {
         for g in &self.gates {
             if g.fanin.len() != g.kind.arity() {
                 return Err(NetlistError::ArityMismatch {
-                    gate: g.name.clone(),
+                    gate: g.name.to_string(),
                     expected: g.kind.arity(),
                     found: g.fanin.len(),
                 });
             }
             if g.fanin.iter().any(|f| f.index() >= self.gates.len()) {
                 return Err(NetlistError::DanglingFanin {
-                    gate: g.name.clone(),
+                    gate: g.name.to_string(),
                 });
             }
         }
@@ -341,7 +342,7 @@ impl Netlist {
                 .iter()
                 .enumerate()
                 .find(|(i, g)| indeg[*i] > 0 && !g.kind.is_sequential())
-                .map(|(_, g)| g.name.clone())
+                .map(|(_, g)| g.name.to_string())
                 .unwrap_or_default();
             return Err(NetlistError::CombinationalCycle { gate });
         }
@@ -395,7 +396,7 @@ mod tests {
         let a = n.find("a").expect("exists");
         let b = n.find("b").expect("exists");
         let u1 = n.find("U1").expect("exists");
-        n.gate_mut(u1).fanin = Box::new([b, b]);
+        n.gate_mut(u1).fanin = [b, b].into();
         assert_eq!(n.fanout(a), &[u1]);
         assert_eq!(n.fanout(b), &[u1]);
         n.rebuild_fanout();

@@ -120,7 +120,7 @@ impl Tag {
         for (id, g) in netlist.iter() {
             let expr = bounded_expr(netlist, id, opts);
             nodes.push(TagNode {
-                name: g.name.clone(),
+                name: g.name.to_string(),
                 kind: g.kind,
                 expr_text: expr.to_string(),
                 phys: phys[id.index()],

@@ -15,11 +15,13 @@
 //! to `max_batch`) and answers it in three steps: plan (prune expired
 //! requests, answer cache hits, dedup identical structures), compute,
 //! reply. Every missing cone goes through the model's one embedding
-//! pipeline, [`NetTag::embed_tags`], which encodes each distinct gate
-//! text of the batch once in a single ExprLLM pass and then runs one
-//! tapeless TAGFormer pass per cone; standalone expression requests take
-//! their own ExprLLM pass over just their sequences. Both fan out across
-//! the persistent `nettag-par` worker pool. Responses are bitwise
+//! pipeline, [`NetTag::embed_tags_cached`], and standalone expression
+//! requests through the same [`NetTag::encode_texts`]. Both read gate-text
+//! rows from the model's [`TextCache`], which lives as long as the loaded
+//! weights: a gate text is encoded once per served model, in one ExprLLM
+//! pass over the batch's unseen texts, and every later batch reuses its
+//! row. Each cone then takes one tapeless TAGFormer pass; both passes fan
+//! out across the persistent `nettag-par` worker pool. Responses are bitwise
 //! independent of batch composition and lane assignment: a request
 //! answers with the same bits whether it ran alone, coalesced with
 //! strangers, or hit the cache (pinned by the `serve` integration
@@ -32,23 +34,26 @@
 //! strands the queue behind it. Every lock the serving path shares with
 //! a potentially panicking batch recovers the guard
 //! (`unwrap_or_else(|e| e.into_inner())`) instead of propagating the
-//! poison: the guarded states (weights pointer + generation, cache
-//! shards, counters) are valid after any partial batch. Requests carry
-//! an optional **deadline**: one still queued when it lapses is pruned
-//! from its batch without being encoded and resolves
+//! poison: the guarded states (weights pointer + generation, text rows,
+//! cache shards, counters) are valid after any partial batch. Requests
+//! carry an optional **deadline**: one still queued when it lapses is
+//! pruned from its batch without being encoded and resolves
 //! [`ServeError::DeadlineExceeded`].
 //!
 //! The model itself can be **hot-swapped** ([`Engine::swap_checkpoint`] /
 //! [`Engine::swap_model`]): the swap atomically installs the new weights
-//! and bumps the cache generation, so embeddings computed under the old
-//! checkpoint are never served afterwards (they are evicted lazily on
-//! touch). In-flight batches that already snapshotted the old model
-//! finish under it — their responses raced the swap either way.
+//! with an empty text cache and bumps the cone-cache generation, so
+//! embeddings and text rows computed under the old checkpoint are never
+//! served afterwards (stale cones are evicted lazily on touch). In-flight
+//! batches that already snapshotted the old model finish under it — their
+//! responses raced the swap either way.
 
 use crate::cache::ConeCache;
 use crate::faults::{FaultKind, FaultState};
 use crate::{ServeConfig, ServeError};
-use nettag_core::{load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag};
+use nettag_core::{
+    load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag, TextCache,
+};
 use nettag_expr::token::{tokenize_expr, TokenId, Vocab};
 use nettag_expr::{parse_expr, Expr};
 use nettag_geom::{cone_geometry, FusionModel};
@@ -195,12 +200,14 @@ struct Request {
     reply: ReplyTo,
 }
 
-/// The swappable part of the engine: the frozen weights and the cache
-/// generation they define. Written only by [`Engine::swap_model`]; every
-/// batch snapshots both under one read lock, so a batch never mixes one
-/// generation's weights with another's cache entries.
+/// The swappable part of the engine: the frozen weights, the gate-text
+/// rows computed under them, and the cone-cache generation they define.
+/// Written only by [`Engine::swap_model`]; every batch snapshots all three
+/// under one read lock, so a batch never mixes one model's weights with
+/// another's text rows or cache entries.
 struct ModelState {
     model: Arc<NetTag>,
+    text: Arc<TextCache>,
     generation: u64,
 }
 
@@ -300,6 +307,7 @@ impl Engine {
         let shared = Arc::new(Shared {
             state: RwLock::new(ModelState {
                 model,
+                text: Arc::default(),
                 generation: 0,
             }),
             head,
@@ -355,6 +363,13 @@ impl Engine {
         self.shared.cache.len()
     }
 
+    /// The gate-text cache of the model currently served (replaced by
+    /// every hot swap).
+    pub fn text_cache(&self) -> Arc<TextCache> {
+        let st = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(&st.text)
+    }
+
     /// Number of batcher lanes this engine runs.
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
@@ -369,16 +384,18 @@ impl Engine {
             .generation
     }
 
-    /// Hot-swaps the serving weights for `model` and bumps the cache
-    /// generation: embeddings computed under the previous weights are
-    /// never served again (stale cache entries are evicted lazily on
-    /// touch). In-flight batches that snapshotted the old model finish
-    /// under it — those requests raced the swap. A configured classifier
-    /// head is kept; swapping in a model with a different embedding
-    /// dimension while serving `predict` is a caller error.
+    /// Hot-swaps the serving weights for `model`, with an empty text
+    /// cache, and bumps the cone-cache generation: embeddings and text
+    /// rows computed under the previous weights are never served again
+    /// (stale cone entries are evicted lazily on touch). In-flight batches
+    /// that snapshotted the old model finish under it — those requests
+    /// raced the swap. A configured classifier head is kept; swapping in a
+    /// model with a different embedding dimension while serving `predict`
+    /// is a caller error.
     pub fn swap_model(&self, model: Arc<NetTag>) {
         let mut st = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
         st.model = model;
+        st.text = Arc::default();
         st.generation += 1;
     }
 
@@ -753,7 +770,7 @@ enum Plan {
     Wait { key: u128, predict: bool },
     /// Answered by the fused embedding computed under `key` this batch.
     WaitFused { key: u128 },
-    /// Answered by row `row` of the batch's expression ExprLLM pass.
+    /// Answered by row `row` of the batch's expression text rows.
     ExprRow { row: usize },
 }
 
@@ -823,12 +840,12 @@ fn run_batch(
         }
     }
     let mut tally = Tally::default();
-    // Snapshot the weights and cache generation together: a batch either
-    // runs entirely under the pre-swap model (and reads/writes pre-swap
-    // cache entries) or entirely under the post-swap one.
-    let (model, generation) = {
+    // Snapshot the weights, text rows and cache generation together: a
+    // batch either runs entirely under the pre-swap model (and reads/writes
+    // pre-swap rows and cache entries) or entirely under the post-swap one.
+    let (model, text, generation) = {
         let st = shared.state.read().unwrap_or_else(|e| e.into_inner());
-        (Arc::clone(&st.model), st.generation)
+        (Arc::clone(&st.model), Arc::clone(&st.text), st.generation)
     };
     let opts = model.tag_options();
     // Planning pass: prune expired requests, consult the cache, dedup
@@ -925,17 +942,16 @@ fn run_batch(
         };
         plans.push((idx, plan));
     }
-    // Every missing cone goes through the model's one embedding pipeline
-    // (each distinct gate text encoded once, then TAGFormer per cone);
-    // standalone expressions take their own ExprLLM pass.
+    // Every missing cone and every expression reads its text rows from the
+    // model's text cache: only texts no batch has seen reach ExprLLM.
     let tags: Vec<&Tag> = compute.iter().map(|(_, tag)| tag).collect();
     let mut computed: HashMap<u128, Arc<Tensor>> = HashMap::with_capacity(compute.len());
-    for ((key, _), emb) in compute.iter().zip(model.embed_tags(&tags)) {
+    for ((key, _), emb) in compute.iter().zip(model.embed_tags_cached(&tags, &text)) {
         let emb = Arc::new(emb.cls);
         shared.cache.insert(*key, Arc::clone(&emb), generation);
         computed.insert(*key, emb);
     }
-    let expr_text = model.exprllm.encode_batch(&exprs);
+    let expr_text = model.encode_texts(&exprs, &text);
     // Fused pass: geometry extraction (deterministic seeded flow) +
     // tapeless cross-attentive fusion over the `[CLS]` embedding this
     // batch computed (or found cached).
@@ -983,7 +999,7 @@ fn run_batch(
                 Ok(Response::Embedding(emb))
             }
             Plan::ExprRow { row } => Ok(Response::Embedding(Arc::new(Tensor::row(
-                expr_text.row_slice(row).to_vec(),
+                expr_text[row].to_vec(),
             )))),
         };
         if let Some(reply) = replies[idx].take() {

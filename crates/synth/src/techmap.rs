@@ -533,7 +533,7 @@ fn expand_and_to_nand_inv(d: &Design, rng: &mut StdRng) -> Design {
     out.labels.push(label);
     let gate = out.netlist.gate_mut(id);
     gate.kind = CellKind::Inv;
-    gate.fanin = Box::new([inner]);
+    gate.fanin = [inner].into();
     out.netlist.rebuild_fanout();
     out
 }
@@ -561,7 +561,7 @@ fn de_morgan_random(d: &Design, rng: &mut StdRng) -> Design {
     } else {
         CellKind::And2
     };
-    gate.fanin = Box::new([inv_a, inv_b]);
+    gate.fanin = [inv_a, inv_b].into();
     out.netlist.rebuild_fanout();
     out
 }

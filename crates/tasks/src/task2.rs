@@ -42,7 +42,7 @@ pub fn register_samples(model: &NetTag, design: &Design, lib: &Library) -> Regis
         tags.push(Tag::from_netlist(&sub, lib, &model.tag_options()));
         graphs.push(cone_graph(&sub, lib));
         labels.push(is_state);
-        names.push(design.netlist.gate(reg).name.clone());
+        names.push(design.netlist.gate(reg).name.to_string());
     }
     RegisterSamples {
         features: model
