@@ -1,7 +1,5 @@
 //! NetTAG model configuration, including the Fig. 7 scaling presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyperparameters of the full NetTAG model.
 ///
 /// Paper-scale values (Llama-3.1-8B ExprLLM, 768-d output, 8k token
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// laptop scale, and [`NetTagConfig::scaling_presets`] reproduces the
 /// Fig. 7(a) model-size sweep with three growing sizes standing in for
 /// BERT-110M / Llama-1.3B / Llama-8B.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetTagConfig {
     /// Shared embedding dimension of all `[CLS]`-level outputs (paper: 768).
     pub embed_dim: usize,

@@ -19,11 +19,10 @@ use nettag_physical::{run_flow, FlowConfig, LayoutGraph};
 use nettag_synth::{restructure_equivalent, Design, RtlModule, SignalId, WordExpr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One register cone with everything pre-training needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConeSample {
     /// Cone TAG (text-attributed graph).
     pub tag: Tag,

@@ -14,7 +14,6 @@ use crate::tagformer::TagFormer;
 use nettag_expr::token::{frame_tail, Special, TokenId, Vocab};
 use nettag_nn::{Graph, Layer, NodeId, Param, Tensor};
 use nettag_physical::LayoutGraph;
-use serde::{Deserialize, Serialize};
 
 /// RTL keywords registered as whole-word tokens.
 pub const RTL_KEYWORDS: [&str; 16] = [
@@ -104,7 +103,7 @@ pub fn tokenize_rtl(vocab: &Vocab, text: &str, max_len: usize) -> Vec<TokenId> {
 }
 
 /// The auxiliary RTL text encoder (NV-Embed stand-in).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RtlEncoder {
     /// Underlying bidirectional text transformer.
     pub model: ExprLlm,
@@ -139,7 +138,7 @@ impl Layer for RtlEncoder {
 }
 
 /// The auxiliary layout graph encoder (pre-trained SGFormer stand-in).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayoutEncoder {
     /// Underlying graph transformer over 5-dim layout node features.
     pub model: TagFormer,

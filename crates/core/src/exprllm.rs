@@ -14,10 +14,9 @@ use nettag_nn::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The gate-attribute text encoder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExprLlm {
     /// Token embedding table.
     pub embed: Embedding,

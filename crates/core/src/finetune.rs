@@ -7,7 +7,6 @@ use nettag_nn::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Rows per data-parallel shard in the full-batch head trainers. Fixed
@@ -63,7 +62,7 @@ impl Default for FinetuneConfig {
 }
 
 /// An MLP classification head.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassifierHead {
     mlp: Mlp,
     classes: usize,
@@ -163,14 +162,14 @@ pub enum RegressorKind {
 }
 
 /// A regression head with target standardization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressorHead {
     model: RegressorModel,
     mean: f32,
     std: f32,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RegressorModel {
     Mlp(Mlp),
     Gbdt(GbdtRegressor),

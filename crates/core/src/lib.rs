@@ -43,7 +43,7 @@ pub use exprllm::ExprLlm;
 pub use finetune::{ClassifierHead, FinetuneConfig, RegressorHead, RegressorKind};
 pub use nettag::{NetTag, TagEmbedding, TextCache};
 pub use persist::{
-    load_checkpoint, load_checkpoint_shared, reload_checkpoint_shared, save_checkpoint,
+    fnv1a, load_checkpoint, load_checkpoint_shared, reload_checkpoint_shared, save_checkpoint,
     CheckpointError,
 };
 pub use pretrain::{

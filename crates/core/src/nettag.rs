@@ -9,7 +9,6 @@ use nettag_netlist::{
     chunk_into_cones, cone_to_netlist, Library, Netlist, PhysProps, Tag, TagOptions,
 };
 use nettag_nn::{Layer, Param, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -91,7 +90,7 @@ impl TextCache {
 }
 
 /// The pre-trainable NetTAG model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetTag {
     /// Model configuration.
     pub config: NetTagConfig,

@@ -16,11 +16,10 @@ use nettag_nn::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One TAGFormer layer: global attention + graph propagation, pre-norm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagFormerLayer {
     attn: MultiHeadAttention,
     prop: Linear,
@@ -68,7 +67,7 @@ impl TagFormerLayer {
 }
 
 /// The graph transformer over text-attributed netlist graphs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagFormer {
     /// Projects `(T_i, x_phys_i)` into the graph width.
     pub input_proj: Linear,

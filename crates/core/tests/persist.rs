@@ -1,11 +1,16 @@
 //! Checkpoint persistence: round-trip fidelity, corrupt-file error paths,
-//! and shared multi-reader loading (the serving engine's contract).
+//! and shared multi-reader loading (the serving engine's contract), then
+//! the binary format's bitwise round trips, rejection of every bit flip
+//! and truncation, and concurrent saves to one path.
 
 use nettag_core::{
-    load_checkpoint, load_checkpoint_shared, save_checkpoint, CheckpointError, NetTag, NetTagConfig,
+    fnv1a, load_checkpoint, load_checkpoint_shared, save_checkpoint, CheckpointError, NetTag,
+    NetTagConfig,
 };
+use nettag_nn::Layer;
+use proptest::prelude::*;
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, OnceLock};
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("nettag_persist_it");
@@ -178,4 +183,329 @@ fn dropped_handles_release_and_later_loads_reread() {
     assert!(Arc::ptr_eq(&second, &third));
     let _ = first_ptr;
     std::fs::remove_file(&path).ok();
+}
+
+// ---- Binary format: bitwise fidelity, corruption, concurrency ----------
+
+/// Magic, version, nine `u64` config sizes, `temperature` (f32),
+/// `mask_rate` (f64), `seed` (u64) and `text_scale` (f32).
+const HEADER: usize = 8 + 4 + 9 * 8 + 4 + 8 + 8 + 4;
+const VERSION_AT: usize = 8;
+const TEXT_DIM_AT: usize = 12 + 8;
+const TEXT_HEADS_AT: usize = 12 + 3 * 8;
+
+/// Every param's shape and the bits of its value, `m` and `v`.
+type ParamBits = Vec<((usize, usize), [Vec<u32>; 3])>;
+
+fn param_bits(model: &NetTag) -> ParamBits {
+    let bits = |t: &nettag_nn::Tensor| t.data.iter().map(|x| x.to_bits()).collect();
+    model
+        .clone()
+        .params_mut()
+        .into_iter()
+        .map(|p| {
+            (
+                (p.value.rows, p.value.cols),
+                [bits(&p.value), bits(&p.m), bits(&p.v)],
+            )
+        })
+        .collect()
+}
+
+/// Every config field and `text_scale`, floats as bits.
+fn header_fields(model: &NetTag) -> (Vec<usize>, [u64; 4]) {
+    let c = &model.config;
+    (
+        vec![
+            c.embed_dim,
+            c.text_dim,
+            c.text_layers,
+            c.text_heads,
+            c.max_tokens,
+            c.graph_dim,
+            c.graph_layers,
+            c.graph_heads,
+            c.hops,
+        ],
+        [
+            u64::from(c.temperature.to_bits()),
+            c.mask_rate.to_bits(),
+            c.seed,
+            u64::from(model.text_scale.to_bits()),
+        ],
+    )
+}
+
+fn assert_bitwise_equal(a: &NetTag, b: &NetTag) {
+    assert_eq!(header_fields(a), header_fields(b), "config or text_scale");
+    assert_eq!(param_bits(a), param_bits(b), "params");
+}
+
+/// Writes `bytes` under `name` and loads it back.
+fn load_bytes(name: &str, bytes: &[u8]) -> Result<NetTag, CheckpointError> {
+    let path = tmp_path(name);
+    std::fs::write(&path, bytes).expect("write");
+    let result = load_checkpoint(&path);
+    std::fs::remove_file(&path).ok();
+    result
+}
+
+fn assert_format(name: &str, bytes: &[u8], what: &str) {
+    match load_bytes(name, bytes) {
+        Err(CheckpointError::Format(_)) => {}
+        Err(e) => panic!("{what}: expected a format error, got {e}"),
+        Ok(_) => panic!("{what}: a corrupt checkpoint loaded"),
+    }
+}
+
+/// The saved bytes of the tiny model, written once per test binary.
+fn tiny_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let path = tmp_path("tiny_bytes.ckpt");
+        save_checkpoint(&NetTag::new(NetTagConfig::tiny()), &path).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        bytes
+    })
+}
+
+/// `bytes` after `edit` on its body, with the trailer recomputed so the
+/// checksum matches again.
+fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    edit(&mut body);
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// A model whose moments, config floats and `text_scale` are all
+/// non-default, so every stored field carries information.
+fn trained_looking(config: NetTagConfig) -> NetTag {
+    let mut model = NetTag::new(NetTagConfig {
+        temperature: 0.07,
+        mask_rate: 0.3,
+        seed: 0x5EED_1234_ABCD,
+        ..config
+    });
+    model.text_scale = 0.5;
+    for (i, p) in model.params_mut().into_iter().enumerate() {
+        for (j, (m, v)) in p.m.data.iter_mut().zip(&mut p.v.data).enumerate() {
+            *m = (i * 31 + j) as f32 * 1e-3 - 0.25;
+            *v = ((i + j) % 17) as f32 * 1e-4;
+        }
+    }
+    model
+}
+
+#[test]
+fn every_param_moment_and_config_field_round_trips_bitwise() {
+    for (name, config) in [
+        ("tiny", NetTagConfig::tiny()),
+        ("small", NetTagConfig::small()),
+    ] {
+        let model = trained_looking(config);
+        let path = tmp_path(&format!("fields_{name}.ckpt"));
+        save_checkpoint(&model, &path).expect("save");
+        let loaded = load_checkpoint(&path).expect("load");
+        assert_bitwise_equal(&model, &loaded);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn non_finite_and_subnormal_values_round_trip_bitwise() {
+    let specials = [
+        f32::from_bits(0x7fc1_2345), // quiet NaN with a payload
+        f32::from_bits(0xffa0_0001), // negative signalling NaN with a payload
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        f32::from_bits(1), // smallest subnormal
+        f32::MIN_POSITIVE / 3.0,
+    ];
+    let mut model = NetTag::new(NetTagConfig::tiny());
+    {
+        let p = &mut model.exprllm.proj.w;
+        for t in [&mut p.value, &mut p.m, &mut p.v] {
+            t.data[..specials.len()].copy_from_slice(&specials);
+        }
+    }
+    let path = tmp_path("non_finite.ckpt");
+    save_checkpoint(&model, &path).expect("a diverged model still saves");
+    let loaded = load_checkpoint(&path).expect("and loads again");
+    assert_bitwise_equal(&model, &loaded);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn concurrent_saves_to_one_path_publish_one_whole_model() {
+    const SAVERS: u64 = 8;
+    let path = tmp_path("concurrent_saves.ckpt");
+    let barrier = Arc::new(Barrier::new(SAVERS as usize));
+    let handles: Vec<_> = (0..SAVERS)
+        .map(|seed| {
+            let (path, barrier) = (path.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let model = NetTag::new(NetTagConfig {
+                    seed,
+                    ..NetTagConfig::tiny()
+                });
+                barrier.wait();
+                let saved = save_checkpoint(&model, &path);
+                (model, saved)
+            })
+        })
+        .collect();
+    let models: Vec<NetTag> = handles
+        .into_iter()
+        .map(|h| {
+            let (model, saved) = h.join().expect("no panics");
+            saved.expect("every concurrent save succeeds");
+            model
+        })
+        .collect();
+    let loaded = load_checkpoint(&path).expect("the published file loads");
+    let loaded_bits = (header_fields(&loaded), param_bits(&loaded));
+    assert!(
+        models
+            .iter()
+            .any(|m| (header_fields(m), param_bits(m)) == loaded_bits),
+        "the published checkpoint must be one saver's whole model"
+    );
+    let dir = path.parent().expect("tmp dir");
+    let leftovers: Vec<_> = std::fs::read_dir(dir)
+        .expect("scan dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("concurrent_saves.ckpt.tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "staging files left: {leftovers:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_header_and_trailer_bit_flip_is_rejected() {
+    let bytes = tiny_bytes();
+    let offsets = (0..HEADER).chain(bytes.len() - 8..bytes.len());
+    for offset in offsets {
+        for bit in 0..8 {
+            let mut flipped = bytes.to_vec();
+            flipped[offset] ^= 1 << bit;
+            assert_format(
+                "flip_exhaustive.ckpt",
+                &flipped,
+                &format!("bit {bit} of byte {offset}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn edge_truncations_are_rejected() {
+    let bytes = tiny_bytes();
+    let len = bytes.len();
+    for cut in [0, HEADER - 1, HEADER, len - 8, len - 1] {
+        assert_format(
+            "truncate_edge.ckpt",
+            &bytes[..cut],
+            &format!("{cut} of {len} bytes"),
+        );
+    }
+}
+
+#[test]
+fn bumped_version_is_rejected() {
+    let bumped = resealed(tiny_bytes(), |b| {
+        b[VERSION_AT..VERSION_AT + 4].copy_from_slice(&2u32.to_le_bytes());
+    });
+    assert_format("version.ckpt", &bumped, "version 2");
+}
+
+#[test]
+fn config_disagreeing_with_stored_shapes_is_rejected() {
+    // 32 still splits into the tiny config's 2 heads, so the model
+    // builds; its shapes no longer match the stored ones.
+    let wider = resealed(tiny_bytes(), |b| {
+        b[TEXT_DIM_AT..TEXT_DIM_AT + 8].copy_from_slice(&32u64.to_le_bytes());
+    });
+    assert_format("shapes.ckpt", &wider, "text_dim 32 over text_dim 16 params");
+    let extra = resealed(tiny_bytes(), |b| b.extend_from_slice(&[0; 12]));
+    assert_format("trailing.ckpt", &extra, "bytes past the last param");
+}
+
+#[test]
+fn configs_the_model_cannot_build_are_rejected() {
+    for (heads, what) in [(0u64, "zero heads"), (3, "heads not dividing the width")] {
+        let bad = resealed(tiny_bytes(), |b| {
+            b[TEXT_HEADS_AT..TEXT_HEADS_AT + 8].copy_from_slice(&heads.to_le_bytes());
+        });
+        assert_format("heads.ckpt", &bad, what);
+    }
+    let huge = resealed(tiny_bytes(), |b| {
+        b[TEXT_DIM_AT..TEXT_DIM_AT + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    });
+    assert_format("huge.ckpt", &huge, "a width larger than the file");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn any_single_bit_flip_is_rejected(at in any::<u64>(), bit in 0u32..8) {
+        let mut flipped = tiny_bytes().to_vec();
+        let offset = (at % flipped.len() as u64) as usize;
+        flipped[offset] ^= 1 << bit;
+        let loaded = load_bytes("flip_random.ckpt", &flipped);
+        prop_assert!(
+            matches!(loaded, Err(CheckpointError::Format(_))),
+            "bit {bit} of byte {offset} was not a format error"
+        );
+    }
+
+    #[test]
+    fn any_truncation_is_rejected(at in any::<u64>()) {
+        let bytes = tiny_bytes();
+        let cut = (at % bytes.len() as u64) as usize;
+        let loaded = load_bytes("truncate_random.ckpt", &bytes[..cut]);
+        prop_assert!(
+            matches!(loaded, Err(CheckpointError::Format(_))),
+            "a file cut to {cut} bytes was not a format error"
+        );
+    }
+
+    #[test]
+    fn arbitrary_bytes_are_rejected_without_panicking(
+        tail in prop::collection::vec(0u8..=255, 0..400),
+        with_magic in any::<bool>(),
+    ) {
+        let mut bytes = Vec::new();
+        if with_magic {
+            bytes.extend_from_slice(b"NTAGCKPT");
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.extend_from_slice(&tail);
+        prop_assert!(load_bytes("arbitrary.ckpt", &bytes).is_err());
+    }
+
+    #[test]
+    fn checksummed_garbage_is_rejected_without_panicking(
+        sizes in prop::collection::vec(0u64..5, 9),
+        floats in prop::collection::vec(0u8..=255, 24),
+        tail in prop::collection::vec(0u8..=255, 0..400),
+    ) {
+        // A valid magic, version and checksum over a small random config
+        // and random params: the decoder itself must reject it.
+        let mut body = b"NTAGCKPT".to_vec();
+        body.extend_from_slice(&1u32.to_le_bytes());
+        for s in &sizes {
+            body.extend_from_slice(&s.to_le_bytes());
+        }
+        body.extend_from_slice(&floats);
+        body.extend_from_slice(&tail);
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        prop_assert!(load_bytes("checksummed_garbage.ckpt", &body).is_err());
+    }
 }

@@ -4,7 +4,6 @@ use crate::features::GEOM_DIM;
 use nettag_nn::{Graph, Layer, Mlp, NodeId, Param, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A small MLP lifting [`GEOM_DIM`](crate::GEOM_DIM)-wide spatial features
 /// into `embed_dim`-wide geometry tokens, one per gate.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// data-parallel driver is bitwise identical at any thread count; the
 /// tapeless [`GeomEncoder::encode`] serving path is bit-identical to the
 /// tape forward (both pinned by `tests/equivalence.rs`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeomEncoder {
     /// The token MLP (`GEOM_DIM → 2·d → d`, fused ReLU on the hidden
     /// layer).

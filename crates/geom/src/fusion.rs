@@ -8,14 +8,13 @@ use nettag_nn::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Cross-attention head: the cone embedding (one query row) attends over
 /// the cone's gate-level geometry tokens, and the attended context is
 /// folded back with a residual + LayerNorm. Output width equals the cone
 /// embedding width, so fused embeddings drop into every downstream
 /// consumer of plain cone embeddings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FusionHead {
     /// Cross-attention (queries from the cone embedding, keys/values from
     /// geometry tokens).
@@ -73,7 +72,7 @@ impl Layer for FusionHead {
 }
 
 /// The complete geometry modality: token encoder + fusion head.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FusionModel {
     /// Spatial-feature → geometry-token encoder.
     pub encoder: GeomEncoder,

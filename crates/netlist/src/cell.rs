@@ -8,14 +8,13 @@
 //! 45nm open cell library's orders of magnitude.
 
 use nettag_expr::Expr;
-use serde::{Deserialize, Serialize};
 
 /// Every cell kind the substrate can instantiate.
 ///
 /// Multi-output cells are split per output (one graph node drives exactly
 /// one net): a hardware full adder maps to a [`CellKind::FaSum`] +
 /// [`CellKind::FaCarry`] pair sharing fan-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum CellKind {
     // Pseudo-cells (netlist boundary).
@@ -260,7 +259,7 @@ impl std::fmt::Display for CellKind {
 }
 
 /// Per-cell physical characteristics (NanGate-45-like magnitudes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellParams {
     /// Cell area in um^2.
     pub area: f64,
@@ -278,7 +277,7 @@ pub struct CellParams {
 }
 
 /// The technology library: physical parameters for every [`CellKind`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Library {
     name: String,
     params: Vec<CellParams>,

@@ -6,13 +6,12 @@
 
 use crate::cell::CellKind;
 use crate::inline::{GateName, Pins};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Identifier of a gate node within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId(pub u32);
 
 impl GateId {

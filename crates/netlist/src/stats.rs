@@ -5,10 +5,9 @@
 use crate::cell::{CellKind, ALL_CELL_KINDS};
 use crate::graph::Netlist;
 use crate::traverse::logic_depth;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetlistStats {
     /// Total node count (including pseudo-cells).
     pub nodes: usize,

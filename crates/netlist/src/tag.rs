@@ -10,12 +10,11 @@ use nettag_expr::token::{
     frame_tail, tokenize_expr_canonical_into, CanonicalVars, Special, TokenId, Vocab,
 };
 use nettag_expr::{Expr, TruthTable};
-use serde::{Deserialize, Serialize};
 
 /// The eight physical characteristics the paper annotates per gate
 /// (Fig. 3(b)): power, area, delay, toggle rate, probability, load,
 /// capacitance, resistance.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhysProps {
     /// Gate power in uW (dynamic + leakage).
     pub power: f64,
@@ -55,7 +54,7 @@ impl PhysProps {
 }
 
 /// One TAG node: the gate plus its full text attribute.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagNode {
     /// Gate instance name.
     pub name: String,
@@ -69,7 +68,7 @@ pub struct TagNode {
 }
 
 /// A text-attributed graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tag {
     /// Design name.
     pub name: String,

@@ -6,10 +6,8 @@
 //! with shrinkage, greedy variance-reduction splits over feature
 //! quantiles.
 
-use serde::{Deserialize, Serialize};
-
 /// GBDT hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbdtConfig {
     /// Number of boosting rounds.
     pub rounds: usize,
@@ -35,7 +33,7 @@ impl Default for GbdtConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum TreeNode {
     Leaf(f32),
     Split {
@@ -67,7 +65,7 @@ impl TreeNode {
 }
 
 /// A trained gradient-boosted regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbdtRegressor {
     base: f32,
     trees: Vec<TreeNode>,

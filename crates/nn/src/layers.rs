@@ -4,17 +4,17 @@
 use crate::graph::{Graph, NodeId};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 static NEXT_PARAM_KEY: AtomicUsize = AtomicUsize::new(1);
 
 /// A trainable parameter with Adam moments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
-    /// Unique key (assigned at construction; regenerated on deserialize
-    /// collision-free because keys only need uniqueness within a process).
+    /// Key unique within this process, assigned at construction. Keys are
+    /// never stored: a checkpoint load builds fresh params, so a loaded
+    /// model gets fresh keys.
     pub key: usize,
     /// Current value.
     pub value: Tensor,
@@ -78,7 +78,7 @@ pub trait Layer {
 }
 
 /// Fully-connected layer `x @ W + b`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight (in×out).
     pub w: Param,
@@ -118,7 +118,7 @@ impl Layer for Linear {
 }
 
 /// Token embedding table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedding {
     /// Table (vocab×dim).
     pub table: Param,
@@ -146,7 +146,7 @@ impl Layer for Embedding {
 }
 
 /// Layer normalization with learned gain and bias.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerNorm {
     /// Gain (1×d).
     pub gain: Param,
@@ -183,7 +183,7 @@ impl Layer for LayerNorm {
 /// attention to bidirectional attention" (Sec. II-C, following LLM2Vec);
 /// this layer is natively bidirectional — every position attends to every
 /// other.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     /// Per-head query projections (d → dk).
     pub wq: Vec<Linear>,
@@ -252,7 +252,7 @@ fn softmax_rows(g: &mut Graph, x: NodeId) -> NodeId {
 }
 
 /// Position-wise feed-forward (two linear layers with GELU).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeedForward {
     /// Expansion layer.
     pub lin1: Linear,
@@ -286,7 +286,7 @@ impl Layer for FeedForward {
 }
 
 /// A pre-norm transformer encoder block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransformerBlock {
     /// Attention sub-layer.
     pub attn: MultiHeadAttention,
@@ -342,7 +342,7 @@ impl Layer for TransformerBlock {
 
 /// A small MLP (Linear → ReLU → … → Linear), the paper's fine-tuning head
 /// shape ("each MLP contains three layers").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     /// The stacked layers.
     pub layers: Vec<Linear>,

@@ -32,7 +32,6 @@
 use crate::simd::{self, scalar::dot, SimdKernels, MM_CT as CT, MM_RT as RT, SPMM_CT};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Minimum number of inner-loop multiply-adds before a product is worth
 /// spreading across threads; below this the kernel runs on the caller's
@@ -48,7 +47,7 @@ use serde::{Deserialize, Serialize};
 const PAR_MIN_FLOPS: usize = 1 << 18;
 
 /// A dense row-major 2-D tensor of f32.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     /// Row count.
     pub rows: usize,

@@ -11,10 +11,9 @@ use crate::parasitics::Parasitics;
 use crate::placement::Placement;
 use crate::timing::TimingReport;
 use nettag_netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 /// One layout graph node (a placed cell).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayoutNode {
     /// Wire capacitance (fF) of the driven net.
     pub capacitance: f64,
@@ -29,7 +28,7 @@ pub struct LayoutNode {
 }
 
 /// The layout modality graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayoutGraph {
     /// Design name.
     pub name: String,

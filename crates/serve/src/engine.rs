@@ -52,7 +52,7 @@ use crate::cache::ConeCache;
 use crate::faults::{FaultKind, FaultState};
 use crate::{ServeConfig, ServeError};
 use nettag_core::{
-    load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag, TextCache,
+    fnv1a, load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag, TextCache,
 };
 use nettag_expr::token::{tokenize_expr, TokenId, Vocab};
 use nettag_expr::{parse_expr, Expr};
@@ -443,16 +443,6 @@ impl std::fmt::Debug for Engine {
             .field("cached_embeddings", &self.cached_embeddings())
             .finish()
     }
-}
-
-/// FNV-1a over bytes: the deterministic lane hash for expression text.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Client {

@@ -1,6 +1,6 @@
 //! The length-prefixed binary wire protocol of the network front-end.
 //!
-//! Std-only (no serde on the hot path) and explicitly little-endian, so
+//! Std-only and explicitly little-endian, so
 //! both ends agree bit for bit — embeddings travel as raw `f32` bit
 //! patterns ([`f32::to_le_bytes`]/[`f32::from_le_bytes`]), which is what
 //! lets the loopback integration tests pin *bitwise* equality between

@@ -8,11 +8,10 @@
 
 use crate::rtl::{BlockLabel, RtlModule, SignalId, SignalKind, WordExpr};
 use nettag_netlist::{CellKind, GateId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-gate provenance recorded during elaboration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GateLabel {
     /// The functional block the gate implements (None for pseudo-cells and
     /// plain wiring).

@@ -23,10 +23,9 @@ use crate::rtl::{BlockLabel, RtlModule, SignalId, SignalKind, WordExpr};
 use crate::techmap::{decompose_uniform, optimize};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The four benchmark families of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Control-dominated ITC99-like blocks.
     Itc99,

@@ -8,15 +8,14 @@
 //! same IR to gates, which guarantees RTL/netlist cone pairs are
 //! functionally equivalent — the property cross-stage alignment relies on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Identifier of a signal within one [`RtlModule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignalId(pub u32);
 
 /// Signal role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignalKind {
     /// Module input port.
     Input,
@@ -29,7 +28,7 @@ pub enum SignalKind {
 }
 
 /// A word-level signal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Signal {
     /// Name (valid identifier).
     pub name: String,
@@ -41,7 +40,7 @@ pub struct Signal {
 
 /// Functional block category — the provenance label that downstream Task 1
 /// (gate function identification, GNN-RE style) predicts per gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlockLabel {
     /// Ripple-carry adders / subtractors.
     Adder,
@@ -90,7 +89,7 @@ impl BlockLabel {
 }
 
 /// Word-level expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WordExpr {
     /// Signal reference.
     Sig(SignalId),
@@ -150,7 +149,7 @@ impl WordExpr {
 }
 
 /// A combinational assignment `target = expr`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Assign {
     /// Assigned wire/output.
     pub target: SignalId,
@@ -159,7 +158,7 @@ pub struct Assign {
 }
 
 /// A registered update `target <= next` at the clock edge.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegUpdate {
     /// Register signal.
     pub target: SignalId,
@@ -174,7 +173,7 @@ pub struct RegUpdate {
 }
 
 /// A word-level RTL module.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RtlModule {
     /// Module name.
     pub name: String,

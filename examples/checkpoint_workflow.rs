@@ -19,7 +19,7 @@ use nettag::tasks::task1::nettag_gate_samples;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = Library::default();
-    let ckpt_path = std::env::temp_dir().join("nettag_pretrained.json");
+    let ckpt_path = std::env::temp_dir().join("nettag_pretrained.ckpt");
 
     // ----- Party A: pre-train and publish ------------------------------
     println!("[party A] pre-training NetTAG…");

@@ -23,7 +23,7 @@ fn main() {
     println!("== 1. checkpoint -> engine ==");
     let dir = std::env::temp_dir().join("nettag_serve_demo");
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let ckpt = dir.join("model.json");
+    let ckpt = dir.join("model.ckpt");
     save_checkpoint(&NetTag::new(NetTagConfig::tiny()), &ckpt).expect("save");
     let engine = Engine::from_checkpoint(&ckpt, ServeConfig::default()).expect("load");
     println!("  engine up from {}", ckpt.display());

@@ -121,7 +121,7 @@ fn main() {
     println!("\n== 5. checkpoint hot-swap ==");
     let dir = std::env::temp_dir().join("nettag_serve_net_demo");
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let ckpt = dir.join("model.json");
+    let ckpt = dir.join("model.ckpt");
     let retrained = NetTag::new(NetTagConfig {
         seed: 0xBEEF,
         ..NetTagConfig::tiny()

@@ -20,10 +20,10 @@
 //! `--strict` turns regressions into a non-zero exit for local use on
 //! quiet hardware.
 //!
-//! The workspace shim `serde_json` deliberately has no DOM/`Value` type,
-//! so the flattener below is a minimal recursive-descent JSON reader —
-//! enough for the bench writers' own output, which is the only input
-//! this tool is pointed at.
+//! The workspace has no JSON library (it builds offline), so the
+//! flattener below is a minimal recursive-descent JSON reader — enough
+//! for the bench writers' own output, which is the only input this tool
+//! is pointed at.
 
 use std::process::ExitCode;
 
