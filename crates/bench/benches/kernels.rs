@@ -186,15 +186,13 @@ fn main() {
     let gedges: Vec<(u32, u32)> = (0..gn as u32 - 1).map(|i| (i, i + 1)).collect();
     let gadj = std::sync::Arc::new(SparseMatrix::normalized_adjacency(gn, &gedges));
     let feats = Tensor::xavier(gn, gd, &mut rng);
-    let w = Tensor::xavier(gd, gd, &mut rng);
-    let bias = Tensor::xavier(1, gd, &mut rng);
+    let w = Param::xavier(gd, gd, &mut rng);
+    let bias = Param::xavier(1, gd, &mut rng);
     let t_step = time_it(|| {
         let mut g = Graph::new();
         let xn = g.constant(feats.clone());
-        let wn = g.param(1, w.clone());
-        let bn = g.param(2, bias.clone());
         let p = g.spmm(gadj.clone(), xn);
-        let h = g.linear_relu(p, wn, bn);
+        let h = g.linear_relu(p, &w, &bias);
         let m = g.mean_rows(h);
         let loss = g.mse(m, Tensor::zeros(1, gd));
         let grads = g.backward(loss);
@@ -279,12 +277,8 @@ fn main() {
             let mut g = Graph::new();
             let x = g.constant(g_feats[i].clone());
             let p = g.spmm(g_adj.clone(), x);
-            let wn = gw.bind(&mut g);
-            let bn = gb.bind(&mut g);
-            let h = g.linear_relu(p, wn, bn);
-            let gnn = ggain.bind(&mut g);
-            let bbn = gbias.bind(&mut g);
-            let normed = g.layer_norm(h, gnn, bbn);
+            let h = g.linear_relu(p, &gw, &gb);
+            let normed = g.layer_norm(h, &ggain, &gbias);
             let pooled = g.mean_rows(normed);
             let aux = g.mse(pooled, Tensor::zeros(1, gd2));
             SampleTape {

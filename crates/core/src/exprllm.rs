@@ -10,7 +10,7 @@
 use crate::config::NetTagConfig;
 use nettag_expr::token::{TokenId, Vocab};
 use nettag_nn::{
-    infer, Embedding, Graph, Layer, LayerNorm, Linear, NodeId, Param, Tensor, TransformerBlock,
+    Embedding, Graph, Layer, LayerNorm, Linear, NodeId, Param, Tensor, TransformerBlock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,8 +55,8 @@ impl ExprLlm {
         let toks = &tokens[..n];
         let mut x = self.embed.forward(g, toks);
         // Positional embeddings: gather the first n rows.
-        let pos_all = self.pos.bind(g);
-        let pos = g.gather_rows(pos_all, std::sync::Arc::new((0..n as u32).collect()));
+        let pos_ids: Vec<u32> = (0..n as u32).collect();
+        let pos = g.gather_param_rows(&self.pos, &pos_ids);
         x = g.add(x, pos);
         for b in &self.blocks {
             x = b.forward(g, x);
@@ -72,30 +72,18 @@ impl ExprLlm {
         g.stack_rows(&rows)
     }
 
-    /// Inference-only encoding (no tape, no saved activations).
-    ///
-    /// Mirrors [`Self::forward`] kernel for kernel, so the result is
-    /// bit-identical to a tape-built pass (pinned by
-    /// `encode_matches_tape_forward_bitwise`) at a fraction of the
-    /// allocation cost — this is the serving hot path.
+    /// Inference-only encoding: [`Self::forward`] on a
+    /// [`Graph::no_grad`] graph, so the result is the tape pass's bits
+    /// with no backward state kept — this is the serving hot path.
     pub fn encode(&self, tokens: &[TokenId]) -> Tensor {
-        let n = tokens.len().min(self.max_tokens);
-        let toks = &tokens[..n];
-        let mut x = self.embed.infer(toks);
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let pos = infer::gather_rows(&self.pos.value, &ids);
-        x = infer::add(&x, &pos);
-        for b in &self.blocks {
-            x = b.infer(&x);
-        }
-        let x = self.ln.infer(&x);
-        let cls = infer::select_row(&x, 0);
-        self.proj.infer(&cls)
+        let mut g = Graph::no_grad();
+        let out = self.forward(&mut g, tokens);
+        g.take_value(out)
     }
 
     /// Inference-only batch encoding, one row per sequence. Sequences are
-    /// independent, so the batch parallelizes across worker threads (each
-    /// builds its own throwaway graph).
+    /// independent, so the batch parallelizes across worker threads, each
+    /// sequence through [`Self::encode`] on its own no-grad graph.
     pub fn encode_batch(&self, batch: &[Vec<TokenId>]) -> Tensor {
         let cols = self.proj.b.value.cols;
         let mut out = Tensor::zeros(batch.len(), cols);

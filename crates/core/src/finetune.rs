@@ -130,7 +130,7 @@ impl ClassifierHead {
         if features.is_empty() {
             return Vec::new();
         }
-        let mut g = Graph::new();
+        let mut g = Graph::no_grad();
         let x = g.constant(pack(features));
         let logits = self.mlp.forward(&mut g, x);
         let lv = g.value(logits);
@@ -251,10 +251,10 @@ impl RegressorHead {
         let raw: Vec<f32> = match &self.model {
             RegressorModel::Gbdt(m) => m.predict_batch(features),
             RegressorModel::Mlp(m) => {
-                let mut g = Graph::new();
+                let mut g = Graph::no_grad();
                 let x = g.constant(pack(features));
                 let pred = m.forward(&mut g, x);
-                g.value(pred).data.clone()
+                g.take_value(pred).data
             }
         };
         raw.into_iter().map(|v| v * self.std + self.mean).collect()

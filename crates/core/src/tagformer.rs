@@ -11,8 +11,7 @@
 
 use crate::config::NetTagConfig;
 use nettag_nn::{
-    infer, Graph, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, NodeId, Param, SparseMatrix,
-    Tensor,
+    Graph, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, NodeId, Param, SparseMatrix, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,20 +48,6 @@ impl TagFormerLayer {
         let h2 = self.ln2.forward(g, x1);
         let f = self.ffn.forward(g, h2);
         g.add(x1, f)
-    }
-
-    /// Tapeless forward, kernel-for-kernel the same as [`Self::forward`]
-    /// (bit-identical outputs; see `nettag_nn::infer`).
-    fn infer(&self, x: &Tensor, adj: &SparseMatrix) -> Tensor {
-        let h = self.ln1.infer(x);
-        let a = self.attn.infer(&h);
-        let p0 = infer::spmm(adj, &h);
-        let p = self.prop.infer(&p0);
-        let sum = infer::add(&a, &p);
-        let x1 = infer::add(x, &sum);
-        let h2 = self.ln2.infer(&x1);
-        let f = self.ffn.infer(&h2);
-        infer::add(&x1, &f)
     }
 }
 
@@ -186,26 +171,14 @@ impl TagFormer {
         }
     }
 
-    /// Inference-only encoding: returns (node embeddings, graph embedding).
-    ///
-    /// Tapeless — no autograd tape is built and intermediates are freed as
-    /// soon as each layer finishes, but every kernel runs in the same
-    /// order as [`Self::forward`], so results are bit-identical to a
-    /// tape-built pass (pinned by `encode_matches_tape_forward_bitwise`).
+    /// Inference-only encoding: returns (node embeddings, graph
+    /// embedding) from [`Self::forward`] on a [`Graph::no_grad`] graph —
+    /// the tape pass's bits with no backward state kept.
     pub fn encode(&self, features: &Tensor, edges: &[(u32, u32)]) -> (Tensor, Tensor) {
-        let n = features.rows;
-        let projected = self.input_proj.infer(features);
-        let x = infer::concat_rows(&[projected, self.cls_seed.value.clone()]);
-        let adj = Self::cls_adjacency(n, edges);
-        let mut h = x;
-        for layer in &self.layers {
-            h = layer.infer(&h, &adj);
-        }
-        let h = self.ln.infer(&h);
-        let out = self.proj.infer(&h);
-        let cls = infer::select_row(&out, n);
-        let nodes = infer::take_rows(&out, n);
-        (nodes, cls)
+        let mut g = Graph::no_grad();
+        let f = g.constant(features.clone());
+        let out = self.forward(&mut g, f, edges, &[]);
+        (g.take_value(out.nodes), g.take_value(out.cls))
     }
 }
 

@@ -1,7 +1,7 @@
 //! The geometry encoder: spatial features → geometry tokens.
 
 use crate::features::GEOM_DIM;
-use nettag_nn::{Graph, Layer, Mlp, NodeId, Param, Tensor};
+use nettag_nn::{Graph, Layer, Mlp, NodeId, Param};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -9,9 +9,9 @@ use rand::SeedableRng;
 /// into `embed_dim`-wide geometry tokens, one per gate.
 ///
 /// Built entirely on `nettag_nn` tape ops, so a training step through the
-/// data-parallel driver is bitwise identical at any thread count; the
-/// tapeless [`GeomEncoder::encode`] serving path is bit-identical to the
-/// tape forward (both pinned by `tests/equivalence.rs`).
+/// data-parallel driver is bitwise identical at any thread count (pinned
+/// by `tests/equivalence.rs`); serving runs the same [`GeomEncoder::forward`]
+/// on a no-grad graph inside [`FusionModel::fuse`](crate::FusionModel::fuse).
 #[derive(Debug, Clone)]
 pub struct GeomEncoder {
     /// The token MLP (`GEOM_DIM → 2·d → d`, fused ReLU on the hidden
@@ -35,11 +35,6 @@ impl GeomEncoder {
     pub fn forward(&self, g: &mut Graph, feats: NodeId) -> NodeId {
         self.mlp.forward(g, feats)
     }
-
-    /// Tapeless forward, bit-identical to [`GeomEncoder::forward`].
-    pub fn encode(&self, feats: &Tensor) -> Tensor {
-        self.mlp.infer(feats)
-    }
 }
 
 impl Layer for GeomEncoder {
@@ -51,6 +46,7 @@ impl Layer for GeomEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nettag_nn::Tensor;
     use rand::Rng;
 
     #[test]
@@ -64,11 +60,14 @@ mod tests {
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect(),
         );
-        let mut g = Graph::new();
-        let f = g.constant(feats.clone());
-        let y = enc.forward(&mut g, f);
-        assert_eq!(g.value(y).data, enc.encode(&feats).data);
-        assert_eq!(enc.encode(&feats).cols, 16);
+        let encode = |mut g: Graph| {
+            let f = g.constant(feats.clone());
+            let y = enc.forward(&mut g, f);
+            g.take_value(y)
+        };
+        let served = encode(Graph::no_grad());
+        assert_eq!(encode(Graph::new()).data, served.data);
+        assert_eq!(served.cols, 16);
     }
 
     #[test]

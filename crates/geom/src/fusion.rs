@@ -3,8 +3,8 @@
 
 use crate::encoder::GeomEncoder;
 use nettag_nn::{
-    data_parallel, infer, weighted_sum, Adam, GradStore, Graph, Layer, LayerNorm, Mlp,
-    MultiHeadAttention, NodeId, Param, SampleTape, Tensor,
+    data_parallel, weighted_sum, Adam, GradStore, Graph, Layer, LayerNorm, Mlp, MultiHeadAttention,
+    NodeId, Param, SampleTape, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,13 +43,6 @@ impl FusionHead {
         let ctx = self.attn.forward_cross(g, cls, tokens);
         let res = g.add(cls, ctx);
         self.ln.forward(g, res)
-    }
-
-    /// Tapeless forward, bit-identical to [`FusionHead::forward`].
-    pub fn infer(&self, cls: &Tensor, tokens: &Tensor) -> Tensor {
-        let ctx = self.attn.infer_cross(cls, tokens);
-        let res = infer::add(cls, &ctx);
-        self.ln.infer(&res)
     }
 }
 
@@ -96,11 +89,13 @@ impl FusionModel {
         self.head.forward(g, cls, tokens)
     }
 
-    /// Tapeless fusion for serving, bit-identical to
-    /// [`FusionModel::forward`] (same kernels, same order).
+    /// Fusion for serving: [`FusionModel::forward`] on a
+    /// [`Graph::no_grad`] graph, bit-identical to the tape pass.
     pub fn fuse(&self, cls: &Tensor, geom: &Tensor) -> Tensor {
-        let tokens = self.encoder.encode(geom);
-        self.head.infer(cls, &tokens)
+        let mut g = Graph::no_grad();
+        let (c, x) = (g.constant(cls.clone()), g.constant(geom.clone()));
+        let y = self.forward(&mut g, c, x);
+        g.take_value(y)
     }
 }
 

@@ -19,8 +19,8 @@
 //!    TAGFormer cone embedding (one query row) over the cone's gate-level
 //!    geometry tokens (FusionCell's geometry×topology recipe), followed by
 //!    a residual + LayerNorm, producing a fused embedding of the same
-//!    width. [`FusionModel::fuse`] is the tapeless serving path and is
-//!    bit-identical to the tape forward.
+//!    width. [`FusionModel::fuse`] is the serving path: the tape forward
+//!    on a no-grad graph, so bit-identical to it.
 //!
 //! The TAG-style layout pretext task (predict relative placement distance
 //! between gate pairs from graph embeddings) lives in

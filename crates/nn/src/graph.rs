@@ -5,6 +5,18 @@
 //! reverse, accumulating gradients. Parameters are leaves tagged with a
 //! key so optimizers can collect their gradients after the pass.
 //!
+//! ## No-grad mode
+//!
+//! [`Graph::no_grad`] builds a graph that runs the same forward kernels
+//! but records no backward state: ops push values and no tape records,
+//! parameter operands (`&Param`) are read in place instead of
+//! being copied onto the tape, LayerNorm keeps no `xhat`/`1/std`, and an
+//! attention head keeps only its output. Inference entry points (the
+//! encoders' `encode`, fusion's `fuse`) are thin wrappers that run the
+//! training `forward` on such a graph, so served outputs are bitwise
+//! equal to the tape's by construction. `backward*` on a no-grad graph
+//! panics.
+//!
 //! ## Backward-pass memory discipline
 //!
 //! The backward pass allocates no per-op adjoint temporaries: every op
@@ -18,7 +30,8 @@
 //! same graph.
 
 use crate::grad::GradStore;
-use crate::tensor::{SparseMatrix, Tensor};
+use crate::layers::Param;
+use crate::tensor::{parallel_worthwhile, run_row_blocks, SparseMatrix, Tensor};
 use std::sync::{Arc, Mutex};
 
 /// Index of a node in the tape.
@@ -26,6 +39,13 @@ pub type NodeId = usize;
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_C: f32 = 0.044_715;
+
+/// Serial cost of one layer-norm element in matmul multiply-adds, for the
+/// shared [`parallel_worthwhile`] gate, which therefore opens at 64k
+/// elements — where the row-parallel branch first beat the inline one
+/// on a 2-core x86-64 host (a 20×16 norm costs ~0.6 µs inline, ~3 µs
+/// through the pool).
+const LN_FLOPS_PER_ELEM: usize = 4;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -77,8 +97,8 @@ enum Op {
     },
 }
 
+/// A node's tape record: how it was computed, and its parameter key.
 struct Node {
-    value: Tensor,
     op: Op,
     param_key: Option<usize>,
 }
@@ -113,8 +133,13 @@ impl Workspace {
 /// The autograd tape.
 #[derive(Default)]
 pub struct Graph {
+    /// Every node's value, indexed by [`NodeId`].
+    values: Vec<Tensor>,
+    /// Every node's tape record, in the same order; empty when `no_grad`.
     nodes: Vec<Node>,
     scratch: Mutex<Workspace>,
+    /// Set by [`Graph::no_grad`]: ops keep values only.
+    no_grad: bool,
 }
 
 /// Lazily materializes the adjoint buffer for a node.
@@ -128,13 +153,27 @@ impl Graph {
         Graph::default()
     }
 
+    /// Creates a graph that records no backward state (see the module
+    /// docs): the same forward bits as [`Graph::new`], for inference.
+    pub fn no_grad() -> Graph {
+        Graph {
+            // Room for a tiny-config ExprLLM pass (~23 values) without
+            // regrowing: the per-sequence serving path is that short.
+            values: Vec::with_capacity(32),
+            no_grad: true,
+            ..Graph::default()
+        }
+    }
+
     fn push(&mut self, value: Tensor, op: Op) -> NodeId {
-        self.nodes.push(Node {
-            value,
-            op,
-            param_key: None,
-        });
-        self.nodes.len() - 1
+        if !self.no_grad {
+            self.nodes.push(Node {
+                op,
+                param_key: None,
+            });
+        }
+        self.values.push(value);
+        self.values.len() - 1
     }
 
     /// Inserts a constant leaf (no parameter gradient collected).
@@ -145,80 +184,79 @@ impl Graph {
     /// Inserts a parameter leaf tagged with `key`.
     pub fn param(&mut self, key: usize, t: Tensor) -> NodeId {
         let id = self.push(t, Op::Leaf);
-        self.nodes[id].param_key = Some(key);
+        if let Some(node) = self.nodes.get_mut(id) {
+            node.param_key = Some(key);
+        }
         id
     }
 
     /// The value of a node.
     pub fn value(&self, id: NodeId) -> &Tensor {
-        &self.nodes[id].value
+        &self.values[id]
+    }
+
+    /// Moves a node's value out of the graph, leaving an empty 0×0
+    /// tensor behind: how inference wrappers return their outputs
+    /// without a copy. Later ops reading the node see it empty.
+    pub fn take_value(&mut self, id: NodeId) -> Tensor {
+        std::mem::replace(&mut self.values[id], Tensor::zeros(0, 0))
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.matmul(&self.nodes[b].value);
+        let v = self.values[a].matmul(&self.values[b]);
         self.push(v, Op::MatMul(a, b))
     }
 
     /// `a @ b^T` — similarity matrices for contrastive losses.
     pub fn matmul_bt(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.matmul_bt(&self.nodes[b].value);
+        let v = self.values[a].matmul_bt(&self.values[b]);
         self.push(v, Op::MatMulBt(a, b))
     }
 
     /// Sparse adjacency propagation `adj @ x`.
     pub fn spmm(&mut self, adj: Arc<SparseMatrix>, x: NodeId) -> NodeId {
-        let v = adj.matmul(&self.nodes[x].value);
+        let v = adj.matmul(&self.values[x]);
         self.push(v, Op::SpMm(adj, x))
     }
 
     /// Fused affine map `x @ w + b` (`b` is 1×n, broadcast over rows):
-    /// one tape node, one kernel pass.
-    pub fn linear(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[x]
-            .value
-            .matmul_bias(&self.nodes[w].value, &self.nodes[b].value);
-        self.push(
-            v,
-            Op::Linear {
-                x,
-                w,
-                b,
-                relu: false,
-            },
-        )
+    /// one tape node, one kernel pass. The parameters are bound onto the
+    /// tape (no-grad mode reads them in place).
+    pub fn linear(&mut self, x: NodeId, w: &Param, b: &Param) -> NodeId {
+        self.linear_op(x, w, b, false)
     }
 
     /// Fused `relu(x @ w + b)`; the activation is applied in the same
     /// output buffer the product landed in.
-    pub fn linear_relu(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
-        let mut v = self.nodes[x]
-            .value
-            .matmul_bias(&self.nodes[w].value, &self.nodes[b].value);
-        for o in v.data.iter_mut() {
-            *o = o.max(0.0);
+    pub fn linear_relu(&mut self, x: NodeId, w: &Param, b: &Param) -> NodeId {
+        self.linear_op(x, w, b, true)
+    }
+
+    fn linear_op(&mut self, x: NodeId, w: &Param, b: &Param, relu: bool) -> NodeId {
+        let mut v = self.values[x].matmul_bias(&w.value, &b.value);
+        if relu {
+            for o in v.data.iter_mut() {
+                *o = o.max(0.0);
+            }
         }
-        self.push(
-            v,
-            Op::Linear {
-                x,
-                w,
-                b,
-                relu: true,
-            },
-        )
+        if self.no_grad {
+            return self.push(v, Op::Leaf);
+        }
+        let (w, b) = (w.bind(self), b.bind(self));
+        self.push(v, Op::Linear { x, w, b, relu })
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut v = self.nodes[a].value.clone();
-        v.add_assign(&self.nodes[b].value);
+        let mut v = self.values[a].clone();
+        v.add_assign(&self.values[b]);
         self.push(v, Op::Add(a, b))
     }
 
     /// Broadcast row add: `(n×c) + (1×c)`.
     pub fn add_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let (av, rv) = (&self.nodes[a].value, &self.nodes[row].value);
+        let (av, rv) = (&self.values[a], &self.values[row]);
         assert_eq!(rv.rows, 1, "add_row rhs must be 1×c");
         assert_eq!(av.cols, rv.cols, "add_row width");
         let mut v = av.clone();
@@ -231,43 +269,43 @@ impl Graph {
 
     /// Elementwise product.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.zip(&self.nodes[b].value, |x, y| x * y);
+        let v = self.values[a].zip(&self.values[b], |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
     /// Scalar scale.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.nodes[a].value.map(|x| x * c);
+        let v = self.values[a].map(|x| x * c);
         self.push(v, Op::Scale(a, c))
     }
 
     /// ReLU.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(|x| x.max(0.0));
+        let v = self.values[a].map(|x| x.max(0.0));
         self.push(v, Op::Relu(a))
     }
 
     /// GELU (tanh approximation).
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(gelu);
+        let v = self.values[a].map(gelu);
         self.push(v, Op::Gelu(a))
     }
 
     /// Tanh.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(f32::tanh);
+        let v = self.values[a].map(f32::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Concatenates tensors with equal row counts along columns.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty(), "concat of nothing");
-        let rows = self.nodes[parts[0]].value.rows;
-        let total: usize = parts.iter().map(|&p| self.nodes[p].value.cols).sum();
+        let rows = self.values[parts[0]].rows;
+        let total: usize = parts.iter().map(|&p| self.values[p].cols).sum();
         let mut v = Tensor::zeros(rows, total);
         let mut off = 0;
         for &p in parts {
-            let t = &self.nodes[p].value;
+            let t = &self.values[p];
             assert_eq!(t.rows, rows, "concat rows");
             for r in 0..rows {
                 let dst = &mut v.data[r * total + off..r * total + off + t.cols];
@@ -278,57 +316,41 @@ impl Graph {
         self.push(v, Op::ConcatCols(parts.to_vec()))
     }
 
-    /// Embedding lookup: selects `ids` rows of `table`.
+    /// Selects `ids` rows of `table`.
     pub fn gather_rows(&mut self, table: NodeId, ids: Arc<Vec<u32>>) -> NodeId {
-        let t = &self.nodes[table].value;
-        let mut v = Tensor::zeros(ids.len(), t.cols);
-        for (r, &id) in ids.iter().enumerate() {
-            let dst = &mut v.data[r * t.cols..(r + 1) * t.cols];
-            dst.copy_from_slice(t.row_slice(id as usize));
-        }
+        let v = gather(&self.values[table], &ids);
         self.push(v, Op::GatherRows(table, ids))
     }
 
-    /// Row-wise layer normalization with learned gain/bias (both 1×c).
-    pub fn layer_norm(&mut self, x: NodeId, gain: NodeId, bias: NodeId) -> NodeId {
-        const EPS: f32 = 1e-5;
-        let xv = &self.nodes[x].value;
-        let gv = &self.nodes[gain].value;
-        let bv = &self.nodes[bias].value;
+    /// Embedding lookup: selects `ids` rows of a parameter table, bound
+    /// onto the tape (no-grad mode reads the table in place).
+    pub fn gather_param_rows(&mut self, table: &Param, ids: &[u32]) -> NodeId {
+        if self.no_grad {
+            let v = gather(&table.value, ids);
+            return self.push(v, Op::Leaf);
+        }
+        let t = table.bind(self);
+        self.gather_rows(t, Arc::new(ids.to_vec()))
+    }
+
+    /// Row-wise layer normalization with learned 1×c gain/bias, bound
+    /// onto the tape (no-grad mode reads them in place and keeps no
+    /// saved statistics).
+    pub fn layer_norm(&mut self, x: NodeId, gain: &Param, bias: &Param) -> NodeId {
+        let xv = &self.values[x];
+        if self.no_grad {
+            let out = layer_norm_rows(xv, &gain.value, &bias.value, None);
+            return self.push(out, Op::Leaf);
+        }
         let mut xhat = Tensor::zeros(xv.rows, xv.cols);
         let mut inv_std = vec![0.0f32; xv.rows];
-        let mut out = Tensor::zeros(xv.rows, xv.cols);
-        // Rows normalize independently — parallel over row blocks, each
-        // row's statistics reduced in ascending column order on exactly
-        // one thread (bitwise identical at any thread count). The
-        // dispatch table is resolved here so pool workers inherit any
-        // `simd::with_tier` override from the calling thread.
-        let cols = xv.cols;
-        let kn = crate::simd::kernels();
-        nettag_par::for_each_zip3_mut(
-            &mut out.data,
-            cols,
-            &mut xhat.data,
-            cols,
-            &mut inv_std,
-            1,
-            |first_row, out_rows, xhat_rows, istds| {
-                for (r, ((out_row, xhat_row), istd_slot)) in out_rows
-                    .chunks_exact_mut(cols)
-                    .zip(xhat_rows.chunks_exact_mut(cols))
-                    .zip(istds.iter_mut())
-                    .enumerate()
-                {
-                    let row = xv.row_slice(first_row + r);
-                    let mean = row.iter().sum::<f32>() / cols as f32;
-                    let var =
-                        row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-                    let istd = 1.0 / (var + EPS).sqrt();
-                    *istd_slot = istd;
-                    (kn.ln_fwd_row)(out_row, xhat_row, row, &gv.data, &bv.data, mean, istd);
-                }
-            },
+        let out = layer_norm_rows(
+            xv,
+            &gain.value,
+            &bias.value,
+            Some((&mut xhat.data, &mut inv_std)),
         );
+        let (gain, bias) = (gain.bind(self), bias.bind(self));
         self.push(
             out,
             Op::LayerNorm {
@@ -341,9 +363,28 @@ impl Graph {
         )
     }
 
+    /// One attention head, `softmax(q kᵀ · scale) v`, with the kernels in
+    /// that order. Tape mode records the four ops (`matmul_bt`, `scale`,
+    /// `softmax_rows_op`, `matmul`); no-grad mode keeps only the head
+    /// output, not the n×n score matrices.
+    pub fn attention(&mut self, q: NodeId, k: NodeId, v: NodeId, scale: f32) -> NodeId {
+        if !self.no_grad {
+            let scores = self.matmul_bt(q, k);
+            let scaled = self.scale(scores, scale);
+            let attn = self.softmax_rows_op(scaled);
+            return self.matmul(attn, v);
+        }
+        let mut scores = self.values[q].matmul_bt(&self.values[k]);
+        for s in scores.data.iter_mut() {
+            *s *= scale;
+        }
+        let out = scores.softmax_rows().matmul(&self.values[v]);
+        self.push(out, Op::Leaf)
+    }
+
     /// Mean over rows: `(n×c) -> (1×c)`.
     pub fn mean_rows(&mut self, x: NodeId) -> NodeId {
-        let xv = &self.nodes[x].value;
+        let xv = &self.values[x];
         let mut v = Tensor::zeros(1, xv.cols);
         for r in 0..xv.rows {
             for c in 0..xv.cols {
@@ -359,7 +400,7 @@ impl Graph {
 
     /// Selects one row: `(n×c) -> (1×c)` (CLS pooling).
     pub fn select_row(&mut self, x: NodeId, r: usize) -> NodeId {
-        let xv = &self.nodes[x].value;
+        let xv = &self.values[x];
         let v = Tensor::row(xv.row_slice(r).to_vec());
         self.push(v, Op::SelectRow(x, r))
     }
@@ -367,10 +408,10 @@ impl Graph {
     /// Stacks 1×c rows into an n×c matrix.
     pub fn stack_rows(&mut self, rows: &[NodeId]) -> NodeId {
         assert!(!rows.is_empty(), "stack of nothing");
-        let cols = self.nodes[rows[0]].value.cols;
+        let cols = self.values[rows[0]].cols;
         let mut v = Tensor::zeros(rows.len(), cols);
         for (r, &id) in rows.iter().enumerate() {
-            let t = &self.nodes[id].value;
+            let t = &self.values[id];
             assert_eq!(t.rows, 1, "stack_rows expects 1×c rows");
             assert_eq!(t.cols, cols, "stack_rows widths");
             v.data[r * cols..(r + 1) * cols].copy_from_slice(&t.data);
@@ -382,12 +423,12 @@ impl Graph {
     /// (vertical stacking, e.g. appending a CLS node to node features).
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty(), "concat of nothing");
-        let cols = self.nodes[parts[0]].value.cols;
-        let total: usize = parts.iter().map(|&p| self.nodes[p].value.rows).sum();
+        let cols = self.values[parts[0]].cols;
+        let total: usize = parts.iter().map(|&p| self.values[p].rows).sum();
         let mut v = Tensor::zeros(total, cols);
         let mut off = 0;
         for &p in parts {
-            let t = &self.nodes[p].value;
+            let t = &self.values[p];
             assert_eq!(t.cols, cols, "concat_rows widths");
             v.data[off * cols..(off + t.rows) * cols].copy_from_slice(&t.data);
             off += t.rows;
@@ -397,7 +438,7 @@ impl Graph {
 
     /// L2-normalizes each row (contrastive embeddings).
     pub fn normalize_rows(&mut self, x: NodeId) -> NodeId {
-        let xv = &self.nodes[x].value;
+        let xv = &self.values[x];
         let mut norms = vec![0.0f32; xv.rows];
         let mut v = xv.clone();
         #[allow(clippy::needless_range_loop)]
@@ -419,7 +460,7 @@ impl Graph {
 
     /// Row-wise softmax (attention weights).
     pub fn softmax_rows_op(&mut self, x: NodeId) -> NodeId {
-        let v = self.nodes[x].value.softmax_rows();
+        let v = self.values[x].softmax_rows();
         self.push(v, Op::SoftmaxRows(x))
     }
 
@@ -429,7 +470,7 @@ impl Graph {
     ///
     /// Panics if `targets.len()` differs from the logits row count.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: Arc<Vec<usize>>) -> NodeId {
-        let lv = &self.nodes[logits].value;
+        let lv = &self.values[logits];
         assert_eq!(lv.rows, targets.len(), "one target per row");
         let probs = lv.softmax_rows();
         let mut loss = 0.0f32;
@@ -449,7 +490,7 @@ impl Graph {
 
     /// Mean squared error against a constant target.
     pub fn mse(&mut self, pred: NodeId, target: Tensor) -> NodeId {
-        let pv = &self.nodes[pred].value;
+        let pv = &self.values[pred];
         assert_eq!((pv.rows, pv.cols), (target.rows, target.cols), "mse shapes");
         let n = pv.data.len().max(1) as f32;
         let loss = pv
@@ -467,9 +508,13 @@ impl Graph {
     /// the sparse adjoint table — `None` for nodes unreachable from any
     /// seed.
     pub(crate) fn backward_sparse(&self, seeds: &[(NodeId, &Tensor)]) -> Vec<Option<Tensor>> {
+        assert!(
+            !self.no_grad,
+            "backward on a no-grad Graph: it records no tape; build it with Graph::new() to train"
+        );
         let mut grads: Vec<Option<Tensor>> = self.nodes.iter().map(|_| None).collect();
         for &(id, seed) in seeds {
-            let v = &self.nodes[id].value;
+            let v = &self.values[id];
             assert_eq!(
                 (v.rows, v.cols),
                 (seed.rows, seed.cols),
@@ -509,6 +554,11 @@ impl Graph {
     /// Runs the backward pass from a scalar loss node; returns per-node
     /// gradients (use [`Graph::param_grads`] to collect parameter grads).
     /// Nodes unreachable from the loss report zero gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Graph::no_grad`] graph, as do
+    /// [`Graph::backward_into`] and [`Graph::backward_seeded_into`].
     pub fn backward(&self, loss: NodeId) -> Vec<Tensor> {
         let one = Tensor::scalar(1.0);
         self.backward_sparse(&[(loss, &one)])
@@ -516,7 +566,7 @@ impl Graph {
             .enumerate()
             .map(|(i, g)| {
                 g.unwrap_or_else(|| {
-                    let v = &self.nodes[i].value;
+                    let v = &self.values[i];
                     Tensor::zeros(v.rows, v.cols)
                 })
             })
@@ -547,13 +597,13 @@ impl Graph {
     /// place (no adjoint temporaries are allocated).
     fn accumulate_op(&self, id: NodeId, g_out: &Tensor, inputs: &mut [Option<Tensor>]) {
         let shape = |n: NodeId| {
-            let v = &self.nodes[n].value;
+            let v = &self.values[n];
             (v.rows, v.cols)
         };
         match &self.nodes[id].op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let (av, bv) = (&self.nodes[*a].value, &self.nodes[*b].value);
+                let (av, bv) = (&self.values[*a], &self.values[*b]);
                 {
                     let (r, c) = shape(*a);
                     g_out.matmul_bt_into(bv, ensure(&mut inputs[*a], r, c), true);
@@ -564,7 +614,7 @@ impl Graph {
                 }
             }
             Op::MatMulBt(a, b) => {
-                let (av, bv) = (&self.nodes[*a].value, &self.nodes[*b].value);
+                let (av, bv) = (&self.values[*a], &self.values[*b]);
                 {
                     let (r, c) = shape(*a);
                     g_out.matmul_into(bv, ensure(&mut inputs[*a], r, c), true);
@@ -579,13 +629,13 @@ impl Graph {
                 adj.matmul_t_into(g_out, ensure(&mut inputs[*x], r, c), true);
             }
             Op::Linear { x, w, b, relu } => {
-                let (xv, wv) = (&self.nodes[*x].value, &self.nodes[*w].value);
+                let (xv, wv) = (&self.values[*x], &self.values[*w]);
                 // Upstream gradient w.r.t. the pre-bias product; with the
                 // fused ReLU the mask comes from the output's sign, using
                 // a workspace buffer rather than a fresh tensor.
                 let mut scratch = None;
                 let gpre: &Tensor = if *relu {
-                    let y = &self.nodes[id].value;
+                    let y = &self.values[id];
                     let mut buf = self
                         .scratch
                         .lock()
@@ -646,7 +696,7 @@ impl Graph {
             }
             Op::Mul(a, b) => {
                 {
-                    let bv = &self.nodes[*b].value;
+                    let bv = &self.values[*b];
                     let (r, c) = shape(*a);
                     let ga = ensure(&mut inputs[*a], r, c);
                     for ((o, &g), &y) in ga
@@ -659,7 +709,7 @@ impl Graph {
                     }
                 }
                 {
-                    let av = &self.nodes[*a].value;
+                    let av = &self.values[*a];
                     let (r, c) = shape(*b);
                     let gb = ensure(&mut inputs[*b], r, c);
                     for ((o, &g), &x) in gb
@@ -679,7 +729,7 @@ impl Graph {
                 (crate::simd::kernels().axpy)(&mut ga.data, *cst, &g_out.data);
             }
             Op::Relu(a) => {
-                let av = &self.nodes[*a].value;
+                let av = &self.values[*a];
                 let (r, c) = shape(*a);
                 let ga = ensure(&mut inputs[*a], r, c);
                 for ((o, &g), &x) in ga
@@ -692,7 +742,7 @@ impl Graph {
                 }
             }
             Op::Gelu(a) => {
-                let av = &self.nodes[*a].value;
+                let av = &self.values[*a];
                 let (r, c) = shape(*a);
                 let ga = ensure(&mut inputs[*a], r, c);
                 for ((o, &g), &x) in ga
@@ -705,7 +755,7 @@ impl Graph {
                 }
             }
             Op::Tanh(a) => {
-                let yv = &self.nodes[id].value;
+                let yv = &self.values[id];
                 let (r, c) = shape(*a);
                 let ga = ensure(&mut inputs[*a], r, c);
                 for ((o, &g), &y) in ga
@@ -751,7 +801,7 @@ impl Graph {
                 xhat,
                 inv_std,
             } => {
-                let gv = &self.nodes[*gain].value;
+                let gv = &self.values[*gain];
                 let cols = g_out.cols as f32;
                 {
                     let (r, c) = shape(*gain);
@@ -778,7 +828,8 @@ impl Graph {
                 // reduced in ascending column order by one thread.
                 let width = g_out.cols;
                 let kn = crate::simd::kernels();
-                nettag_par::for_each_row_block_mut(&mut dx.data, width, |first_row, dx_rows| {
+                let flops = LN_FLOPS_PER_ELEM * g_out.data.len();
+                run_row_blocks(&mut dx.data, width, flops, |first_row, dx_rows| {
                     for (i, dx_row) in dx_rows.chunks_exact_mut(width).enumerate() {
                         let row = first_row + i;
                         let g_row = g_out.row_slice(row);
@@ -806,7 +857,7 @@ impl Graph {
                 });
             }
             Op::MeanRows(x) => {
-                let n = self.nodes[*x].value.rows.max(1) as f32;
+                let n = self.values[*x].rows.max(1) as f32;
                 let (r, c) = shape(*x);
                 let dx = ensure(&mut inputs[*x], r, c);
                 for row in dx.data.chunks_exact_mut(g_out.cols) {
@@ -847,7 +898,7 @@ impl Graph {
             }
             Op::SoftmaxRows(x) => {
                 // dx = y ⊙ (dy − (dy·y)) per row.
-                let y = &self.nodes[id].value;
+                let y = &self.values[id];
                 let (r, c) = shape(*x);
                 let dx = ensure(&mut inputs[*x], r, c);
                 for row in 0..y.rows {
@@ -858,7 +909,7 @@ impl Graph {
                 }
             }
             Op::NormalizeRows { x, norms } => {
-                let y = &self.nodes[id].value;
+                let y = &self.values[id];
                 let (r, c) = shape(*x);
                 let dx = ensure(&mut inputs[*x], r, c);
                 #[allow(clippy::needless_range_loop)]
@@ -888,7 +939,7 @@ impl Graph {
             Op::Mse { pred, target } => {
                 let n = target.data.len().max(1) as f32;
                 let scale = 2.0 * g_out.item() / n;
-                let pv = &self.nodes[*pred].value;
+                let pv = &self.values[*pred];
                 let (r, c) = shape(*pred);
                 let dp = ensure(&mut inputs[*pred], r, c);
                 for ((o, &p), &t) in dp
@@ -913,7 +964,73 @@ impl Graph {
     }
 }
 
-pub(crate) fn gelu(x: f32) -> f32 {
+/// Copies `ids` rows of `table` into a new tensor.
+fn gather(table: &Tensor, ids: &[u32]) -> Tensor {
+    let mut v = Tensor::zeros(ids.len(), table.cols);
+    for (r, &id) in ids.iter().enumerate() {
+        let dst = &mut v.data[r * table.cols..(r + 1) * table.cols];
+        dst.copy_from_slice(table.row_slice(id as usize));
+    }
+    v
+}
+
+/// The layer-norm forward kernel of both graph modes. `saved` receives
+/// `xhat` and per-row `1/std` for the backward pass; without it each row
+/// block normalizes through one scratch `xhat` row. Rows normalize
+/// independently, each reduced in ascending column order on exactly one
+/// thread, and row blocks run in parallel only above the
+/// [`parallel_worthwhile`] gate — bitwise identical at any thread count.
+/// The dispatch table is resolved here so pool workers inherit any
+/// `simd::with_tier` override from the calling thread.
+fn layer_norm_rows(
+    x: &Tensor,
+    gain: &Tensor,
+    bias: &Tensor,
+    saved: Option<(&mut [f32], &mut [f32])>,
+) -> Tensor {
+    const EPS: f32 = 1e-5;
+    let cols = x.cols;
+    let mut out = Tensor::zeros(x.rows, cols);
+    let kn = crate::simd::kernels();
+    let norm_row = |r: usize, out_row: &mut [f32], xhat_row: &mut [f32]| -> f32 {
+        let row = x.row_slice(r);
+        let mean = row.iter().sum::<f32>() / cols as f32;
+        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+        let istd = 1.0 / (var + EPS).sqrt();
+        (kn.ln_fwd_row)(out_row, xhat_row, row, &gain.data, &bias.data, mean, istd);
+        istd
+    };
+    let flops = LN_FLOPS_PER_ELEM * x.data.len();
+    match saved {
+        Some((xhat, inv_std)) => {
+            let block =
+                |first_row: usize, out_rows: &mut [f32], xhats: &mut [f32], istds: &mut [f32]| {
+                    for (r, ((out_row, xhat_row), istd)) in out_rows
+                        .chunks_exact_mut(cols)
+                        .zip(xhats.chunks_exact_mut(cols))
+                        .zip(istds.iter_mut())
+                        .enumerate()
+                    {
+                        *istd = norm_row(first_row + r, out_row, xhat_row);
+                    }
+                };
+            if parallel_worthwhile(flops) {
+                nettag_par::for_each_zip3_mut(&mut out.data, cols, xhat, cols, inv_std, 1, block);
+            } else {
+                block(0, &mut out.data, xhat, inv_std);
+            }
+        }
+        None => run_row_blocks(&mut out.data, cols, flops, |first_row, out_rows| {
+            let mut xhat = vec![0.0f32; cols];
+            for (r, out_row) in out_rows.chunks_exact_mut(cols).enumerate() {
+                norm_row(first_row + r, out_row, &mut xhat);
+            }
+        }),
+    }
+    out
+}
+
+fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
 }
 
@@ -1007,9 +1124,7 @@ mod tests {
         let gain = rngt(1, 4, 21).map(|v| 1.0 + 0.1 * v);
         let bias = rngt(1, 4, 22).map(|v| 0.1 * v);
         grad_check(rngt(3, 4, 4), move |g, x| {
-            let gn = g.constant(gain.clone());
-            let bn = g.constant(bias.clone());
-            let y = g.layer_norm(x, gn, bn);
+            let y = g.layer_norm(x, &Param::new(gain.clone()), &Param::new(bias.clone()));
             g.mse(y, Tensor::zeros(3, 4))
         });
     }
@@ -1062,9 +1177,7 @@ mod tests {
         let w = rngt(3, 4, 41);
         let b = rngt(1, 4, 42);
         grad_check(rngt(5, 3, 40), move |g, x| {
-            let wn = g.constant(w.clone());
-            let bn = g.constant(b.clone());
-            let y = g.linear(x, wn, bn);
+            let y = g.linear(x, &Param::new(w.clone()), &Param::new(b.clone()));
             g.mse(y, Tensor::zeros(5, 4))
         });
     }
@@ -1074,9 +1187,7 @@ mod tests {
         let w = rngt(3, 4, 51);
         let b = rngt(1, 4, 52);
         grad_check(rngt(5, 3, 50), move |g, x| {
-            let wn = g.constant(w.clone());
-            let bn = g.constant(b.clone());
-            let y = g.linear_relu(x, wn, bn);
+            let y = g.linear_relu(x, &Param::new(w.clone()), &Param::new(b.clone()));
             g.mse(y, Tensor::zeros(5, 4))
         });
     }
@@ -1088,25 +1199,28 @@ mod tests {
         let x = rngt(6, 5, 61);
         let w = rngt(5, 4, 62);
         let b = rngt(1, 4, 63);
+        let (wp, bp) = (Param::new(w), Param::new(b));
         let run = |fused: bool| -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
             let mut g = Graph::new();
             let xn = g.param(1, x.clone());
-            let wn = g.param(2, w.clone());
-            let bn = g.param(3, b.clone());
             let y = if fused {
-                g.linear_relu(xn, wn, bn)
+                g.linear_relu(xn, &wp, &bp)
             } else {
+                let wn = wp.bind(&mut g);
+                let bn = bp.bind(&mut g);
                 let mm = g.matmul(xn, wn);
                 let aff = g.add_row(mm, bn);
                 g.relu(aff)
             };
             let loss = g.mse(y, Tensor::zeros(6, 4));
             let grads = g.backward(loss);
+            let pg = g.param_grads(&grads);
+            let of = |key: usize| pg.iter().find(|(k, _)| *k == key).expect("bound").1.clone();
             (
                 g.value(y).data.clone(),
                 grads[xn].data.clone(),
-                grads[wn].data.clone(),
-                grads[bn].data.clone(),
+                of(wp.key).data,
+                of(bp.key).data,
             )
         };
         let (yf, gxf, gwf, gbf) = run(true);
@@ -1132,6 +1246,38 @@ mod tests {
         assert!(grads[used].item() != 0.0);
         assert_eq!((grads[unused].rows, grads[unused].cols), (2, 2));
         assert!(grads[unused].data.iter().all(|&v| v == 0.0));
+    }
+
+    /// A no-grad graph with a scalar "loss" built from a parameter.
+    fn no_grad_loss() -> (Graph, NodeId) {
+        let mut g = Graph::no_grad();
+        let w = Param::new(rngt(3, 2, 70));
+        let b = Param::zeros(1, 2);
+        let x = g.constant(rngt(4, 3, 71));
+        let y = g.linear(x, &w, &b);
+        let loss = g.mse(y, Tensor::zeros(4, 2));
+        (g, loss)
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on a no-grad Graph")]
+    fn backward_on_no_grad_graph_panics() {
+        let (g, loss) = no_grad_loss();
+        g.backward(loss);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on a no-grad Graph")]
+    fn backward_into_on_no_grad_graph_panics() {
+        let (g, loss) = no_grad_loss();
+        g.backward_into(loss, &mut GradStore::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on a no-grad Graph")]
+    fn backward_seeded_into_on_no_grad_graph_panics() {
+        let (g, loss) = no_grad_loss();
+        g.backward_seeded_into(&[(loss, &Tensor::scalar(1.0))], &mut GradStore::new());
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::graph::{Graph, NodeId};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 static NEXT_PARAM_KEY: AtomicUsize = AtomicUsize::new(1);
 
@@ -97,17 +96,13 @@ impl Linear {
 
     /// Forward pass (fused `x @ W + b` kernel, one tape node).
     pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let w = self.w.bind(g);
-        let b = self.b.bind(g);
-        g.linear(x, w, b)
+        g.linear(x, &self.w, &self.b)
     }
 
     /// Forward pass with fused ReLU (`relu(x @ W + b)`), used by MLP
     /// hidden layers to avoid a separate activation tape node.
     pub fn forward_relu(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let w = self.w.bind(g);
-        let b = self.b.bind(g);
-        g.linear_relu(x, w, b)
+        g.linear_relu(x, &self.w, &self.b)
     }
 }
 
@@ -134,8 +129,7 @@ impl Embedding {
 
     /// Looks up a sequence of token ids.
     pub fn forward(&self, g: &mut Graph, ids: &[u32]) -> NodeId {
-        let t = self.table.bind(g);
-        g.gather_rows(t, Arc::new(ids.to_vec()))
+        g.gather_param_rows(&self.table, ids)
     }
 }
 
@@ -165,9 +159,7 @@ impl LayerNorm {
 
     /// Forward pass.
     pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let gain = self.gain.bind(g);
-        let bias = self.bias.bind(g);
-        g.layer_norm(x, gain, bias)
+        g.layer_norm(x, &self.gain, &self.bias)
     }
 }
 
@@ -237,18 +229,11 @@ impl MultiHeadAttention {
             let q = self.wq[h].forward(g, query);
             let k = self.wk[h].forward(g, context);
             let v = self.wv[h].forward(g, context);
-            let scores = g.matmul_bt(q, k);
-            let scaled = g.scale(scores, scale);
-            let attn = softmax_rows(g, scaled);
-            heads.push(g.matmul(attn, v));
+            heads.push(g.attention(q, k, v, scale));
         }
         let cat = g.concat_cols(&heads);
         self.wo.forward(g, cat)
     }
-}
-
-fn softmax_rows(g: &mut Graph, x: NodeId) -> NodeId {
-    g.softmax_rows_op(x)
 }
 
 /// Position-wise feed-forward (two linear layers with GELU).
@@ -481,6 +466,42 @@ mod tests {
             opt.step(&mut mlp.params_mut(), &store);
         }
         assert!(last < 0.1, "XOR should be learnable, loss {last}");
+    }
+
+    /// Every op whose no-grad branch differs from tape mode — param
+    /// linear and linear+ReLU, LayerNorm (below and above the parallel
+    /// gate), the param-row gather and the attention head, self and
+    /// cross — produces the tape's bits on a no-grad graph.
+    #[test]
+    fn no_grad_matches_tape_bitwise() {
+        let mut r = rng();
+        let emb = Embedding::new(10, 16, &mut r);
+        let block = TransformerBlock::new(16, 4, 2, &mut r);
+        let cross = MultiHeadAttention::new(16, 4, &mut r);
+        let mlp = Mlp::new(&[16, 24, 24, 6], &mut r);
+        let mut wide = LayerNorm::new(80);
+        wide.gain.value = Tensor::xavier(1, 80, &mut r);
+        wide.bias.value = Tensor::xavier(1, 80, &mut r);
+        let context = Tensor::xavier(11, 16, &mut r);
+        let big = Tensor::xavier(1024, 80, &mut r);
+        let run = |mut g: Graph| -> Vec<Tensor> {
+            let x = emb.forward(&mut g, &[3, 1, 4, 1, 5, 9, 2]);
+            let y = block.forward(&mut g, x);
+            let q = g.select_row(y, 0);
+            let c = g.constant(context.clone());
+            let z = cross.forward_cross(&mut g, q, c);
+            let m = mlp.forward(&mut g, y);
+            let b = g.constant(big.clone());
+            let n = wide.forward(&mut g, b);
+            [x, y, z, m, n].map(|id| g.take_value(id)).to_vec()
+        };
+        let tape = run(Graph::new());
+        let no_grad = run(Graph::no_grad());
+        for (t, n) in tape.iter().zip(&no_grad) {
+            assert_eq!((t.rows, t.cols), (n.rows, n.cols));
+            let bits = |v: &Tensor| v.data.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(t), bits(n), "no-grad must be bit-identical");
+        }
     }
 
     #[test]

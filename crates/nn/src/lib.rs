@@ -27,6 +27,10 @@
 //! }
 //! ```
 //!
+//! Inference runs the same `forward`s on a [`Graph::no_grad`] graph,
+//! which keeps values but no backward state, so served outputs are the
+//! training forward's bits by construction.
+//!
 //! Batched training steps should go through [`data_parallel::step`]:
 //! one tape per sample on worker threads, a small central combine tape,
 //! and a fixed-order gradient reduction that is bitwise identical at any
@@ -50,7 +54,6 @@ pub mod data_parallel;
 mod gbdt;
 mod grad;
 mod graph;
-pub mod infer;
 mod layers;
 mod loss;
 mod optim;

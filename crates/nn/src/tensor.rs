@@ -452,17 +452,23 @@ impl Tensor {
     }
 }
 
+/// Whether a kernel of `flops` serial multiply-adds is worth a parallel
+/// region (the [`PAR_MIN_FLOPS`] gate every row-parallel kernel shares).
+pub(crate) fn parallel_worthwhile(flops: usize) -> bool {
+    flops >= PAR_MIN_FLOPS && nettag_par::num_threads() > 1
+}
+
 /// Dispatches a row-partitioned kernel: parallel across threads when the
-/// product is large enough, otherwise inline on the caller's thread with
+/// work is large enough, otherwise inline on the caller's thread with
 /// the identical per-row code path.
-fn run_row_blocks<F>(out: &mut [f32], width: usize, flops: usize, f: F)
+pub(crate) fn run_row_blocks<F>(out: &mut [f32], width: usize, flops: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     if out.is_empty() || width == 0 {
         return;
     }
-    if flops >= PAR_MIN_FLOPS && nettag_par::num_threads() > 1 {
+    if parallel_worthwhile(flops) {
         nettag_par::for_each_row_block_mut(out, width, f);
     } else {
         f(0, out);

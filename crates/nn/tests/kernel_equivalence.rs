@@ -5,7 +5,7 @@
 //! composed primitive ops on a fixed-seed TAGFormer-shaped step.
 
 use nettag_nn::simd::{self, SimdTier};
-use nettag_nn::{Graph, SparseMatrix, Tensor};
+use nettag_nn::{Graph, Param, SparseMatrix, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,24 +147,24 @@ fn fixed_seed_tagformer_step_gradients_unchanged() {
     let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
     let adj = std::sync::Arc::new(SparseMatrix::normalized_adjacency(n, &edges));
 
+    let (w, b, w2, b2) = (Param::new(w), Param::new(b), Param::new(w2), Param::new(b2));
+
     let run = |fused: bool| -> (f32, Vec<(usize, Tensor)>) {
         let mut g = Graph::new();
         let x = g.constant(feats.clone());
-        let wn = g.param(1, w.clone());
-        let bn = g.param(2, b.clone());
-        let w2n = g.param(3, w2.clone());
-        let b2n = g.param(4, b2.clone());
         let p = g.spmm(adj.clone(), x);
         let h = if fused {
-            g.linear_relu(p, wn, bn)
+            g.linear_relu(p, &w, &b)
         } else {
+            let (wn, bn) = (w.bind(&mut g), b.bind(&mut g));
             let mm = g.matmul(p, wn);
             let aff = g.add_row(mm, bn);
             g.relu(aff)
         };
         let z = if fused {
-            g.linear(h, w2n, b2n)
+            g.linear(h, &w2, &b2)
         } else {
+            let (w2n, b2n) = (w2.bind(&mut g), b2.bind(&mut g));
             let mm = g.matmul(h, w2n);
             g.add_row(mm, b2n)
         };
@@ -188,6 +188,47 @@ fn fixed_seed_tagformer_step_gradients_unchanged() {
                 "param {kf}: {a} vs {b}"
             );
         }
+    }
+}
+
+/// The layer norm's tape forward + backward above its parallel-dispatch
+/// size gate (1100×64): bitwise equal across bitwise tiers, and equal to
+/// the same step run inside a parallel region, where nested dispatch
+/// runs inline — so at `RAYON_NUM_THREADS>1` the row-parallel branch is
+/// pinned to the serial one.
+#[test]
+fn layer_norm_above_parallel_gate_is_bitwise_across_tiers_and_threads() {
+    if ambient_tier_fuses() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(31);
+    let x = Tensor::xavier(1100, 64, &mut rng);
+    let gain = Param::new(Tensor::xavier(1, 64, &mut rng).map(|v| 1.0 + v));
+    let bias = Param::new(Tensor::xavier(1, 64, &mut rng));
+    let target = Tensor::xavier(1100, 64, &mut rng);
+    let step = || {
+        let mut g = Graph::new();
+        let xn = g.param(0, x.clone());
+        let y = g.layer_norm(xn, &gain, &bias);
+        let loss = g.mse(y, target.clone());
+        let grads = g.backward(loss);
+        let mut out = g.value(y).data.clone();
+        for t in [&grads[xn]]
+            .into_iter()
+            .chain(g.param_grads(&grads).iter().map(|(_, t)| t))
+        {
+            out.extend(&t.data);
+        }
+        out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+    };
+    let reference = simd::with_tier(SimdTier::Scalar, step).expect("scalar tier");
+    for tier in bitwise_tiers() {
+        let got = simd::with_tier(tier, step).expect("tier filtered as available");
+        assert_eq!(got, reference, "layer_norm tier {tier:?} diverged");
+    }
+    let nested = nettag_par::map_indexed(2, |_| simd::with_tier(SimdTier::Scalar, step));
+    for got in nested {
+        assert_eq!(got.expect("scalar tier"), reference, "parallel vs inline");
     }
 }
 
@@ -300,12 +341,11 @@ proptest! {
         bias in arb_tensor(1, 19),
         grad in prop::collection::vec(-1.0f32..1.0, 27),
     ) {
+        let (gain, bias) = (Param::new(gain), Param::new(bias));
         let step = || {
             let mut g = Graph::new();
             let xn = g.constant(x.clone());
-            let gn = g.param(1, gain.clone());
-            let bn = g.param(2, bias.clone());
-            let y = g.layer_norm(xn, gn, bn);
+            let y = g.layer_norm(xn, &gain, &bias);
             let loss = g.mse(y, Tensor::zeros(x.rows, x.cols));
             let grads = g.backward(loss);
             let mut out = vec![g.value(loss).item()];

@@ -1,7 +1,7 @@
 //! Property-based gradient checks: autograd gradients must match central
 //! finite differences for randomly composed computation graphs.
 
-use nettag_nn::{Graph, NodeId, SparseMatrix, Tensor};
+use nettag_nn::{Graph, NodeId, Param, SparseMatrix, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -57,9 +57,9 @@ proptest! {
             let wn = g.constant(w.clone());
             let h = g.matmul(xr, wn);
             let a = g.gelu(h);
-            let gain = g.constant(Tensor::row(vec![1.0, 0.9, 1.1]));
-            let bias = g.constant(Tensor::row(vec![0.0, 0.1, -0.1]));
-            let n = g.layer_norm(a, gain, bias);
+            let gain = Param::new(Tensor::row(vec![1.0, 0.9, 1.1]));
+            let bias = Param::new(Tensor::row(vec![0.0, 0.1, -0.1]));
+            let n = g.layer_norm(a, &gain, &bias);
             g.mse(n, Tensor::zeros(3, 3))
         })?;
     }

@@ -20,7 +20,7 @@
 //! rows from the model's [`TextCache`], which lives as long as the loaded
 //! weights: a gate text is encoded once per served model, in one ExprLLM
 //! pass over the batch's unseen texts, and every later batch reuses its
-//! row. Each cone then takes one tapeless TAGFormer pass; both passes fan
+//! row. Each cone then takes one no-grad TAGFormer pass; both passes fan
 //! out across the persistent `nettag-par` worker pool. Responses are bitwise
 //! independent of batch composition and lane assignment: a request
 //! answers with the same bits whether it ran alone, coalesced with
@@ -943,7 +943,7 @@ fn run_batch(
     }
     let expr_text = model.encode_texts(&exprs, &text);
     // Fused pass: geometry extraction (deterministic seeded flow) +
-    // tapeless cross-attentive fusion over the `[CLS]` embedding this
+    // no-grad cross-attentive fusion over the `[CLS]` embedding this
     // batch computed (or found cached).
     let mut computed_fused: HashMap<u128, Arc<Tensor>> =
         HashMap::with_capacity(fused_compute.len());

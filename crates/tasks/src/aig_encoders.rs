@@ -231,10 +231,10 @@ pub fn pretrain_deepgate_like(
 impl PretrainedAigEncoder {
     /// Frozen per-node embeddings of an AIG sample.
     pub fn node_embeddings(&self, sample: &AigSample) -> Tensor {
-        let mut g = Graph::new();
+        let mut g = Graph::no_grad();
         let f = g.constant(sample.features.clone());
         let (nodes, _) = self.encoder.forward(&mut g, f, &aig_adjacency(sample));
-        g.value(nodes).clone()
+        g.take_value(nodes)
     }
 }
 

@@ -224,7 +224,7 @@ impl GnnNodeClassifier {
 
     /// Predicts a class per node.
     pub fn predict(&self, graph: &GnnGraph) -> Vec<usize> {
-        let mut g = Graph::new();
+        let mut g = Graph::no_grad();
         let f = g.constant(graph.features.clone());
         let (nodes, _) = self.encoder.forward(&mut g, f, &graph.adj());
         let logits = self.head.forward(&mut g, nodes);
@@ -369,7 +369,7 @@ impl GnnGraphModel {
         graphs
             .iter()
             .map(|gr| {
-                let mut g = Graph::new();
+                let mut g = Graph::no_grad();
                 let f = g.constant(gr.features.clone());
                 let (_, pooled) = self.encoder.forward(&mut g, f, &gr.adj());
                 let pred = self.head.forward(&mut g, pooled);
@@ -383,7 +383,7 @@ impl GnnGraphModel {
         graphs
             .iter()
             .map(|gr| {
-                let mut g = Graph::new();
+                let mut g = Graph::no_grad();
                 let f = g.constant(gr.features.clone());
                 let (_, pooled) = self.encoder.forward(&mut g, f, &gr.adj());
                 let logits = self.head.forward(&mut g, pooled);
