@@ -8,11 +8,13 @@
 use nettag_bench::time_it;
 use nettag_core::{NetTag, NetTagConfig};
 use nettag_expr::token::tokenize_expr;
-use nettag_netlist::{chunk_into_cones, gate_expr, Library, Tag, TagOptions};
+use nettag_netlist::{
+    chunk_into_cones, cone_to_netlist, gate_expr, Library, Netlist, Tag, TagOptions,
+};
 use nettag_physical::{
     analyze_timing, extract, measure_activity, place, ActivityConfig, PlaceConfig, TimingConfig,
 };
-use nettag_synth::{generate_design, Family, GenerateConfig};
+use nettag_synth::{generate_design, Family, GenerateConfig, ALL_FAMILIES};
 
 fn report(name: &str, seconds: f64) {
     println!("{name:<28} {:>12.2} us/iter", seconds * 1e6);
@@ -87,9 +89,46 @@ fn bench_model_inference() {
     );
 }
 
+/// TAGFormer inference on the register cones nearest 35 gates (the
+/// `design_cold` mean), 64 and 220, under the tiny and small configs;
+/// each line is labelled with the cone's actual gate count.
+fn bench_tagformer_cone_sizes() {
+    let lib = Library::default();
+    let cones: Vec<Netlist> = ALL_FAMILIES
+        .iter()
+        .flat_map(|&family| (0..4).map(move |index| (family, index)))
+        .flat_map(|(family, index)| {
+            let design = generate_design(family, index, 7, &GenerateConfig::default());
+            chunk_into_cones(&design.netlist)
+                .iter()
+                .map(|c| cone_to_netlist(&design.netlist, c))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    for (label, config) in [
+        ("tiny", NetTagConfig::tiny()),
+        ("small", NetTagConfig::small()),
+    ] {
+        let model = NetTag::new(config);
+        for target in [35usize, 64, 220] {
+            let cone = cones
+                .iter()
+                .min_by_key(|n| n.gate_count().abs_diff(target))
+                .expect("designs have cones");
+            let tag = Tag::from_netlist(cone, &lib, &model.tag_options());
+            let features = model.node_features(&tag);
+            report(
+                &format!("tagformer_encode/{label}/{}", tag.len()),
+                time_it(|| model.tagformer.encode(&features, &tag.edges)),
+            );
+        }
+    }
+}
+
 fn main() {
     bench_expression_extraction();
     bench_chunking_and_tag();
     bench_physical();
     bench_model_inference();
+    bench_tagformer_cone_sizes();
 }

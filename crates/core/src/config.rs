@@ -23,8 +23,6 @@ pub struct NetTagConfig {
     pub graph_dim: usize,
     /// TAGFormer depth (attention + propagation rounds).
     pub graph_layers: usize,
-    /// TAGFormer attention heads.
-    pub graph_heads: usize,
     /// Fan-in hops for symbolic expressions (paper: 2).
     pub hops: usize,
     /// InfoNCE temperature τ.
@@ -46,7 +44,6 @@ impl NetTagConfig {
             max_tokens: 48,
             graph_dim: 16,
             graph_layers: 1,
-            graph_heads: 2,
             hops: 2,
             temperature: 0.1,
             mask_rate: 0.15,
@@ -69,7 +66,6 @@ impl NetTagConfig {
             max_tokens: 160,
             graph_dim: 48,
             graph_layers: 2,
-            graph_heads: 4,
             hops: 4,
             temperature: 0.1,
             mask_rate: 0.15,
@@ -123,7 +119,6 @@ mod tests {
     fn dims_are_head_divisible() {
         for (_, c) in NetTagConfig::scaling_presets() {
             assert_eq!(c.text_dim % c.text_heads, 0);
-            assert_eq!(c.graph_dim % c.graph_heads, 0);
         }
         let c = NetTagConfig::default();
         assert_eq!(c.text_dim % c.text_heads, 0);

@@ -5,7 +5,7 @@
 //! this module provides the same affordance: versioned binary checkpoints
 //! of the full model (configuration, weights and Adam moments).
 //!
-//! # Format, version 1
+//! # Format, version 2
 //!
 //! Integers are little-endian. Floats are stored as their raw IEEE-754
 //! bits, little-endian — the wire protocol's convention — so every value,
@@ -15,8 +15,8 @@
 //! | bytes              | field                                                  |
 //! |--------------------|--------------------------------------------------------|
 //! | 8                  | magic `NTAGCKPT`                                       |
-//! | 4                  | version, `u32` = 1                                     |
-//! | 9 × 8              | `embed_dim` … `hops` of [`NetTagConfig`] as `u64`      |
+//! | 4                  | version, `u32` = 2                                     |
+//! | 8 × 8              | `embed_dim` … `hops` of [`NetTagConfig`] as `u64`      |
 //! | 4 + 8 + 8          | `temperature` (f32), `mask_rate` (f64), `seed` (u64)   |
 //! | 4                  | `text_scale` (f32)                                     |
 //! | per param          | `rows`, `cols` as `u32`, then `value`, `m`, `v`        |
@@ -25,6 +25,11 @@
 //! The config fields follow their declaration order, and the params
 //! follow [`Layer::params_mut`] order. Param keys are process-local and
 //! are not stored: a load assigns fresh ones.
+//!
+//! Version 1 stored a ninth size, `graph_heads`, and the params of
+//! TAGFormer's multi-head softmax attention; those weights do not fit
+//! the linear-attention layer, so a version-1 file is rejected with a
+//! [`CheckpointError::Format`] naming its version.
 //!
 //! One trailing checksum detects any single-byte change. Each FNV-1a step
 //! `h ← (h ⊕ b) · P` multiplies by an odd `P`, a bijection modulo 2^64:
@@ -44,9 +49,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 const MAGIC: &[u8; 8] = b"NTAGCKPT";
-const VERSION: u32 = 1;
-/// Magic, version, the twelve config fields and `text_scale`.
-const HEADER_LEN: usize = 8 + 4 + 9 * 8 + 4 + 8 + 8 + 4;
+const VERSION: u32 = 2;
+/// Magic, version, the eleven config fields and `text_scale`.
+const HEADER_LEN: usize = 8 + 4 + 8 * 8 + 4 + 8 + 8 + 4;
 const TRAILER_LEN: usize = 8;
 
 /// Error saving or loading a checkpoint.
@@ -93,7 +98,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encodes `model` in the version-1 layout, trailer included.
+/// Encodes `model` in the version-2 layout, trailer included.
 fn encode(model: &NetTag) -> Result<Vec<u8>, CheckpointError> {
     let c = &model.config;
     let mut out = Vec::with_capacity(HEADER_LEN + TRAILER_LEN);
@@ -107,7 +112,6 @@ fn encode(model: &NetTag) -> Result<Vec<u8>, CheckpointError> {
         c.max_tokens,
         c.graph_dim,
         c.graph_layers,
-        c.graph_heads,
         c.hops,
     ] {
         out.extend_from_slice(&(size as u64).to_le_bytes());
@@ -188,20 +192,15 @@ fn check_config(c: &NetTagConfig, body_len: usize) -> Result<(), CheckpointError
         c.max_tokens,
         c.graph_dim,
         c.graph_layers,
-        c.graph_heads,
     ];
     if let Some(s) = sizes.iter().find(|&&s| s > body_len) {
         return format_error(format!("config size {s} exceeds the {body_len}-byte body"));
     }
-    for (what, dim, heads) in [
-        ("text", c.text_dim, c.text_heads),
-        ("graph", c.graph_dim, c.graph_heads),
-    ] {
-        if heads == 0 || dim % heads != 0 {
-            return format_error(format!(
-                "{what} width {dim} does not split into {heads} heads"
-            ));
-        }
+    let (dim, heads) = (c.text_dim, c.text_heads);
+    if heads == 0 || dim % heads != 0 {
+        return format_error(format!(
+            "text width {dim} does not split into {heads} heads"
+        ));
     }
     Ok(())
 }
@@ -233,7 +232,6 @@ fn decode(bytes: &[u8]) -> Result<NetTag, CheckpointError> {
         max_tokens: r.size()?,
         graph_dim: r.size()?,
         graph_layers: r.size()?,
-        graph_heads: r.size()?,
         hops: r.size()?,
         temperature: f32::from_bits(r.u32()?),
         mask_rate: f64::from_bits(r.u64()?),

@@ -1,26 +1,31 @@
 //! TAGFormer — the graph transformer that fuses gate semantics with the
 //! global netlist structure (paper Sec. II-C, eq. 2).
 //!
-//! Following SGFormer's recipe, each layer combines one simple *global
-//! attention* pass (all nodes attend to all nodes, including a virtual
-//! `[CLS]` node connected to everything) with a GCN-style propagation
-//! over the normalized adjacency. Input node features are the
-//! concatenation of frozen ExprLLM text embeddings with the 8-dim
-//! physical characteristics vector `x_phys` — exactly `n_i = (T_i,
-//! x_phys_i)` from eq. (2).
+//! Following SGFormer (Wu et al., NeurIPS 2023), each layer combines one
+//! simple *global attention* pass with a GCN-style propagation over the
+//! normalized adjacency. The global pass is SGFormer's single
+//! softmax-free head ([`Graph::linear_attention`]): with `N` nodes (the
+//! gates plus a virtual `[CLS]` node connected to everything),
+//! `Q̃ = Q/‖Q‖_F`, `K̃ = K/‖K‖_F` and
+//! `out_i = (N·V_i + Q̃_i(K̃ᵀV)) / (N + Q̃_i·(K̃ᵀ1))`. Every node still
+//! reads every other node, at O(N·d²) rather than softmax's O(N²·d).
+//! Input node features are the concatenation of frozen ExprLLM text
+//! embeddings with the 8-dim physical characteristics vector `x_phys` —
+//! exactly `n_i = (T_i, x_phys_i)` from eq. (2).
 
 use crate::config::NetTagConfig;
-use nettag_nn::{
-    Graph, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, NodeId, Param, SparseMatrix, Tensor,
-};
+use nettag_nn::{Graph, Layer, LayerNorm, Linear, Mlp, NodeId, Param, SparseMatrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// One TAGFormer layer: global attention + graph propagation, pre-norm.
+/// One TAGFormer layer: linear global attention + graph propagation,
+/// pre-norm.
 #[derive(Debug, Clone)]
 pub struct TagFormerLayer {
-    attn: MultiHeadAttention,
+    wq: Linear,
+    wk: Linear,
+    wv: Linear,
     prop: Linear,
     ln1: LayerNorm,
     ln2: LayerNorm,
@@ -28,9 +33,11 @@ pub struct TagFormerLayer {
 }
 
 impl TagFormerLayer {
-    fn new(dim: usize, heads: usize, rng: &mut StdRng) -> TagFormerLayer {
+    fn new(dim: usize, rng: &mut StdRng) -> TagFormerLayer {
         TagFormerLayer {
-            attn: MultiHeadAttention::new(dim, heads, rng),
+            wq: Linear::new(dim, dim, rng),
+            wk: Linear::new(dim, dim, rng),
+            wv: Linear::new(dim, dim, rng),
             prop: Linear::new(dim, dim, rng),
             ln1: LayerNorm::new(dim),
             ln2: LayerNorm::new(dim),
@@ -40,7 +47,10 @@ impl TagFormerLayer {
 
     fn forward(&self, g: &mut Graph, x: NodeId, adj: &Arc<SparseMatrix>) -> NodeId {
         let h = self.ln1.forward(g, x);
-        let a = self.attn.forward(g, h);
+        let q = self.wq.forward(g, h);
+        let k = self.wk.forward(g, h);
+        let v = self.wv.forward(g, h);
+        let a = g.linear_attention(q, k, v);
         let p0 = g.spmm(adj.clone(), h);
         let p = self.prop.forward(g, p0);
         let sum = g.add(a, p);
@@ -87,7 +97,7 @@ impl TagFormer {
             cls_seed: Param::xavier(1, config.graph_dim, &mut rng),
             mask_seed: Param::xavier(1, input_dim, &mut rng),
             layers: (0..config.graph_layers)
-                .map(|_| TagFormerLayer::new(config.graph_dim, config.graph_heads, &mut rng))
+                .map(|_| TagFormerLayer::new(config.graph_dim, &mut rng))
                 .collect(),
             ln: LayerNorm::new(config.graph_dim),
             proj: Linear::new(config.graph_dim, config.embed_dim, &mut rng),
@@ -126,28 +136,21 @@ impl TagFormer {
         let feats = if masked.is_empty() {
             features
         } else {
-            // Zero out masked rows and add the mask seed there instead.
-            let fv = g.value(features).clone();
-            let mut keep = Tensor::from_vec(n, 1, vec![1.0; n]);
+            // Zero the masked rows and put the mask seed there instead:
+            // `features ⊙ keep + (0 + mask_seed) ⊙ inv`, `inv = 1 − keep`.
+            let cols = g.value(features).cols;
+            let mut keep = Tensor::from_vec(n, cols, vec![1.0; n * cols]);
+            let mut inv = Tensor::zeros(n, cols);
             for &m in masked {
-                keep.data[m] = 0.0;
+                keep.data[m * cols..(m + 1) * cols].fill(0.0);
+                inv.data[m * cols..(m + 1) * cols].fill(1.0);
             }
-            let mut keep_full = Tensor::zeros(n, fv.cols);
-            for r in 0..n {
-                for c in 0..fv.cols {
-                    *keep_full.at_mut(r, c) = keep.data[r];
-                }
-            }
-            let keep_node = g.constant(keep_full.clone());
-            let kept = g.mul(features, keep_node);
-            // mask contribution: (1-keep) rows × mask_seed broadcast.
+            let keep = g.constant(keep);
+            let kept = g.mul(features, keep);
             let mask_row = self.mask_seed.bind(g);
-            let inv = g.constant(keep_full.map(|v| 1.0 - v));
-            let mask_mat = {
-                // Broadcast the 1×d mask row to n×d through AddRow on zeros.
-                let zeros = g.constant(Tensor::zeros(n, fv.cols));
-                g.add_row(zeros, mask_row)
-            };
+            let inv = g.constant(inv);
+            let zeros = g.constant(Tensor::zeros(n, cols));
+            let mask_mat = g.add_row(zeros, mask_row);
             let mask_part = g.mul(mask_mat, inv);
             g.add(kept, mask_part)
         };
@@ -188,16 +191,9 @@ impl Layer for TagFormer {
         p.push(&mut self.cls_seed);
         p.push(&mut self.mask_seed);
         for l in &mut self.layers {
-            for q in l
-                .attn
-                .wq
-                .iter_mut()
-                .chain(l.attn.wk.iter_mut())
-                .chain(l.attn.wv.iter_mut())
-            {
-                p.extend(q.params_mut());
-            }
-            p.extend(l.attn.wo.params_mut());
+            p.extend(l.wq.params_mut());
+            p.extend(l.wk.params_mut());
+            p.extend(l.wv.params_mut());
             p.extend(l.prop.params_mut());
             p.extend(l.ln1.params_mut());
             p.extend(l.ln2.params_mut());
@@ -212,6 +208,7 @@ impl Layer for TagFormer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn setup() -> (TagFormer, NetTagConfig) {
         let config = NetTagConfig::tiny();
@@ -284,6 +281,69 @@ mod tests {
         let (nodes, cls) = tf.encode(&features, &edges);
         assert_eq!(g.value(out.nodes).data, nodes.data);
         assert_eq!(g.value(out.cls).data, cls.data);
+    }
+
+    /// With zero `wq`/`wk` projections both Frobenius norms are 0: the
+    /// guarded global pass returns `V`, and outputs and every gradient
+    /// stay finite.
+    #[test]
+    fn zero_query_key_projections_stay_finite() {
+        let (mut tf, config) = setup();
+        for l in &mut tf.layers {
+            for p in l.wq.params_mut().into_iter().chain(l.wk.params_mut()) {
+                p.value = Tensor::zeros(p.value.rows, p.value.cols);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        let features = Tensor::xavier(5, config.embed_dim + 8, &mut rng);
+        let mut g = Graph::new();
+        let f = g.constant(features);
+        let out = tf.forward(&mut g, f, &line_graph(5), &[2]);
+        assert!(g.value(out.nodes).data.iter().all(|v| v.is_finite()));
+        let loss = g.mse(out.cls, Tensor::zeros(1, config.embed_dim));
+        let grads = g.backward(loss);
+        let pg = g.param_grads(&grads);
+        assert!(pg.iter().all(|(_, t)| t.data.iter().all(|v| v.is_finite())));
+        assert!(pg.iter().any(|(_, t)| t.norm() > 0.0));
+    }
+
+    /// Relabelling a cone's nodes permutes its node embeddings and leaves
+    /// `[CLS]` unchanged (up to float summation order).
+    #[test]
+    fn relabelling_nodes_permutes_embeddings_and_keeps_cls() {
+        use rand::seq::SliceRandom;
+        let (tf, config) = setup();
+        let n = 12;
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let features = Tensor::xavier(n, config.embed_dim + 8, &mut rng);
+            let edges: Vec<(u32, u32)> = (1..n as u32).map(|i| (rng.gen_range(0..i), i)).collect();
+            // Node i is relabelled perm[i].
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut rng);
+            let mut moved = Tensor::zeros(n, features.cols);
+            for (i, &p) in perm.iter().enumerate() {
+                moved.data[p * features.cols..(p + 1) * features.cols]
+                    .copy_from_slice(features.row_slice(i));
+            }
+            let moved_edges: Vec<(u32, u32)> = edges
+                .iter()
+                .map(|&(a, b)| (perm[a as usize] as u32, perm[b as usize] as u32))
+                .collect();
+            let (nodes, cls) = tf.encode(&features, &edges);
+            let (moved_nodes, moved_cls) = tf.encode(&moved, &moved_edges);
+            let close = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| (x - y).abs() <= 1e-5);
+            assert!(
+                close(&cls.data, &moved_cls.data),
+                "seed {seed}: [CLS] moved"
+            );
+            for (i, &p) in perm.iter().enumerate() {
+                assert!(
+                    close(nodes.row_slice(i), moved_nodes.row_slice(p)),
+                    "seed {seed}: node {i} is not row {p} after relabelling"
+                );
+            }
+        }
     }
 
     #[test]

@@ -187,9 +187,9 @@ fn dropped_handles_release_and_later_loads_reread() {
 
 // ---- Binary format: bitwise fidelity, corruption, concurrency ----------
 
-/// Magic, version, nine `u64` config sizes, `temperature` (f32),
+/// Magic, version, eight `u64` config sizes, `temperature` (f32),
 /// `mask_rate` (f64), `seed` (u64) and `text_scale` (f32).
-const HEADER: usize = 8 + 4 + 9 * 8 + 4 + 8 + 8 + 4;
+const HEADER: usize = 8 + 4 + 8 * 8 + 4 + 8 + 8 + 4;
 const VERSION_AT: usize = 8;
 const TEXT_DIM_AT: usize = 12 + 8;
 const TEXT_HEADS_AT: usize = 12 + 3 * 8;
@@ -224,7 +224,6 @@ fn header_fields(model: &NetTag) -> (Vec<usize>, [u64; 4]) {
             c.max_tokens,
             c.graph_dim,
             c.graph_layers,
-            c.graph_heads,
             c.hops,
         ],
         [
@@ -418,9 +417,29 @@ fn edge_truncations_are_rejected() {
 #[test]
 fn bumped_version_is_rejected() {
     let bumped = resealed(tiny_bytes(), |b| {
-        b[VERSION_AT..VERSION_AT + 4].copy_from_slice(&2u32.to_le_bytes());
+        b[VERSION_AT..VERSION_AT + 4].copy_from_slice(&3u32.to_le_bytes());
     });
-    assert_format("version.ckpt", &bumped, "version 2");
+    assert_format("version.ckpt", &bumped, "version 3");
+}
+
+/// A version-1 file (the softmax-attention TAGFormer's layout: a ninth
+/// config size, `graph_heads`, after `graph_layers`) with a valid
+/// checksum loads as a `Format` error that names its version.
+#[test]
+fn version_1_file_is_a_format_error() {
+    const GRAPH_HEADS_AT: usize = 12 + 7 * 8;
+    let v1 = resealed(tiny_bytes(), |b| {
+        b[VERSION_AT..VERSION_AT + 4].copy_from_slice(&1u32.to_le_bytes());
+        let heads = 2u64.to_le_bytes();
+        b.splice(GRAPH_HEADS_AT..GRAPH_HEADS_AT, heads);
+    });
+    match load_bytes("version_1.ckpt", &v1) {
+        Err(CheckpointError::Format(reason)) => {
+            assert!(reason.contains("version 1"), "reason: {reason}");
+        }
+        Err(e) => panic!("expected a format error, got {e}"),
+        Ok(_) => panic!("a version-1 checkpoint loaded"),
+    }
 }
 
 #[test]
@@ -483,7 +502,7 @@ proptest! {
         let mut bytes = Vec::new();
         if with_magic {
             bytes.extend_from_slice(b"NTAGCKPT");
-            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&2u32.to_le_bytes());
         }
         bytes.extend_from_slice(&tail);
         prop_assert!(load_bytes("arbitrary.ckpt", &bytes).is_err());
@@ -491,14 +510,14 @@ proptest! {
 
     #[test]
     fn checksummed_garbage_is_rejected_without_panicking(
-        sizes in prop::collection::vec(0u64..5, 9),
+        sizes in prop::collection::vec(0u64..5, 8),
         floats in prop::collection::vec(0u8..=255, 24),
         tail in prop::collection::vec(0u8..=255, 0..400),
     ) {
         // A valid magic, version and checksum over a small random config
         // and random params: the decoder itself must reject it.
         let mut body = b"NTAGCKPT".to_vec();
-        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&2u32.to_le_bytes());
         for s in &sizes {
             body.extend_from_slice(&s.to_le_bytes());
         }

@@ -11,11 +11,11 @@
 //! but records no backward state: ops push values and no tape records,
 //! parameter operands (`&Param`) are read in place instead of
 //! being copied onto the tape, LayerNorm keeps no `xhat`/`1/std`, and an
-//! attention head keeps only its output. Inference entry points (the
-//! encoders' `encode`, fusion's `fuse`) are thin wrappers that run the
-//! training `forward` on such a graph, so served outputs are bitwise
-//! equal to the tape's by construction. `backward*` on a no-grad graph
-//! panics.
+//! attention head (softmax or linear) keeps only its output. Inference
+//! entry points (the encoders' `encode`, fusion's `fuse`) are thin
+//! wrappers that run the training `forward` on such a graph, so served
+//! outputs are bitwise equal to the tape's by construction. `backward*`
+//! on a no-grad graph panics.
 //!
 //! ## Backward-pass memory discipline
 //!
@@ -25,9 +25,10 @@
 //! ops via fused loops). Adjoint buffers themselves are allocated lazily
 //! — only nodes actually reachable from the loss get one — and the rare
 //! op that needs true scratch (the fused linear+ReLU, for its masked
-//! upstream gradient) borrows a buffer from a small [`Workspace`] pool
-//! that recycles across ops and across repeated `backward` calls on the
-//! same graph.
+//! upstream gradient; linear attention, for its N×d intermediate
+//! adjoints) borrows buffers from a small [`Workspace`] pool that
+//! recycles across ops and across repeated `backward` calls on the same
+//! graph.
 
 use crate::grad::GradStore;
 use crate::layers::Param;
@@ -86,6 +87,12 @@ enum Op {
         norms: Vec<f32>,
     },
     SoftmaxRows(NodeId),
+    LinearAttention {
+        q: NodeId,
+        k: NodeId,
+        v: NodeId,
+        saved: Box<LinearAttentionSaved>,
+    },
     CrossEntropy {
         logits: NodeId,
         probs: Tensor,
@@ -95,6 +102,23 @@ enum Op {
         pred: NodeId,
         target: Tensor,
     },
+}
+
+/// The forward state [`Graph::linear_attention`]'s backward replays.
+#[derive(Debug, Clone)]
+struct LinearAttentionSaved {
+    /// `q̃ = q/‖q‖_F` (zero when `‖q‖_F` is 0).
+    q_unit: Tensor,
+    /// `k̃ = k/‖k‖_F` (zero when `‖k‖_F` is 0).
+    k_unit: Tensor,
+    q_norm: f32,
+    k_norm: f32,
+    /// `k̃ᵀv`, d×d.
+    kv: Tensor,
+    /// `k̃ᵀ1`, the column sums of `k̃`.
+    k_sum: Vec<f32>,
+    /// Per-row denominators `N + q̃_i·(k̃ᵀ1)`.
+    den: Vec<f32>,
 }
 
 /// A node's tape record: how it was computed, and its parameter key.
@@ -380,6 +404,28 @@ impl Graph {
         }
         let out = scores.softmax_rows().matmul(&self.values[v]);
         self.push(out, Op::Leaf)
+    }
+
+    /// SGFormer's simple global attention (Wu et al., NeurIPS 2023): one
+    /// softmax-free head over all N rows,
+    /// `out_i = (N·v_i + q̃_i(k̃ᵀv)) / (N + q̃_i·(k̃ᵀ1))` with
+    /// `q̃ = q/‖q‖_F` and `k̃ = k/‖k‖_F`. A zero norm makes its `q̃` or
+    /// `k̃` zero, so the output is `v`. It costs O(N·d²): the widest
+    /// intermediate is the d×d `k̃ᵀv`, and the backward builds no N×N
+    /// matrix either. Both modes run the same forward kernels; no-grad
+    /// mode keeps only the output.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `q` and `k` share a shape and `v` has their rows.
+    pub fn linear_attention(&mut self, q: NodeId, k: NodeId, v: NodeId) -> NodeId {
+        let (out, saved) =
+            linear_attention_forward(&self.values[q], &self.values[k], &self.values[v]);
+        if self.no_grad {
+            return self.push(out, Op::Leaf);
+        }
+        let saved = Box::new(saved);
+        self.push(out, Op::LinearAttention { q, k, v, saved })
     }
 
     /// Mean over rows: `(n×c) -> (1×c)`.
@@ -670,10 +716,7 @@ impl Graph {
                     }
                 }
                 if let Some(t) = scratch {
-                    self.scratch
-                        .lock()
-                        .expect("scratch pool poisoned")
-                        .give(t.data);
+                    self.recycle(t);
                 }
             }
             Op::Add(a, b) => {
@@ -908,6 +951,55 @@ impl Graph {
                     }
                 }
             }
+            Op::LinearAttention { q, k, v, saved } => {
+                let s = &**saved;
+                let y = &self.values[id];
+                let vv = &self.values[*v];
+                let (rows, v_cols, qk_cols) = (y.rows, y.cols, s.q_unit.cols);
+                let kn = crate::simd::kernels();
+                // out_i = num_i / den_i: num's adjoint is A = G/den, and
+                // den's is b_i = −(G_i·out_i)/den_i.
+                let mut a = self.scratch_tensor(rows, v_cols);
+                let mut b = vec![0.0f32; rows];
+                for (i, a_row) in a.data.chunks_exact_mut(v_cols).enumerate() {
+                    let (g_row, den) = (g_out.row_slice(i), s.den[i]);
+                    b[i] = -(kn.dot)(g_row, y.row_slice(i)) / den;
+                    for (o, &g) in a_row.iter_mut().zip(g_row) {
+                        *o = g / den;
+                    }
+                }
+                // num = N·v + q̃(k̃ᵀv), den = N + q̃(k̃ᵀ1).
+                let mut dq_unit = self.scratch_tensor(rows, qk_cols);
+                a.matmul_bt_into(&s.kv, &mut dq_unit, false);
+                for (row, &bi) in dq_unit.data.chunks_exact_mut(qk_cols).zip(&b) {
+                    (kn.axpy)(row, bi, &s.k_sum);
+                }
+                let dkv = s.q_unit.matmul_at(&a);
+                let mut dk_sum = vec![0.0f32; qk_cols];
+                for (row, &bi) in s.q_unit.data.chunks_exact(qk_cols).zip(&b) {
+                    (kn.axpy)(&mut dk_sum, bi, row);
+                }
+                let mut dk_unit = self.scratch_tensor(rows, qk_cols);
+                vv.matmul_bt_into(&dkv, &mut dk_unit, false);
+                for row in dk_unit.data.chunks_exact_mut(qk_cols) {
+                    (kn.add_assign)(row, &dk_sum);
+                }
+                {
+                    let gv = ensure(&mut inputs[*v], rows, v_cols);
+                    (kn.axpy)(&mut gv.data, rows as f32, &a.data);
+                    s.k_unit.matmul_into(&dkv, gv, true);
+                }
+                for (x, unit, norm, d_unit) in [
+                    (*q, &s.q_unit, s.q_norm, &dq_unit),
+                    (*k, &s.k_unit, s.k_norm, &dk_unit),
+                ] {
+                    let gx = ensure(&mut inputs[x], rows, qk_cols);
+                    unit_norm_backward(unit, norm, d_unit, gx);
+                }
+                for t in [a, dq_unit, dk_unit] {
+                    self.recycle(t);
+                }
+            }
             Op::NormalizeRows { x, norms } => {
                 let y = &self.values[id];
                 let (r, c) = shape(*x);
@@ -954,6 +1046,25 @@ impl Graph {
         }
     }
 
+    /// Borrows a zeroed `rows×cols` scratch tensor from the workspace pool.
+    fn scratch_tensor(&self, rows: usize, cols: usize) -> Tensor {
+        let mut buf = self
+            .scratch
+            .lock()
+            .expect("scratch pool poisoned")
+            .take(rows * cols);
+        buf.resize(rows * cols, 0.0);
+        Tensor::from_vec(rows, cols, buf)
+    }
+
+    /// Returns a [`Self::scratch_tensor`] buffer to the pool.
+    fn recycle(&self, t: Tensor) {
+        self.scratch
+            .lock()
+            .expect("scratch pool poisoned")
+            .give(t.data);
+    }
+
     /// Collects `(param_key, grad)` pairs after [`Graph::backward`].
     pub fn param_grads(&self, grads: &[Tensor]) -> Vec<(usize, Tensor)> {
         self.nodes
@@ -972,6 +1083,73 @@ fn gather(table: &Tensor, ids: &[u32]) -> Tensor {
         dst.copy_from_slice(table.row_slice(id as usize));
     }
     v
+}
+
+/// `x/‖x‖_F` and `‖x‖_F`; a zero norm gives a zero tensor (a NaN one
+/// propagates).
+fn unit_norm(x: &Tensor) -> (Tensor, f32) {
+    let norm = (crate::simd::kernels().dot)(&x.data, &x.data).sqrt();
+    let unit = if norm == 0.0 {
+        Tensor::zeros(x.rows, x.cols)
+    } else {
+        x.map(|v| v / norm)
+    };
+    (unit, norm)
+}
+
+/// Accumulates the adjoint of [`unit_norm`] into `gx`:
+/// `(d_unit − unit·⟨unit, d_unit⟩) / norm`. Where the forward guarded a
+/// zero norm, its constant zero output passes no gradient.
+fn unit_norm_backward(unit: &Tensor, norm: f32, d_unit: &Tensor, gx: &mut Tensor) {
+    if norm != 0.0 {
+        let kn = crate::simd::kernels();
+        let along = (kn.dot)(&unit.data, &d_unit.data);
+        (kn.axpy)(&mut gx.data, 1.0 / norm, &d_unit.data);
+        (kn.axpy)(&mut gx.data, -along / norm, &unit.data);
+    }
+}
+
+/// The forward kernel of [`Graph::linear_attention`] in both graph
+/// modes: every reduction runs in a fixed order through the SIMD table
+/// (`dot` for norms and denominators, `matmul_at` for `k̃ᵀv`,
+/// `add_assign` for `k̃ᵀ1`, the blocked `matmul` for `q̃(k̃ᵀv)`), so the
+/// bits match across tiers and thread counts.
+fn linear_attention_forward(q: &Tensor, k: &Tensor, v: &Tensor) -> (Tensor, LinearAttentionSaved) {
+    assert_eq!(
+        (q.rows, q.cols),
+        (k.rows, k.cols),
+        "linear_attention q/k shapes"
+    );
+    assert_eq!(k.rows, v.rows, "linear_attention k/v rows");
+    let kn = crate::simd::kernels();
+    let n = q.rows as f32;
+    let (q_unit, q_norm) = unit_norm(q);
+    let (k_unit, k_norm) = unit_norm(k);
+    let kv = k_unit.matmul_at(v);
+    let mut k_sum = vec![0.0f32; k.cols];
+    for row in k_unit.data.chunks_exact(k.cols) {
+        (kn.add_assign)(&mut k_sum, row);
+    }
+    let mut out = q_unit.matmul(&kv);
+    let mut den = Vec::with_capacity(q.rows);
+    for (i, out_row) in out.data.chunks_exact_mut(v.cols).enumerate() {
+        (kn.axpy)(out_row, n, v.row_slice(i));
+        let d = n + (kn.dot)(q_unit.row_slice(i), &k_sum);
+        for o in out_row.iter_mut() {
+            *o /= d;
+        }
+        den.push(d);
+    }
+    let saved = LinearAttentionSaved {
+        q_unit,
+        k_unit,
+        q_norm,
+        k_norm,
+        kv,
+        k_sum,
+        den,
+    };
+    (out, saved)
 }
 
 /// The layer-norm forward kernel of both graph modes. `saved` receives
@@ -1246,6 +1424,31 @@ mod tests {
         assert!(grads[used].item() != 0.0);
         assert_eq!((grads[unused].rows, grads[unused].cols), (2, 2));
         assert!(grads[unused].data.iter().all(|&v| v == 0.0));
+    }
+
+    /// Zero queries and keys (zero Frobenius norms) take the guarded
+    /// branch: the output is `v`, and the gradients are finite, with none
+    /// reaching the constant-zero `q̃`/`k̃` operands.
+    #[test]
+    fn linear_attention_with_zero_norms_returns_v() {
+        let v = rngt(5, 3, 80);
+        let mut g = Graph::new();
+        let q = g.param(0, Tensor::zeros(5, 4));
+        let k = g.param(1, Tensor::zeros(5, 4));
+        let vn = g.param(2, v.clone());
+        let out = g.linear_attention(q, k, vn);
+        for (o, x) in g.value(out).data.iter().zip(&v.data) {
+            assert!((o - x).abs() <= 1e-6 * x.abs(), "{o} vs {x}");
+        }
+        let loss = g.mse(out, Tensor::zeros(5, 3));
+        let grads = g.backward(loss);
+        assert!(grads[q]
+            .data
+            .iter()
+            .chain(&grads[k].data)
+            .all(|&d| d == 0.0));
+        assert!(grads[vn].data.iter().all(|d| d.is_finite()));
+        assert!(grads[vn].norm() > 0.0);
     }
 
     /// A no-grad graph with a scalar "loss" built from a parameter.

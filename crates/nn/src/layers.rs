@@ -470,8 +470,9 @@ mod tests {
 
     /// Every op whose no-grad branch differs from tape mode — param
     /// linear and linear+ReLU, LayerNorm (below and above the parallel
-    /// gate), the param-row gather and the attention head, self and
-    /// cross — produces the tape's bits on a no-grad graph.
+    /// gate), the param-row gather, the softmax attention head, self and
+    /// cross, and linear attention — produces the tape's bits on a
+    /// no-grad graph.
     #[test]
     fn no_grad_matches_tape_bitwise() {
         let mut r = rng();
@@ -493,7 +494,8 @@ mod tests {
             let m = mlp.forward(&mut g, y);
             let b = g.constant(big.clone());
             let n = wide.forward(&mut g, b);
-            [x, y, z, m, n].map(|id| g.take_value(id)).to_vec()
+            let l = g.linear_attention(y, x, m);
+            [x, y, z, m, n, l].map(|id| g.take_value(id)).to_vec()
         };
         let tape = run(Graph::new());
         let no_grad = run(Graph::no_grad());

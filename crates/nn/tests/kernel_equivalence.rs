@@ -1,8 +1,9 @@
 //! Property tests pinning the parallel/blocked kernels to their scalar
 //! references: CSR SpMM against a nested-Vec reference, blocked matmul
 //! against the branch-free triple loop (bitwise, thanks to deterministic
-//! per-element reduction order), and fused-linear forward/backward against
-//! composed primitive ops on a fixed-seed TAGFormer-shaped step.
+//! per-element reduction order), fused-linear forward/backward against
+//! composed primitive ops on a fixed-seed TAGFormer-shaped step, and
+//! linear attention's forward/backward across tiers and thread counts.
 
 use nettag_nn::simd::{self, SimdTier};
 use nettag_nn::{Graph, Param, SparseMatrix, Tensor};
@@ -229,6 +230,52 @@ fn layer_norm_above_parallel_gate_is_bitwise_across_tiers_and_threads() {
     let nested = nettag_par::map_indexed(2, |_| simd::with_tier(SimdTier::Scalar, step));
     for got in nested {
         assert_eq!(got.expect("scalar tier"), reference, "parallel vs inline");
+    }
+}
+
+/// Linear attention's tape forward + backward with its dense kernels
+/// above the parallel-dispatch gate (1100×16 operands: `k̃ᵀv`, `q̃(k̃ᵀv)`
+/// and their adjoints are ~280k multiply-adds each): the scalar tier,
+/// auto dispatch and every bitwise tier agree bit for bit, and so does
+/// the same step run inline inside a parallel region — so the CI
+/// matrix's 1- and 4-thread cells pin the row-parallel branches to the
+/// serial ones.
+#[test]
+fn linear_attention_is_bitwise_across_tiers_and_threads() {
+    if ambient_tier_fuses() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(47);
+    let [q, k, v, target] = [0; 4].map(|_| Tensor::xavier(1100, 16, &mut rng));
+    let step = || {
+        let mut g = Graph::new();
+        let qn = g.param(0, q.clone());
+        let kn = g.param(1, k.clone());
+        let vn = g.param(2, v.clone());
+        let y = g.linear_attention(qn, kn, vn);
+        let loss = g.mse(y, target.clone());
+        let grads = g.backward(loss);
+        let mut out = g.value(y).data.clone();
+        for id in [qn, kn, vn] {
+            out.extend(&grads[id].data);
+        }
+        out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+    };
+    let reference = simd::with_tier(SimdTier::Scalar, step).expect("scalar tier");
+    assert_eq!(step(), reference, "auto dispatch diverged from scalar");
+    for tier in bitwise_tiers() {
+        let got = simd::with_tier(tier, step).expect("tier filtered as available");
+        assert_eq!(got, reference, "linear attention tier {tier:?} diverged");
+    }
+    let nested = nettag_par::map_indexed(2, |i| {
+        if i == 0 {
+            simd::with_tier(SimdTier::Scalar, step).expect("scalar tier")
+        } else {
+            step()
+        }
+    });
+    for got in nested {
+        assert_eq!(got, reference, "parallel vs inline");
     }
 }
 

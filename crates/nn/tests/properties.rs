@@ -111,6 +111,52 @@ proptest! {
         })?;
     }
 
+    /// Linear attention's gradient through its query, key and value
+    /// operands (three projections of one input, so every path and the
+    /// aliasing of their adjoints is checked).
+    #[test]
+    fn gradcheck_linear_attention(
+        x in arb_tensor(5, 4),
+        wq in arb_tensor(4, 4),
+        wk in arb_tensor(4, 4),
+        wv in arb_tensor(4, 3),
+    ) {
+        check(x, move |g, xn| {
+            let (wq, wk, wv) = (g.constant(wq.clone()), g.constant(wk.clone()), g.constant(wv.clone()));
+            let q = g.matmul(xn, wq);
+            let k = g.matmul(xn, wk);
+            let v = g.matmul(xn, wv);
+            let out = g.linear_attention(q, k, v);
+            g.mse(out, Tensor::zeros(5, 3))
+        })?;
+    }
+
+    /// Linear attention equals its quadratic definition, built through
+    /// the N×N matrix `q̃k̃ᵀ` it never forms:
+    /// `out_i = (N·v_i + Σ_j (q̃_i·k̃_j) v_j) / (N + Σ_j q̃_i·k̃_j)`.
+    #[test]
+    fn linear_attention_matches_its_quadratic_form(
+        q in arb_tensor(6, 4),
+        k in arb_tensor(6, 4),
+        v in arb_tensor(6, 3),
+    ) {
+        let mut g = Graph::no_grad();
+        let (qn, kn, vn) = (g.constant(q.clone()), g.constant(k.clone()), g.constant(v.clone()));
+        let out = g.linear_attention(qn, kn, vn);
+        let unit = |t: &Tensor| t.map(|x| x / t.norm());
+        let scores = unit(&q).matmul_bt(&unit(&k));
+        let n = 6.0f32;
+        for i in 0..6 {
+            let den = n + scores.row_slice(i).iter().sum::<f32>();
+            for c in 0..3 {
+                let num = n * v.at(i, c)
+                    + (0..6).map(|j| scores.at(i, j) * v.at(j, c)).sum::<f32>();
+                let got = g.value(out).at(i, c);
+                prop_assert!((got - num / den).abs() < 1e-5 * (1.0 + got.abs()), "{got} vs {}", num / den);
+            }
+        }
+    }
+
     /// Softmax rows always sum to one and are within (0, 1).
     #[test]
     fn softmax_is_a_distribution(x in arb_tensor(3, 5)) {
