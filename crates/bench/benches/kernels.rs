@@ -14,9 +14,12 @@
 //!   `speedup` is the data-parallel term directly
 //! * the `simd` group: the same dispatch-table code path timed under a
 //!   forced-scalar tier and under runtime dispatch (axpy/dot at 1k and
-//!   64k elements, matmul_512, spmm_powerlaw) — `scalar_seconds` is the
-//!   pinned-scalar leg, so `speedup` isolates the lane-vectorization
-//!   term; set `NETTAG_SIMD` to probe a specific tier
+//!   64k elements, matmul_512, spmm_powerlaw, and the pre-training
+//!   shapes of the tiny model: `matmul_bt` at 86×16·(16×16)ᵀ and
+//!   48×8·(48×8)ᵀ, `matmul_at` at (86×16)ᵀ·86×16, `matmul` at
+//!   48×48·48×8) — `scalar_seconds` is the pinned-scalar leg, so
+//!   `speedup` isolates the lane-vectorization term; set `NETTAG_SIMD`
+//!   to probe a specific tier
 //!
 //! Run with `cargo bench -p nettag-bench --bench kernels`. Thread count
 //! follows `RAYON_NUM_THREADS` / `NETTAG_NUM_THREADS`. Results (and the
@@ -355,6 +358,27 @@ fn main() {
         };
         let (scalar_s, disp_s) = simd_pair(&mut f);
         simd_entries.push(("spmm_powerlaw", scalar_s, disp_s));
+    }
+    // Training shapes of the tiny model (d = 16, head dim 8): a linear
+    // layer's input gradient over an 86-row batch, one head's 48-token
+    // attention scores, the same layer's weight gradient, and a head's
+    // `attn·V`.
+    let [x86, g86] = [0; 2].map(|_| Tensor::xavier(86, 16, &mut rng));
+    let [q48, k48, v48] = [0; 3].map(|_| Tensor::xavier(48, 8, &mut rng));
+    let w16 = Tensor::xavier(16, 16, &mut rng);
+    let attn = Tensor::xavier(48, 48, &mut rng);
+    let shapes: [(&'static str, &dyn Fn() -> Tensor); 4] = [
+        ("matmul_bt_86x16_16x16", &|| x86.matmul_bt(&w16)),
+        ("matmul_bt_48x8_48x8", &|| q48.matmul_bt(&k48)),
+        ("matmul_at_86x16_86x16", &|| x86.matmul_at(&g86)),
+        ("matmul_48x48_48x8", &|| attn.matmul(&v48)),
+    ];
+    for (name, op) in shapes {
+        let mut f = || {
+            black_box(op());
+        };
+        let (scalar_s, disp_s) = simd_pair(&mut f);
+        simd_entries.push((name, scalar_s, disp_s));
     }
 
     // --- report ------------------------------------------------------

@@ -1,11 +1,12 @@
 //! Runtime-dispatched f32 lane kernels — the micro-kernel layer under the
 //! whole numeric core.
 //!
-//! Every hot loop in the crate (`matmul`/`matmul_bt`/`matmul_at`/
-//! `matmul_bias` tiles, the CSR SpMM register tiles, `layer_norm`
-//! forward/backward rows, `Adam::step` elementwise updates, gradient
-//! accumulation) dispatches through the fn-pointer table returned by
-//! [`kernels`]. Three tiers implement the table:
+//! Every hot loop in the crate (the `matmul`/`matmul_at`/`matmul_bias`
+//! register tiles ([`SimdKernels::mm_tile`]), the `matmul_bt` register
+//! tiles ([`SimdKernels::mm_bt_tile`]), the CSR SpMM register tiles,
+//! `layer_norm` forward/backward rows, `Adam::step` elementwise updates,
+//! gradient accumulation) dispatches through the fn-pointer table
+//! returned by [`kernels`]. Three tiers implement the table:
 //!
 //! | tier | selected | reduction contract |
 //! |------|----------|--------------------|
@@ -56,7 +57,8 @@ mod x86;
 /// held live across the `k` sweep).
 pub const MM_RT: usize = 4;
 /// Register-tile width in floats of the dense matmul micro-kernel (two
-/// 8-wide vector registers).
+/// 8-wide vector registers). Panels narrower than this but at least
+/// [`LANES`] wide run the same kernel at width [`LANES`].
 pub const MM_CT: usize = 16;
 /// Feature-dim register-tile width of the CSR SpMM row kernel.
 pub const SPMM_CT: usize = 16;
@@ -123,8 +125,24 @@ pub struct AdamParams {
 }
 
 /// Signature of [`SimdKernels::mm_tile`].
-pub type MmTileFn =
-    fn(arows: &[&[f32]; MM_RT], b: &[f32], bstride: usize, out: &mut [f32], ostride: usize);
+pub type MmTileFn = fn(
+    arows: &[&[f32]; MM_RT],
+    b: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    ostride: usize,
+    width: usize,
+);
+
+/// Signature of [`SimdKernels::mm_bt_tile`].
+pub type MmBtTileFn = fn(
+    arows: &[&[f32]; MM_RT],
+    bt: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    ostride: usize,
+    accumulate: bool,
+);
 
 /// Signature of [`SimdKernels::spmm_tile`].
 pub type SpmmTileFn = fn(cols: &[u32], ws: &[f32], x: &[f32], stride: usize, out: &mut [f32]);
@@ -163,13 +181,23 @@ pub struct SimdKernels {
     /// Dot product with the crate's fixed reduction order: four partial
     /// lanes over ascending 4-chunks, combined `((l0+l1)+(l2+l3))+tail`.
     pub dot: fn(a: &[f32], b: &[f32]) -> f32,
-    /// Dense matmul micro-kernel: one [`MM_RT`]×[`MM_CT`] output tile
-    /// accumulated across the whole `k` sweep.
+    /// Dense matmul micro-kernel: one [`MM_RT`]×`width` output tile
+    /// accumulated across the whole `k` sweep, `width` being [`MM_CT`]
+    /// or [`LANES`].
     /// `out[r*ostride + c] += Σ_k arows[r][k] * b[k*bstride + c]`,
     /// ascending `k` per element. `out` must cover
-    /// `(MM_RT-1)*ostride + MM_CT` floats, `b` must cover
-    /// `(inner-1)*bstride + MM_CT` where `inner = arows[0].len()`.
+    /// `(MM_RT-1)*ostride + width` floats, `b` must cover
+    /// `(inner-1)*bstride + width` where `inner = arows[0].len()`.
     pub mm_tile: MmTileFn,
+    /// Transposed-product micro-kernel: one [`MM_RT`]×[`LANES`] tile of
+    /// `A·Bᵀ` from a packed `bt` (`bt[k*bstride + c] = B[c][k]`). Each
+    /// output element is [`SimdKernels::dot`] of its row and column —
+    /// four lane accumulators over ascending 4-chunks of `k`, combined
+    /// `((l0+l1)+(l2+l3))+tail` — then stored (`out = s`) or added
+    /// (`out += s`) per `accumulate`. `out` must cover
+    /// `(MM_RT-1)*ostride + LANES` floats, `bt` must cover
+    /// `(inner-1)*bstride + LANES`.
+    pub mm_bt_tile: MmBtTileFn,
     /// CSR SpMM micro-kernel: one [`SPMM_CT`]-wide feature tile of an
     /// output row accumulated across the whole entry sweep.
     /// `out[c] += Σ_e ws[e] * x[cols[e]*stride + c]`, ascending entry
@@ -192,7 +220,7 @@ pub struct SimdKernels {
 /// as the shared helpers the scalar reference kernels in
 /// [`crate::tensor`] call directly.
 pub(crate) mod scalar {
-    use super::{AdamParams, LnBwdStats, MM_CT, MM_RT, SPMM_CT};
+    use super::{AdamParams, LnBwdStats, LANES, MM_CT, MM_RT, SPMM_CT};
 
     pub(crate) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
         for (o, &xv) in out.iter_mut().zip(x.iter()) {
@@ -237,14 +265,29 @@ pub(crate) mod scalar {
         bstride: usize,
         out: &mut [f32],
         ostride: usize,
+        width: usize,
+    ) {
+        match width {
+            MM_CT => mm_tile_w::<MM_CT>(arows, b, bstride, out, ostride),
+            LANES => mm_tile_w::<LANES>(arows, b, bstride, out, ostride),
+            _ => panic!("mm_tile width {width} (expected {MM_CT} or {LANES})"),
+        }
+    }
+
+    fn mm_tile_w<const W: usize>(
+        arows: &[&[f32]; MM_RT],
+        b: &[f32],
+        bstride: usize,
+        out: &mut [f32],
+        ostride: usize,
     ) {
         let inner = arows[0].len();
-        let mut acc = [[0.0f32; MM_CT]; MM_RT];
+        let mut acc = [[0.0f32; W]; MM_RT];
         for (r, row) in acc.iter_mut().enumerate() {
-            row.copy_from_slice(&out[r * ostride..r * ostride + MM_CT]);
+            row.copy_from_slice(&out[r * ostride..r * ostride + W]);
         }
         for k in 0..inner {
-            let bt: &[f32; MM_CT] = b[k * bstride..k * bstride + MM_CT]
+            let bt: &[f32; W] = b[k * bstride..k * bstride + W]
                 .try_into()
                 .expect("tile width");
             for (row, arow) in acc.iter_mut().zip(arows.iter()) {
@@ -255,7 +298,39 @@ pub(crate) mod scalar {
             }
         }
         for (r, row) in acc.iter().enumerate() {
-            out[r * ostride..r * ostride + MM_CT].copy_from_slice(row);
+            out[r * ostride..r * ostride + W].copy_from_slice(row);
+        }
+    }
+
+    /// [`dot`] per output element, with the lane accumulators laid out
+    /// across the tile's columns.
+    pub(crate) fn mm_bt_tile(
+        arows: &[&[f32]; MM_RT],
+        bt: &[f32],
+        bstride: usize,
+        out: &mut [f32],
+        ostride: usize,
+        accumulate: bool,
+    ) {
+        let inner = arows[0].len();
+        let k4 = inner - inner % 4;
+        for (r, arow) in arows.iter().enumerate() {
+            let mut lanes = [[0.0f32; LANES]; 4];
+            let mut tail = [0.0f32; LANES];
+            for (k, &av) in arow.iter().enumerate() {
+                let acc = if k < k4 { &mut lanes[k % 4] } else { &mut tail };
+                for (o, &bv) in acc.iter_mut().zip(&bt[k * bstride..k * bstride + LANES]) {
+                    *o += av * bv;
+                }
+            }
+            for (c, o) in out[r * ostride..r * ostride + LANES].iter_mut().enumerate() {
+                let s = ((lanes[0][c] + lanes[1][c]) + (lanes[2][c] + lanes[3][c])) + tail[c];
+                if accumulate {
+                    *o += s;
+                } else {
+                    *o = s;
+                }
+            }
         }
     }
 
@@ -332,6 +407,7 @@ static SCALAR: SimdKernels = SimdKernels {
     scale_add: scalar::scale_add,
     dot: scalar::dot,
     mm_tile: scalar::mm_tile,
+    mm_bt_tile: scalar::mm_bt_tile,
     spmm_tile: scalar::spmm_tile,
     ln_fwd_row: scalar::ln_fwd_row,
     ln_bwd_row: scalar::ln_bwd_row,

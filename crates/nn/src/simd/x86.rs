@@ -62,6 +62,7 @@ macro_rules! lane_tier {
                 scale_add,
                 dot,
                 mm_tile,
+                mm_bt_tile,
                 spmm_tile,
                 ln_fwd_row,
                 ln_bwd_row,
@@ -251,13 +252,21 @@ macro_rules! lane_tier {
                 bstride: usize,
                 out: &mut [f32],
                 ostride: usize,
+                width: usize,
             ) {
                 // SAFETY: features runtime-detected (see module docs).
-                unsafe { mm_tile_impl(arows, b, bstride, out, ostride) }
+                unsafe {
+                    match width {
+                        MM_CT => mm_tile_impl::<2>(arows, b, bstride, out, ostride),
+                        LANES => mm_tile_impl::<1>(arows, b, bstride, out, ostride),
+                        _ => panic!("mm_tile width {width} (expected {MM_CT} or {LANES})"),
+                    }
+                }
             }
 
+            /// One `MM_RT`×`V·LANES` tile: `V` vector registers per row.
             #[target_feature(enable = $feat)]
-            fn mm_tile_impl(
+            fn mm_tile_impl<const V: usize>(
                 arows: &[&[f32]; MM_RT],
                 b: &[f32],
                 bstride: usize,
@@ -265,31 +274,115 @@ macro_rules! lane_tier {
                 ostride: usize,
             ) {
                 let inner = arows[0].len();
-                debug_assert!(
-                    (MM_RT - 1) * ostride + MM_CT <= out.len(),
+                let width = V * LANES;
+                // Checked in release too: the table is public, so these
+                // bounds are all that keep a safe caller's slices in range
+                // of the unchecked loads and stores below.
+                assert!(
+                    (MM_RT - 1) * ostride + width <= out.len(),
                     "mm_tile out slice too short"
                 );
-                debug_assert!(
-                    inner == 0 || (inner - 1) * bstride + MM_CT <= b.len(),
+                assert!(
+                    inner == 0 || (inner - 1) * bstride + width <= b.len(),
                     "mm_tile b slice too short"
                 );
-                let mut acc = [[_mm256_setzero_ps(); 2]; MM_RT];
+                let mut acc = [[_mm256_setzero_ps(); V]; MM_RT];
                 for (r, row) in acc.iter_mut().enumerate() {
-                    row[0] = load(out, r * ostride);
-                    row[1] = load(out, r * ostride + LANES);
+                    for (v, a) in row.iter_mut().enumerate() {
+                        *a = load(out, r * ostride + v * LANES);
+                    }
                 }
                 for k in 0..inner {
-                    let b0 = load(b, k * bstride);
-                    let b1 = load(b, k * bstride + LANES);
+                    let mut bk = [_mm256_setzero_ps(); V];
+                    for (v, bv) in bk.iter_mut().enumerate() {
+                        *bv = load(b, k * bstride + v * LANES);
+                    }
                     for (row, arow) in acc.iter_mut().zip(arows.iter()) {
                         let av = splat(arow[k]);
-                        row[0] = madd(av, b0, row[0]);
-                        row[1] = madd(av, b1, row[1]);
+                        for (a, &bv) in row.iter_mut().zip(bk.iter()) {
+                            *a = madd(av, bv, *a);
+                        }
                     }
                 }
                 for (r, row) in acc.iter().enumerate() {
-                    store(out, r * ostride, row[0]);
-                    store(out, r * ostride + LANES, row[1]);
+                    for (v, &a) in row.iter().enumerate() {
+                        store(out, r * ostride + v * LANES, a);
+                    }
+                }
+            }
+
+            fn mm_bt_tile(
+                arows: &[&[f32]; MM_RT],
+                bt: &[f32],
+                bstride: usize,
+                out: &mut [f32],
+                ostride: usize,
+                accumulate: bool,
+            ) {
+                // SAFETY: features runtime-detected (see module docs).
+                unsafe { mm_bt_tile_impl(arows, bt, bstride, out, ostride, accumulate) }
+            }
+
+            /// Lane `l` of every output column sums `k ≡ l (mod 4)` below
+            /// the last full 4-chunk, in ascending `k` — the same partials
+            /// as `dot_impl`'s `__m128` lanes, vectorized across 8 output
+            /// columns instead. The lanes run as two pairs so the live set
+            /// (a pair's 2×`MM_RT` accumulators, the first pair's `MM_RT`
+            /// sums and three operands) fits the 16 vector registers.
+            #[target_feature(enable = $feat)]
+            fn mm_bt_tile_impl(
+                arows: &[&[f32]; MM_RT],
+                bt: &[f32],
+                bstride: usize,
+                out: &mut [f32],
+                ostride: usize,
+                accumulate: bool,
+            ) {
+                let inner = arows[0].len();
+                // Checked in release too, as in `mm_tile_impl`.
+                assert!(
+                    (MM_RT - 1) * ostride + LANES <= out.len(),
+                    "mm_bt_tile out slice too short"
+                );
+                assert!(
+                    inner == 0 || (inner - 1) * bstride + LANES <= bt.len(),
+                    "mm_bt_tile bt slice too short"
+                );
+                let k4 = inner - inner % 4;
+                // pair_sum[p][r] = l(2p) + l(2p+1) for tile row r.
+                let mut pair_sum = [[_mm256_setzero_ps(); MM_RT]; 2];
+                for (p, sum) in pair_sum.iter_mut().enumerate() {
+                    let mut lo = [_mm256_setzero_ps(); MM_RT];
+                    let mut hi = [_mm256_setzero_ps(); MM_RT];
+                    let mut k = 2 * p;
+                    while k < k4 {
+                        let b0 = load(bt, k * bstride);
+                        let b1 = load(bt, (k + 1) * bstride);
+                        for r in 0..MM_RT {
+                            lo[r] = madd(splat(arows[r][k]), b0, lo[r]);
+                            hi[r] = madd(splat(arows[r][k + 1]), b1, hi[r]);
+                        }
+                        k += 4;
+                    }
+                    for r in 0..MM_RT {
+                        sum[r] = _mm256_add_ps(lo[r], hi[r]);
+                    }
+                }
+                let mut tail = [_mm256_setzero_ps(); MM_RT];
+                for k in k4..inner {
+                    let bk = load(bt, k * bstride);
+                    for r in 0..MM_RT {
+                        tail[r] = madd(splat(arows[r][k]), bk, tail[r]);
+                    }
+                }
+                for r in 0..MM_RT {
+                    let s = _mm256_add_ps(_mm256_add_ps(pair_sum[0][r], pair_sum[1][r]), tail[r]);
+                    let s = if accumulate {
+                        _mm256_add_ps(load(out, r * ostride), s)
+                    } else {
+                        s
+                    };
+                    store(out, r * ostride, s);
                 }
             }
 

@@ -14,14 +14,16 @@
 //!   contiguous blocks, one per worker thread
 //!   ([`nettag_par::for_each_row_block_mut`]); every output element is
 //!   written by exactly one thread.
-//! * **Register tiling**: `matmul` computes full `RT`×`CT` output tiles
-//!   in registers across the whole `k` sweep, so output-memory traffic
-//!   drops to one load and one store per element; `matmul_bt` is a plain
-//!   row-of-dot-products loop (untiled — its B rows are read
-//!   sequentially per output row).
+//! * **Register tiling**: `matmul` computes full `RT`×`CT` (or, for
+//!   narrow panels, `RT`×`LANES`) output tiles in registers across the
+//!   whole `k` sweep, so output-memory traffic drops to one load and one
+//!   store per element. `matmul_at` packs `Aᵀ` once and runs the same
+//!   tiles; `matmul_bt` packs `Bᵀ` once and runs `RT`×`LANES` tiles that
+//!   keep `dot`'s four lane accumulators per output column.
 //! * **Deterministic reduction order**: within each output element the
-//!   accumulation order over the inner dimension is ascending `k` in
-//!   every code path, so the parallel kernels are *bitwise identical* to
+//!   accumulation order over the inner dimension is fixed in every code
+//!   path — ascending `k` for `matmul`/`matmul_at`, `dot`'s lane order
+//!   for `matmul_bt` — so the parallel kernels are *bitwise identical* to
 //!   the scalar reference kernels (`matmul_ref` etc.) that the
 //!   equivalence property tests replay.
 //!
@@ -29,7 +31,7 @@
 //! `weights`) with a prebuilt transpose so the backward pass is a plain
 //! replay on contiguous memory.
 
-use crate::simd::{self, scalar::dot, SimdKernels, MM_CT as CT, MM_RT as RT, SPMM_CT};
+use crate::simd::{self, scalar::dot, SimdKernels, LANES, MM_CT as CT, MM_RT as RT, SPMM_CT};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -236,7 +238,9 @@ impl Tensor {
         out
     }
 
-    /// `self @ other^T`, row-parallel with tiled dot products.
+    /// `self @ other^T`, row-parallel: `other^T` is packed once, then
+    /// [`RT`]×[`LANES`] register tiles ([`SimdKernels::mm_bt_tile`]) each
+    /// reduce every output element in [`SimdKernels::dot`]'s order.
     ///
     /// # Panics
     ///
@@ -262,17 +266,50 @@ impl Tensor {
         let inner = self.cols;
         let n = other.rows;
         let kn = simd::kernels();
+        // Columns covered by full tiles; the packing only pays when a
+        // tile can run at all.
+        let tiled = if self.rows >= RT && inner > 0 {
+            n - n % LANES
+        } else {
+            0
+        };
+        let bt = if tiled > 0 {
+            other.transpose()
+        } else {
+            Tensor::zeros(0, 0)
+        };
         run_row_blocks(
             &mut out.data,
             n,
             self.rows * inner * n,
             |first_row, chunk| {
-                for (bi, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let i = first_row + bi;
-                    let arow = &self.data[i * inner..(i + 1) * inner];
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        let brow = &other.data[j * inner..(j + 1) * inner];
-                        let s = (kn.dot)(arow, brow);
+                let a = &self.data[first_row * inner..];
+                let rows_here = chunk.len() / n;
+                let tiled_rows = if tiled > 0 {
+                    rows_here - rows_here % RT
+                } else {
+                    0
+                };
+                for i in (0..tiled_rows).step_by(RT) {
+                    let arows = tile_rows(a, inner, i);
+                    for j in (0..tiled).step_by(LANES) {
+                        (kn.mm_bt_tile)(
+                            &arows,
+                            &bt.data[j..],
+                            n,
+                            &mut chunk[i * n + j..(i + RT - 1) * n + j + LANES],
+                            n,
+                            accumulate,
+                        );
+                    }
+                }
+                // Remainders — the columns right of the tiles and the rows
+                // below them — take one `dot` per element.
+                for (i, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+                    let from = if i < tiled_rows { tiled } else { 0 };
+                    let arow = &a[i * inner..(i + 1) * inner];
+                    for (j, o) in out_row.iter_mut().enumerate().skip(from) {
+                        let s = (kn.dot)(arow, other.row_slice(j));
                         if accumulate {
                             *o += s;
                         } else {
@@ -309,7 +346,10 @@ impl Tensor {
         out
     }
 
-    /// `self^T @ other` accumulated into `out`.
+    /// `self^T @ other` accumulated into `out`: `self^T` is packed once
+    /// and multiplied by the [`Tensor::matmul_into`] kernel, whose
+    /// ascending-`k` tiles are exactly the per-row axpy order of
+    /// [`Tensor::matmul_at_ref`].
     ///
     /// # Panics
     ///
@@ -321,24 +361,7 @@ impl Tensor {
             (self.cols, other.cols),
             "matmul_at out shape"
         );
-        let m = self.cols;
-        let n = other.cols;
-        let kn = simd::kernels();
-        run_row_blocks(&mut out.data, n, self.rows * m * n, |first_row, chunk| {
-            if !accumulate {
-                chunk.fill(0.0);
-            }
-            let rows_here = chunk.len() / n;
-            // Ascending-k axpy per owned output row: out[i, :] += A[k, i] * B[k, :].
-            for k in 0..self.rows {
-                let arow = &self.data[k * m..(k + 1) * m];
-                let brow = &other.data[k * n..(k + 1) * n];
-                for bi in 0..rows_here {
-                    let a = arow[first_row + bi];
-                    (kn.axpy)(&mut chunk[bi * n..(bi + 1) * n], a, brow);
-                }
-            }
-        });
+        self.transpose().matmul_into(other, out, accumulate);
     }
 
     /// Scalar reference for [`Tensor::matmul_at`] (branch-free, ascending
@@ -475,15 +498,20 @@ where
     }
 }
 
+/// The [`RT`] rows of `a` (row stride `inner`) starting at row `i`.
+fn tile_rows(a: &[f32], inner: usize, i: usize) -> [&[f32]; RT] {
+    std::array::from_fn(|r| &a[(i + r) * inner..(i + r + 1) * inner])
+}
+
 /// Blocked multiply kernel for one contiguous block of output rows:
 /// `chunk (+)= A_block @ B` where `a` starts at the block's first row.
-/// Loop order is (row-block, column-panel, k, row): full
-/// [`RT`]×[`CT`] register tiles go through the dispatched
-/// [`SimdKernels::mm_tile`] micro-kernel (the output tile lives in
-/// registers across the whole `k` sweep, one load+store per element),
-/// and every output element still accumulates in ascending-`k` order —
-/// bitwise identical to the scalar reference on the scalar and AVX2
-/// tiers.
+/// Loop order is (row-block, column-panel, k, row): full [`RT`]×[`CT`]
+/// register tiles, then one [`RT`]×[`LANES`] tile for a narrower panel,
+/// go through the dispatched [`SimdKernels::mm_tile`] micro-kernel (the
+/// output tile lives in registers across the whole `k` sweep, one
+/// load+store per element), and every output element still accumulates
+/// in ascending-`k` order — bitwise identical to the scalar reference on
+/// the scalar and AVX2 tiers.
 #[allow(clippy::too_many_arguments)]
 fn mm_block(
     kn: &SimdKernels,
@@ -497,25 +525,26 @@ fn mm_block(
     if !accumulate {
         chunk.fill(0.0);
     }
+    if inner == 0 {
+        return;
+    }
     let rows_here = chunk.len() / n;
     let mut i = 0;
     while i + RT <= rows_here {
-        let arows: [&[f32]; RT] = [
-            &a[i * inner..(i + 1) * inner],
-            &a[(i + 1) * inner..(i + 2) * inner],
-            &a[(i + 2) * inner..(i + 3) * inner],
-            &a[(i + 3) * inner..(i + 4) * inner],
-        ];
+        let arows = tile_rows(a, inner, i);
         let mut j = 0;
-        while j + CT <= n {
-            (kn.mm_tile)(
-                &arows,
-                &b[j..],
-                n,
-                &mut chunk[i * n + j..(i + RT - 1) * n + j + CT],
-                n,
-            );
-            j += CT;
+        for width in [CT, LANES] {
+            while j + width <= n {
+                (kn.mm_tile)(
+                    &arows,
+                    &b[j..],
+                    n,
+                    &mut chunk[i * n + j..(i + RT - 1) * n + j + width],
+                    n,
+                    width,
+                );
+                j += width;
+            }
         }
         if j < n {
             axpy_rows(kn, a, inner, b, n, chunk, i, i + RT, j);

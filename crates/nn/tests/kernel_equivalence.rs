@@ -39,6 +39,35 @@ fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |data| Tensor::from_vec(rows, cols, data))
 }
 
+/// Output widths that reach every transposed-product path: 7 is all
+/// column remainder, 8 one 8-wide tile, 16 one 16-wide tile, 24 a 16- and
+/// an 8-wide tile, 48 several. Drawn tensors are sized for the largest.
+const WIDTHS: [usize; 5] = [7, 8, 16, 24, 48];
+/// Inner dims: 3 is all `dot` k-tail, 8 has no tail, 19 has both.
+const INNERS: [usize; 3] = [3, 8, 19];
+const MAX_WIDTH: usize = 48;
+const MAX_INNER: usize = 19;
+
+/// The top-left `rows`×`cols` block of `t`.
+fn block(t: &Tensor, rows: usize, cols: usize) -> Tensor {
+    let data = (0..rows)
+        .flat_map(|r| t.row_slice(r)[..cols].to_vec())
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// `t` with a zeroed first row and every entry below -1 replaced by
+/// `-0.0`, so accumulating seeds exercise signed-zero additions.
+fn with_signed_zeros(t: &Tensor) -> Tensor {
+    let mut out = t.map(|v| if v < -1.0 { -0.0 } else { v });
+    out.data[..t.cols].fill(-0.0);
+    out
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| v.to_bits()).collect()
+}
+
 /// Nested-Vec sparse reference: the seed's original representation,
 /// rebuilt from triplets, applied with the seed's original loop.
 fn spmm_nested_ref(n: usize, triplets: &[(u32, u32, f32)], x: &Tensor) -> Tensor {
@@ -101,32 +130,90 @@ proptest! {
         prop_assert_eq!(a.matmul(&b).data, a.matmul_ref(&b).data);
     }
 
-    /// Same bitwise pin for the transposed product kernels.
+    /// Same bitwise pin for the transposed product kernels, over every
+    /// width × inner combination (11 rows leave a 3-row remainder under
+    /// the 4-row tiles).
     #[test]
     fn transposed_kernels_are_bitwise_equal_to_scalar(
-        a in arb_tensor(11, 19),
-        bt in arb_tensor(7, 19),
-        at in arb_tensor(11, 9),
+        a in arb_tensor(11, MAX_INNER),
+        bt in arb_tensor(MAX_WIDTH, MAX_INNER),
+        at in arb_tensor(11, MAX_WIDTH),
     ) {
         if ambient_tier_fuses() {
             return Ok(());
         }
-        prop_assert_eq!(a.matmul_bt(&bt).data, a.matmul_bt_ref(&bt).data);
-        prop_assert_eq!(a.matmul_at(&at).data, a.matmul_at_ref(&at).data);
+        for n in WIDTHS {
+            for inner in INNERS {
+                let (a, bt) = (block(&a, 11, inner), block(&bt, n, inner));
+                prop_assert_eq!(
+                    bits(&a.matmul_bt(&bt)), bits(&a.matmul_bt_ref(&bt)),
+                    "matmul_bt n {} inner {}", n, inner
+                );
+                // `a` doubles as the k×m left operand: m = inner here.
+                let at = block(&at, 11, n);
+                prop_assert_eq!(
+                    bits(&a.matmul_at(&at)), bits(&a.matmul_at_ref(&at)),
+                    "matmul_at n {} m {}", n, inner
+                );
+            }
+        }
     }
 
-    /// Accumulating entry points equal allocate-then-add.
+    /// Accumulating entry points equal allocate-then-add, and the
+    /// overwriting ones ignore what `out` held, over every width × inner
+    /// combination with `-0.0` seeds. `matmul_bt_into` adds each finished
+    /// dot product once, so it is pinned bitwise to `seed + dot`; the
+    /// other products accumulate into the seed term by term, so they are
+    /// pinned within a tolerance.
     #[test]
     fn accumulate_kernels_match_allocate_then_add(
-        a in arb_tensor(6, 8),
-        b in arb_tensor(8, 7),
-        seed in arb_tensor(6, 7),
+        a in arb_tensor(6, MAX_INNER),
+        b in arb_tensor(MAX_INNER, MAX_WIDTH),
+        bt in arb_tensor(MAX_WIDTH, MAX_INNER),
+        at in arb_tensor(6, MAX_WIDTH),
+        seed in arb_tensor(MAX_INNER, MAX_WIDTH),
     ) {
-        let mut acc = seed.clone();
-        a.matmul_into(&b, &mut acc, true);
-        let composed = seed.zip(&a.matmul_ref(&b), |x, y| x + y);
-        for (u, v) in acc.data.iter().zip(composed.data.iter()) {
-            prop_assert!((u - v).abs() <= 1e-5 * (1.0 + v.abs()));
+        let fuses = ambient_tier_fuses();
+        let close = |got: &Tensor, want: &Tensor| {
+            got.data.iter().zip(&want.data).all(|(u, v)| (u - v).abs() <= 1e-5 * (1.0 + v.abs()))
+        };
+        for n in WIDTHS {
+            for inner in INNERS {
+                let a = block(&a, 6, inner);
+                let (b, bt) = (block(&b, inner, n), block(&bt, n, inner));
+                let seed_mn = with_signed_zeros(&block(&seed, 6, n));
+                let reference = a.matmul_ref(&b);
+                let mut acc = seed_mn.clone();
+                a.matmul_into(&b, &mut acc, true);
+                let composed = seed_mn.zip(&reference, |x, y| x + y);
+                prop_assert!(close(&acc, &composed), "matmul n {} inner {}", n, inner);
+
+                let reference = a.matmul_bt_ref(&bt);
+                let mut acc = seed_mn.clone();
+                a.matmul_bt_into(&bt, &mut acc, true);
+                let composed = seed_mn.zip(&reference, |x, y| x + y);
+                prop_assert!(close(&acc, &composed), "matmul_bt n {} inner {}", n, inner);
+                let mut over = seed_mn.clone();
+                a.matmul_bt_into(&bt, &mut over, false);
+                if !fuses {
+                    let what = format!("matmul_bt n {n} inner {inner}");
+                    prop_assert_eq!(bits(&acc), bits(&composed), "{} +=", what);
+                    prop_assert_eq!(bits(&over), bits(&reference), "{} =", what);
+                }
+
+                let at = block(&at, 6, n);
+                let seed_in = with_signed_zeros(&block(&seed, inner, n));
+                let reference = a.matmul_at_ref(&at);
+                let mut acc = seed_in.clone();
+                a.matmul_at_into(&at, &mut acc, true);
+                let composed = seed_in.zip(&reference, |x, y| x + y);
+                prop_assert!(close(&acc, &composed), "matmul_at n {} m {}", n, inner);
+                let mut over = seed_in.clone();
+                a.matmul_at_into(&at, &mut over, false);
+                if !fuses {
+                    prop_assert_eq!(bits(&over), bits(&reference), "matmul_at n {} m {}", n, inner);
+                }
+            }
         }
     }
 }
@@ -282,7 +369,7 @@ fn linear_attention_is_bitwise_across_tiers_and_threads() {
 /// Thread-count invariance: whatever `RAYON_NUM_THREADS` resolves to in
 /// this process, kernels must equal their scalar references (the CI
 /// matrix exercises 1 and many). Shapes here are deliberately above the
-/// `PAR_MIN_FLOPS` dispatch threshold (160^3 ≈ 4.1M multiply-adds; the
+/// `PAR_MIN_FLOPS` dispatch threshold (160·162·168 ≈ 4.4M multiply-adds; the
 /// SpMM touches ≈ 1.9M), so on multi-thread hosts this test pins the
 /// actual parallel row-partitioned code path, not the inline fallback.
 #[test]
@@ -291,11 +378,13 @@ fn kernels_match_references_at_resolved_thread_count() {
         return;
     }
     let mut rng = StdRng::seed_from_u64(5150);
-    let a = Tensor::xavier(160, 160, &mut rng);
-    let b = Tensor::xavier(160, 160, &mut rng);
+    // Inner 162 leaves a `dot` k-tail; width 168 ends in an 8-wide panel.
+    let a = Tensor::xavier(160, 162, &mut rng);
+    let b = Tensor::xavier(162, 168, &mut rng);
+    let c = Tensor::xavier(168, 162, &mut rng);
     assert_eq!(a.matmul(&b).data, a.matmul_ref(&b).data);
-    assert_eq!(a.matmul_bt(&b).data, a.matmul_bt_ref(&b).data);
-    assert_eq!(a.matmul_at(&b).data, a.matmul_at_ref(&b).data);
+    assert_eq!(a.matmul_bt(&c).data, a.matmul_bt_ref(&c).data);
+    assert_eq!(b.matmul_at(&b).data, b.matmul_at_ref(&b).data);
     let edges: Vec<(u32, u32)> = (0..4999u32).map(|i| (i, i + 1)).collect();
     let adj = SparseMatrix::normalized_adjacency(5000, &edges);
     let x = Tensor::xavier(5000, 128, &mut rng);
@@ -324,6 +413,9 @@ proptest! {
         bt in arb_tensor(7, 21),
         bias in arb_tensor(1, 17),
         edges in prop::collection::vec((0u32..13, 0u32..13, -1.0f32..1.0), 0..40),
+        wide_b in arb_tensor(MAX_INNER, MAX_WIDTH),
+        wide_bt in arb_tensor(MAX_WIDTH, MAX_INNER),
+        seed in arb_tensor(13, MAX_WIDTH),
     ) {
         let m = SparseMatrix::from_triplets(13, edges);
         let compute = || {
@@ -332,7 +424,21 @@ proptest! {
             let mbt = a.matmul_bt(&bt);
             let mat = a.matmul_at(&a);
             let sp = m.matmul(&a);
-            (mm.data, mb.data, mbt.data, mat.data, sp.data)
+            let mut shaped = Vec::new();
+            for n in WIDTHS {
+                for inner in INNERS {
+                    let a = block(&a, 13, inner);
+                    let (b, bt) = (block(&wide_b, inner, n), block(&wide_bt, n, inner));
+                    shaped.push(bits(&a.matmul(&b)));
+                    shaped.push(bits(&a.matmul_at(&block(&seed, 13, n))));
+                    for accumulate in [false, true] {
+                        let mut out = with_signed_zeros(&block(&seed, 13, n));
+                        a.matmul_bt_into(&bt, &mut out, accumulate);
+                        shaped.push(bits(&out));
+                    }
+                }
+            }
+            (mm.data, mb.data, mbt.data, mat.data, sp.data, shaped)
         };
         let reference = simd::with_tier(SimdTier::Scalar, compute).expect("scalar tier");
         for tier in bitwise_tiers() {

@@ -139,6 +139,71 @@ fn fma_dot_and_matmul_within_scaled_relative_bounds() {
     }
 }
 
+/// The fused `mm_bt_tile` and the 8-wide `mm_tile` panel, raw and
+/// through `matmul_bt`/`matmul_at`: every element within a relative bound
+/// scaled by the sum of its terms' magnitudes (inner dims 3, 8 and 19
+/// reach the `dot` k-tail, no tail, and both).
+#[test]
+fn fma_transposed_and_narrow_tiles_within_scaled_bounds() {
+    let Some(kf) = fma() else {
+        eprintln!("host lacks avx2+fma — skipping");
+        return;
+    };
+    let (rt, lanes) = (simd::MM_RT, simd::LANES);
+    let mut rng = StdRng::seed_from_u64(0x7B7);
+    for inner in [3usize, 8, 19] {
+        let a = Tensor::from_vec(rt, inner, rand_vec(&mut rng, rt * inner));
+        let arows: [&[f32]; 4] = std::array::from_fn(|r| a.row_slice(r));
+        // Packed Bᵀ / B panel: inner × 8, row stride 8.
+        let b = rand_vec(&mut rng, inner * lanes);
+        let seed = rand_vec(&mut rng, rt * lanes);
+        let scale = |r: usize, c: usize| -> f32 {
+            (0..inner)
+                .map(|k| (a.at(r, k) * b[k * lanes + c]).abs())
+                .sum::<f32>()
+                + seed[r * lanes + c].abs()
+        };
+        for accumulate in [false, true] {
+            let (mut got, mut want) = (seed.clone(), seed.clone());
+            (kf.mm_bt_tile)(&arows, &b, lanes, &mut got, lanes, accumulate);
+            (scalar().mm_bt_tile)(&arows, &b, lanes, &mut want, lanes, accumulate);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let what = format!("mm_bt_tile inner {inner} acc {accumulate} elem {i}");
+                madd_close(*g, *w, 10.0 * scale(i / lanes, i % lanes), &what);
+            }
+        }
+        let (mut got, mut want) = (seed.clone(), seed.clone());
+        (kf.mm_tile)(&arows, &b, lanes, &mut got, lanes, lanes);
+        (scalar().mm_tile)(&arows, &b, lanes, &mut want, lanes, lanes);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let what = format!("mm_tile width 8 inner {inner} elem {i}");
+            madd_close(*g, *w, 10.0 * scale(i / lanes, i % lanes), &what);
+        }
+
+        for n in [8usize, 16, 24, 48] {
+            let x = Tensor::from_vec(11, inner, rand_vec(&mut rng, 11 * inner));
+            let y = Tensor::from_vec(n, inner, rand_vec(&mut rng, n * inner));
+            let z = Tensor::from_vec(11, n, rand_vec(&mut rng, 11 * n));
+            let run =
+                |tier| simd::with_tier(tier, || (x.matmul_bt(&y), x.matmul_at(&z))).expect("tier");
+            let ((bt_f, at_f), (bt_s, at_s)) = (run(SimdTier::Fma), run(SimdTier::Scalar));
+            // |terms| ≤ 4, at most 19 (bt) or 11 (at) of them per element.
+            for (i, (g, s)) in bt_f.data.iter().zip(&bt_s.data).enumerate() {
+                let what = format!("matmul_bt n {n} inner {inner} elem {i}");
+                madd_close(*g, *s, 10.0 * 4.0 * inner as f32, &what);
+            }
+            for (i, (g, s)) in at_f.data.iter().zip(&at_s.data).enumerate() {
+                madd_close(
+                    *g,
+                    *s,
+                    10.0 * 44.0,
+                    &format!("matmul_at n {n} m {inner} elem {i}"),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fma_layernorm_rows_within_ulp_bounds() {
     let Some(kf) = fma() else {
