@@ -190,52 +190,6 @@ impl Expr {
             }
         }
     }
-
-    /// Substitutes every occurrence of variable `name` with `replacement`.
-    /// Used during k-hop cone extraction to compose gate functions.
-    pub fn substitute(&self, name: &str, replacement: &Expr) -> Expr {
-        match self {
-            Expr::Const(_) => self.clone(),
-            Expr::Var(v) => {
-                if v.as_ref() == name {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Expr::Not(e) => Expr::not(e.substitute(name, replacement)),
-            Expr::And(es) => {
-                Expr::And(es.iter().map(|e| e.substitute(name, replacement)).collect())
-            }
-            Expr::Or(es) => Expr::Or(es.iter().map(|e| e.substitute(name, replacement)).collect()),
-            Expr::Xor(es) => {
-                Expr::Xor(es.iter().map(|e| e.substitute(name, replacement)).collect())
-            }
-            Expr::Ite(s, t, e) => Expr::ite(
-                s.substitute(name, replacement),
-                t.substitute(name, replacement),
-                e.substitute(name, replacement),
-            ),
-        }
-    }
-
-    /// Substitutes many variables at once (single pass, no re-substitution
-    /// into already-inserted replacements).
-    pub fn substitute_all(&self, map: &std::collections::HashMap<Var, Expr>) -> Expr {
-        match self {
-            Expr::Const(_) => self.clone(),
-            Expr::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
-            Expr::Not(e) => Expr::not(e.substitute_all(map)),
-            Expr::And(es) => Expr::And(es.iter().map(|e| e.substitute_all(map)).collect()),
-            Expr::Or(es) => Expr::Or(es.iter().map(|e| e.substitute_all(map)).collect()),
-            Expr::Xor(es) => Expr::Xor(es.iter().map(|e| e.substitute_all(map)).collect()),
-            Expr::Ite(s, t, e) => Expr::ite(
-                s.substitute_all(map),
-                t.substitute_all(map),
-                e.substitute_all(map),
-            ),
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -310,15 +264,6 @@ mod tests {
         assert_eq!(Expr::or(vec![]), Expr::Const(false));
         assert_eq!(Expr::and(vec![]), Expr::Const(true));
         assert_eq!(Expr::xor(vec![]), Expr::Const(false));
-    }
-
-    #[test]
-    fn substitute_composes_cone_functions() {
-        // U2 = a & b; U3 = !U2  =>  U3 = !(a & b)
-        let u3 = Expr::not(Expr::var("U2"));
-        let u2 = Expr::and2(Expr::var("a"), Expr::var("b"));
-        let composed = u3.substitute("U2", &u2);
-        assert_eq!(composed.to_string(), "!(a & b)");
     }
 
     #[test]

@@ -123,14 +123,6 @@ impl TruthTable {
     pub fn arity(&self) -> usize {
         self.support.len()
     }
-
-    /// Fraction of rows that evaluate to 1 (the *signal probability* under
-    /// uniform inputs — also used by the power model's activity seeds).
-    pub fn ones_fraction(&self) -> f64 {
-        let rows = 1u64 << self.support.len();
-        let ones: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        f64::from(ones) / rows as f64
-    }
 }
 
 /// A 64-bit semantic signature: equal for functionally-equivalent
@@ -225,7 +217,6 @@ mod tests {
         let tt = TruthTable::of(&e).expect("small support");
         assert_eq!(tt.arity(), 2);
         assert_eq!(tt.bits[0] & 0b1111, 0b0001);
-        assert!((tt.ones_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

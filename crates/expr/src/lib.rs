@@ -40,7 +40,7 @@ pub use eval::{
     equivalent, eval, eval_positional, semantic_signature, TruthTable, MAX_EXACT_SUPPORT,
     SAMPLED_CHECKS,
 };
-pub use parse::{parse_assignment, parse_expr, ParseExprError};
+pub use parse::{parse_expr, ParseExprError};
 pub use random::{RandomExprConfig, RandomExprGen};
 pub use rewrite::{apply_rule, augment_equivalent, AugmentConfig, Rule, ALL_RULES};
 pub use simplify::simplify;

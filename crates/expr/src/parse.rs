@@ -3,7 +3,6 @@
 //! Grammar (loosest-binding first):
 //!
 //! ```text
-//! assign  := IDENT '=' or
 //! or      := xor ( '|' xor )*
 //! xor     := and ( '^' and )*
 //! and     := unary ( '&' unary )*
@@ -12,7 +11,10 @@
 //! ```
 //!
 //! The printer in [`crate::Expr`]'s `Display` impl emits exactly this
-//! grammar, so `parse(e.to_string()) == e` up to n-ary flattening.
+//! grammar and parenthesizes every nested n-ary operand, so
+//! `parse(e.to_string()) == e` structurally whenever each n-ary node has
+//! at least two operands and each variable is an identifier other than
+//! `Ite`.
 
 use crate::ast::Expr;
 use std::fmt;
@@ -57,29 +59,6 @@ pub fn parse_expr(input: &str) -> Result<Expr, ParseExprError> {
         return Err(p.error("unexpected trailing input"));
     }
     Ok(e)
-}
-
-/// Parses an assignment of the form `U3 = !((R1 ^ R2) | !R2)`, returning the
-/// assigned symbol name and the right-hand-side expression.
-///
-/// # Errors
-///
-/// Returns [`ParseExprError`] if the `name =` prefix is missing or the
-/// right-hand side is malformed.
-pub fn parse_assignment(input: &str) -> Result<(String, Expr), ParseExprError> {
-    let mut p = Parser::new(input);
-    p.skip_ws();
-    let name = p.parse_ident()?;
-    p.skip_ws();
-    if !p.eat(b'=') {
-        return Err(p.error("expected '=' after assigned name"));
-    }
-    let e = p.parse_or()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("unexpected trailing input"));
-    }
-    Ok((name, e))
 }
 
 struct Parser<'a> {
@@ -240,13 +219,6 @@ mod tests {
     fn parses_paper_example() {
         let e = parse_expr("!((R1 ^ R2) | !R2)").expect("parses");
         assert_eq!(e.to_string(), "!((R1 ^ R2) | !R2)");
-    }
-
-    #[test]
-    fn parses_assignment() {
-        let (name, e) = parse_assignment("U3 = !((R1 ^ R2) | !R2)").expect("parses");
-        assert_eq!(name, "U3");
-        assert_eq!(e.support().len(), 2);
     }
 
     #[test]

@@ -191,9 +191,16 @@ impl CanonicalVars {
     }
 
     /// Token id for `name`, assigning the next canonical slot on first use.
+    /// Allocates only for a name it has not seen.
     pub fn token(&mut self, vocab: &Vocab, name: &str) -> TokenId {
-        let next = self.map.len() as u32;
-        let slot = *self.map.entry(name.to_string()).or_insert(next);
+        let slot = match self.map.get(name) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.map.len() as u32;
+                self.map.insert(name.to_string(), slot);
+                slot
+            }
+        };
         vocab.canonical_var(slot)
     }
 }
@@ -252,51 +259,6 @@ fn infix_canon(
             out.push(vocab.grammar(op));
         }
         group_canon(vocab, e, canon, out);
-    }
-}
-
-/// Streams the tokens of an expression into `out` (no CLS/EOS framing).
-pub fn tokenize_expr_into(vocab: &Vocab, expr: &Expr, out: &mut Vec<TokenId>) {
-    match expr {
-        Expr::Const(false) => out.push(vocab.grammar("0")),
-        Expr::Const(true) => out.push(vocab.grammar("1")),
-        Expr::Var(v) => out.push(vocab.var(v)),
-        Expr::Not(e) => {
-            out.push(vocab.grammar("!"));
-            group(vocab, e, out);
-        }
-        Expr::And(es) => infix(vocab, es, "&", out),
-        Expr::Or(es) => infix(vocab, es, "|", out),
-        Expr::Xor(es) => infix(vocab, es, "^", out),
-        Expr::Ite(s, t, e) => {
-            out.push(vocab.grammar("Ite"));
-            out.push(vocab.grammar("("));
-            tokenize_expr_into(vocab, s, out);
-            out.push(vocab.grammar(","));
-            tokenize_expr_into(vocab, t, out);
-            out.push(vocab.grammar(","));
-            tokenize_expr_into(vocab, e, out);
-            out.push(vocab.grammar(")"));
-        }
-    }
-}
-
-fn group(vocab: &Vocab, e: &Expr, out: &mut Vec<TokenId>) {
-    if e.is_leaf() {
-        tokenize_expr_into(vocab, e, out);
-    } else {
-        out.push(vocab.grammar("("));
-        tokenize_expr_into(vocab, e, out);
-        out.push(vocab.grammar(")"));
-    }
-}
-
-fn infix(vocab: &Vocab, es: &[Expr], op: &str, out: &mut Vec<TokenId>) {
-    for (i, e) in es.iter().enumerate() {
-        if i > 0 {
-            out.push(vocab.grammar(op));
-        }
-        group(vocab, e, out);
     }
 }
 

@@ -28,12 +28,14 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Printing then parsing returns a semantically identical expression.
+    /// Printing then parsing returns the same tree, so a parsed wire
+    /// expression tokenizes like the client's `Expr`.
     #[test]
     fn print_parse_roundtrip_preserves_semantics(e in arb_expr()) {
         let text = e.to_string();
         let parsed = parse_expr(&text).expect("printer output must parse");
         prop_assert!(equivalent(&e, &parsed), "{text}");
+        prop_assert_eq!(parsed, e);
     }
 
     /// Simplification preserves the Boolean function and never grows the AST.

@@ -91,7 +91,7 @@ fn local_expr(
     }
 }
 
-/// Extracts `name = expr` assignment strings for every mapped combinational
+/// Extracts the k-hop expression of every mapped combinational
 /// gate, the raw material of the paper's 313k-expression dataset.
 pub fn all_gate_exprs(netlist: &Netlist, k: usize) -> Vec<(GateId, Expr)> {
     let targets: Vec<GateId> = netlist
@@ -102,11 +102,6 @@ pub fn all_gate_exprs(netlist: &Netlist, k: usize) -> Vec<(GateId, Expr)> {
     // Per-gate extraction is independent (each call owns its memo table),
     // so the corpus-building sweep parallelizes over gates.
     nettag_par::map_slice(&targets, |&id| (id, gate_expr(netlist, id, k)))
-}
-
-/// Renders the paper-style assignment text `U3 = !((R1 ^ R2) | !R2)`.
-pub fn expr_assignment_text(netlist: &Netlist, gate: GateId, expr: &Expr) -> String {
-    format!("{} = {}", netlist.gate(gate).name, expr)
 }
 
 #[cfg(test)]
@@ -166,15 +161,6 @@ mod tests {
         let exprs = all_gate_exprs(&n, 2);
         // X, N, U3 are combinational; inputs/registers/outputs are not.
         assert_eq!(exprs.len(), 3);
-    }
-
-    #[test]
-    fn assignment_text_matches_paper_format() {
-        let n = paper_cone();
-        let u3 = n.find("U3").expect("exists");
-        let e = gate_expr(&n, u3, 1);
-        let text = expr_assignment_text(&n, u3, &e);
-        assert!(text.starts_with("U3 = "), "got {text}");
     }
 
     #[test]

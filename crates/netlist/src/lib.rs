@@ -47,7 +47,7 @@ pub use aig::{
 };
 pub use cell::{CellKind, CellParams, Library, ALL_CELL_KINDS};
 pub use cone::{chunk_into_cones, cone_to_netlist, register_cone, Cone};
-pub use expr_extract::{all_gate_exprs, expr_assignment_text, gate_expr};
+pub use expr_extract::{all_gate_exprs, gate_expr};
 pub use graph::{Gate, GateId, Netlist, NetlistError};
 pub use inline::{GateName, Pins, INLINE_NAME_BYTES, INLINE_PINS};
 pub use sim::{next_register_values, simulate_comb};

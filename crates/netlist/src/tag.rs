@@ -6,10 +6,12 @@
 use crate::cell::CellKind;
 use crate::expr_extract::gate_expr;
 use crate::graph::{GateId, Netlist};
+use crate::inline::GateName;
 use nettag_expr::token::{
     frame_tail, tokenize_expr_canonical_into, CanonicalVars, Special, TokenId, Vocab,
 };
-use nettag_expr::{Expr, TruthTable};
+use nettag_expr::Expr;
+use std::collections::HashMap;
 
 /// The eight physical characteristics the paper annotates per gate
 /// (Fig. 3(b)): power, area, delay, toggle rate, probability, load,
@@ -57,12 +59,12 @@ impl PhysProps {
 #[derive(Debug, Clone)]
 pub struct TagNode {
     /// Gate instance name.
-    pub name: String,
+    pub name: GateName,
     /// Cell kind.
     pub kind: CellKind,
-    /// Symbolic k-hop expression (rendered form is part of the text
-    /// attribute). Stored as text so TAGs stay serializable.
-    pub expr_text: String,
+    /// Symbolic k-hop expression. [`Tag::attribute_text`] renders it and
+    /// [`Tag::node_tokens`] tokenizes it.
+    pub expr: Expr,
     /// Physical characteristics.
     pub phys: PhysProps,
 }
@@ -117,11 +119,10 @@ impl Tag {
         assert_eq!(phys.len(), netlist.gate_count(), "one PhysProps per gate");
         let mut nodes = Vec::with_capacity(netlist.gate_count());
         for (id, g) in netlist.iter() {
-            let expr = bounded_expr(netlist, id, opts);
             nodes.push(TagNode {
-                name: g.name.to_string(),
+                name: g.name.clone(),
                 kind: g.kind,
-                expr_text: expr.to_string(),
+                expr: bounded_expr(netlist, id, opts),
                 phys: phys[id.index()],
             });
         }
@@ -159,7 +160,7 @@ impl Tag {
             n.name,
             n.kind,
             n.name,
-            n.expr_text,
+            n.expr,
             n.phys.power,
             n.phys.area,
             n.phys.delay,
@@ -174,9 +175,8 @@ impl Tag {
     /// Tokenizes node `i`'s attribute for ExprLLM:
     /// `[CLS] [NAME] var [TYPE] word [EXPR] var = expr-tokens [PHYS] num*8 [EOS]`.
     ///
-    /// When `mask_type` is true the `[TYPE]` word is replaced by `<mask>` —
-    /// used to keep Task 1 fair (no label leakage through cell names) and
-    /// by ablations.
+    /// When `mask_type` is true the `[TYPE]` word is replaced by `<mask>`.
+    /// No pipeline masks: every caller passes `false`.
     pub fn node_tokens(
         &self,
         vocab: &Vocab,
@@ -199,9 +199,7 @@ impl Tag {
         out.push(vocab.grammar("[EXPR]"));
         out.push(canon.token(vocab, &n.name));
         out.push(vocab.grammar("="));
-        if let Ok(expr) = nettag_expr::parse_expr(&n.expr_text) {
-            tokenize_expr_canonical_into(vocab, &expr, &mut canon, &mut out);
-        }
+        tokenize_expr_canonical_into(vocab, &n.expr, &mut canon, &mut out);
         out.push(vocab.grammar("[PHYS]"));
         out.push(vocab.number(n.phys.power));
         out.push(vocab.number(n.phys.area));
@@ -226,7 +224,7 @@ fn bounded_expr(netlist: &Netlist, id: GateId, opts: &TagOptions) -> Expr {
 
 /// Synthesis-stage physical estimates from the library alone (no layout
 /// information): area and leakage from cell parameters, probability from
-/// the local expression's truth table, toggle rates from a simple
+/// the cell function's truth table, toggle rates from a simple
 /// transition model, load from fan-out pin caps. The physical-design crate
 /// refines these with placement-aware values.
 pub fn synthesis_phys_estimates(netlist: &Netlist, lib: &crate::cell::Library) -> Vec<PhysProps> {
@@ -244,31 +242,25 @@ pub fn synthesis_phys_estimates(netlist: &Netlist, lib: &crate::cell::Library) -
             CellKind::Output | CellKind::Buf => prob[g.fanin[0].index()],
             k if k.is_sequential() => 0.5,
             k => {
-                let ins: Vec<Expr> = (0..k.arity()).map(|j| Expr::var(format!("p{j}"))).collect();
-                let e = k.expr(&ins);
-                // Weighted truth-table evaluation with per-input probability.
-                let support = e.support();
-                match TruthTable::over(&e, support.clone()) {
-                    Some(tt) => {
-                        let mut p1 = 0.0f64;
-                        for row in 0..(1u64 << support.len()) {
-                            let set = tt.bits[(row / 64) as usize] >> (row % 64) & 1 == 1;
-                            if !set {
-                                continue;
-                            }
-                            let mut w = 1.0;
-                            for (bit, v) in support.iter().enumerate() {
-                                // Map support var back to pin index.
-                                let j: usize = v.trim_start_matches('p').parse().unwrap_or(0);
-                                let pj = prob[g.fanin[j].index()];
-                                w *= if row >> bit & 1 == 1 { pj } else { 1.0 - pj };
-                            }
-                            p1 += w;
-                        }
-                        p1
+                // Weighted truth table: row bit `j` is pin `j`'s value, and
+                // every cell function reads all of its pins.
+                let mut ins = vec![Expr::FALSE; k.arity()];
+                let mut p1 = 0.0f64;
+                for row in 0..(1u64 << k.arity()) {
+                    for (j, e) in ins.iter_mut().enumerate() {
+                        *e = Expr::Const(row >> j & 1 == 1);
                     }
-                    None => 0.5,
+                    if !nettag_expr::eval(&k.expr(&ins), &HashMap::new()) {
+                        continue;
+                    }
+                    let mut w = 1.0;
+                    for (j, f) in g.fanin.iter().enumerate() {
+                        let pj = prob[f.index()];
+                        w *= if row >> j & 1 == 1 { pj } else { 1.0 - pj };
+                    }
+                    p1 += w;
                 }
+                p1
             }
         };
     }

@@ -73,19 +73,27 @@ fn identical_requests_hit_the_cache_and_share_one_buffer() {
 
 #[test]
 fn cache_keys_on_structure_not_names() {
-    let (_model, engine) = tiny_engine();
+    let (model, engine) = tiny_engine();
     let client = engine.client();
     let a = cone(1);
-    // Same structure, every gate renamed.
+    // Same structure, every gate renamed, to names the expression parser
+    // rejects (`1g1`, `g.2`) or reads as the constant 1. The hit is only
+    // right if the renamed cone embeds exactly like `a`.
     let mut b = Netlist::new("other_name");
-    for (_, g) in a.iter() {
-        b.add_gate(format!("renamed_{}", g.name), g.kind, g.fanin.clone());
+    for (i, (_, g)) in a.iter().enumerate() {
+        let name = match i {
+            0 => "1".to_string(),
+            i if i % 2 == 1 => format!("1g{i}"),
+            i => format!("g.{i}"),
+        };
+        b.add_gate(name, g.kind, g.fanin.clone());
     }
     let b = b.validate().expect("valid");
     let ea = client.embed_cone(a, None).expect("a");
-    let eb = client.embed_cone(b, None).expect("b");
+    let eb = client.embed_cone(b.clone(), None).expect("b");
     assert!(Arc::ptr_eq(&ea, &eb), "renamed cone must hit the cache");
     assert_eq!(engine.stats().cache_misses, 1);
+    assert_eq!(eb.data, offline_cls(&model, &b));
 }
 
 #[test]

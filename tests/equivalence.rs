@@ -106,13 +106,28 @@ fn equal_cone_digests_imply_equal_model_input() {
     // The serving cache answers a cone with the embedding of any earlier
     // cone under the same `structural_hash_with_phys`, so equal digests
     // must mean equal TAGFormer input: per-node token sequences, phys
-    // feature bits and edges, node for node.
+    // feature bits and edges, node for node. Every cone is also fed with
+    // its gates renamed to names the expression parser rejects (`1g3`,
+    // `g.4`) or reads as a constant (`1`): the digest ignores names, so
+    // the renamed twin must tokenize like the original.
     use nettag::core::NetTag;
     use nettag::netlist::{
         chunk_into_cones, cone_to_netlist, structural_hash_with_phys, synthesis_phys_estimates,
-        Library, Tag, TagOptions,
+        GateId, Library, Netlist, Tag, TagOptions,
     };
     use std::collections::HashMap;
+    fn renamed(n: &Netlist) -> Netlist {
+        let mut out = n.clone();
+        for i in 0..out.gate_count() {
+            let name = match i {
+                0 => "1".to_string(),
+                i if i % 2 == 1 => format!("1g{i}"),
+                i => format!("g.{i}"),
+            };
+            out.gate_mut(GateId(i as u32)).name = name.into();
+        }
+        out
+    }
     let lib = Library::default();
     let vocab = NetTag::vocab();
     let opts = TagOptions::default();
@@ -131,30 +146,33 @@ fn equal_cone_digests_imply_equal_model_input() {
             if !(2..=220).contains(&sub.gate_count()) {
                 continue;
             }
-            let props = synthesis_phys_estimates(&sub, &lib);
-            let key = structural_hash_with_phys(&sub, &props);
-            let tag = Tag::from_netlist_with_phys(&sub, &props, &opts);
-            let input: Input = (
-                (0..tag.len())
-                    .map(|i| tag.node_tokens(&vocab, i, 1024, false))
-                    .collect(),
-                tag.nodes
-                    .iter()
-                    .map(|n| n.phys.feature_vector().map(f32::to_bits))
-                    .collect(),
-                tag.edges.clone(),
-            );
-            match seen.get(&key) {
-                Some(first) => {
-                    repeats += 1;
-                    assert!(
-                        *first == input,
-                        "design {k} cone {}: digest shared with a different model input",
-                        sub.name()
-                    );
-                }
-                None => {
-                    seen.insert(key, input);
+            let twin = renamed(&sub);
+            for net in [&sub, &twin] {
+                let props = synthesis_phys_estimates(net, &lib);
+                let key = structural_hash_with_phys(net, &props);
+                let tag = Tag::from_netlist_with_phys(net, &props, &opts);
+                let input: Input = (
+                    (0..tag.len())
+                        .map(|i| tag.node_tokens(&vocab, i, 1024, false))
+                        .collect(),
+                    tag.nodes
+                        .iter()
+                        .map(|n| n.phys.feature_vector().map(f32::to_bits))
+                        .collect(),
+                    tag.edges.clone(),
+                );
+                match seen.get(&key) {
+                    Some(first) => {
+                        repeats += 1;
+                        assert!(
+                            *first == input,
+                            "design {k} cone {}: digest shared with a different model input",
+                            net.name()
+                        );
+                    }
+                    None => {
+                        seen.insert(key, input);
+                    }
                 }
             }
         }
