@@ -25,7 +25,7 @@
 //! `BENCH_geom.json` at the workspace root, or at `NETTAG_BENCH_OUT`
 //! when set.
 
-use nettag_core::{FinetuneConfig, NetTag, NetTagConfig};
+use nettag_core::{NetTag, NetTagConfig};
 use nettag_geom::{cone_geometry, FusionModel, FusionTrainConfig};
 use nettag_netlist::{
     cone_to_netlist, register_cone, synthesis_phys_estimates, CellKind, Library, Netlist,
@@ -104,18 +104,13 @@ fn main() {
         })
         .collect();
     let mut fusion = FusionModel::new(model.config.embed_dim, 2, 0x9E0);
-    let finetune = FinetuneConfig {
-        epochs: 60,
-        ..FinetuneConfig::default()
-    };
     let train_cfg = FusionTrainConfig {
         steps: 30,
         batch: 8,
         ..FusionTrainConfig::default()
     };
     let t0 = Instant::now();
-    let report: GeomTaskReport =
-        run_geom_tasks(&model, &mut fusion, &designs, &lib, &finetune, &train_cfg);
+    let report: GeomTaskReport = run_geom_tasks(&model, &mut fusion, &designs, &lib, &train_cfg);
     let tasks_seconds = t0.elapsed().as_secs_f64();
     for (name, s) in [
         ("wirelength", &report.wirelength),

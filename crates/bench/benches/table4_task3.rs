@@ -16,7 +16,6 @@ fn main() {
         &pipeline.model,
         &pipeline.suite.task23,
         &pipeline.suite.lib,
-        &pipeline.scale.finetune(),
         &pipeline.scale.gnn(),
         &FlowConfig::default(),
     );

@@ -12,7 +12,7 @@ fn main() {
     let scale = Scale::from_env();
     let pipeline = build_pipeline(scale);
     let samples = ppa_samples(&pipeline.model, &pipeline.suite.task4, &pipeline.suite.lib);
-    let report = run_task4(&samples, &pipeline.scale.finetune(), &pipeline.scale.gnn());
+    let report = run_task4(&samples, &pipeline.scale.gnn());
     let paper = [
         ("Area  w/o opt", "0.99/5", "0.99/5", "0.99/4"),
         ("Area  w/ opt", "0.95/34", "0.95/18", "0.96/11"),

@@ -250,12 +250,11 @@ pub fn eval_all_tasks(model: &NetTag, suite: &TaskSuite, scale: &Scale) -> TaskS
         model,
         &suite.task23,
         &suite.lib,
-        &ft,
         &gnn,
         &nettag_physical::FlowConfig::default(),
     );
     let ppa = nettag_tasks::ppa_samples(model, &suite.task4, &suite.lib);
-    let t4 = nettag_tasks::run_task4(&ppa, &ft, &gnn);
+    let t4 = nettag_tasks::run_task4(&ppa, &gnn);
     TaskSummary {
         task1_acc: t1.avg_nettag.accuracy,
         task2_acc: t2.avg_nettag.balanced_accuracy,

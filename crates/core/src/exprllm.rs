@@ -66,12 +66,6 @@ impl ExprLlm {
         self.proj.forward(g, cls)
     }
 
-    /// Differentiable batched forward → batch×embed_dim.
-    pub fn forward_batch(&self, g: &mut Graph, batch: &[Vec<TokenId>]) -> NodeId {
-        let rows: Vec<NodeId> = batch.iter().map(|t| self.forward(g, t)).collect();
-        g.stack_rows(&rows)
-    }
-
     /// Inference-only encoding: [`Self::forward`] on a
     /// [`Graph::no_grad`] graph, so the result is the tape pass's bits
     /// with no backward state kept — this is the serving hot path.

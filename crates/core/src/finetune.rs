@@ -1,5 +1,5 @@
 //! Fine-tuning heads over frozen NetTAG embeddings (paper Sec. II-F):
-//! lightweight MLP classifiers/regressors plus the GBDT option.
+//! lightweight MLP classifiers and GBDT regressors.
 
 use nettag_nn::{
     data_parallel, Adam, GbdtConfig, GbdtRegressor, GradStore, Graph, Layer, Mlp, NodeId,
@@ -152,27 +152,13 @@ impl ClassifierHead {
     }
 }
 
-/// Which model family backs a regression head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegressorKind {
-    /// 3-layer MLP (paper's default head).
-    Mlp,
-    /// Gradient-boosted trees (the paper's XGBoost option).
-    Gbdt,
-}
-
-/// A regression head with target standardization.
+/// A gradient-boosted-trees regression head (the paper's XGBoost option)
+/// with target standardization.
 #[derive(Debug, Clone)]
 pub struct RegressorHead {
-    model: RegressorModel,
+    model: GbdtRegressor,
     mean: f32,
     std: f32,
-}
-
-#[derive(Debug, Clone)]
-enum RegressorModel {
-    Mlp(Mlp),
-    Gbdt(GbdtRegressor),
 }
 
 impl RegressorHead {
@@ -181,12 +167,7 @@ impl RegressorHead {
     /// # Panics
     ///
     /// Panics if `features` is empty or lengths mismatch.
-    pub fn train(
-        features: &[Vec<f32>],
-        targets: &[f32],
-        kind: RegressorKind,
-        config: &FinetuneConfig,
-    ) -> RegressorHead {
+    pub fn train(features: &[Vec<f32>], targets: &[f32]) -> RegressorHead {
         assert_eq!(features.len(), targets.len(), "one target per sample");
         assert!(!features.is_empty(), "cannot train on empty data");
         let mean = targets.iter().sum::<f32>() / targets.len() as f32;
@@ -194,52 +175,7 @@ impl RegressorHead {
             targets.iter().map(|t| (t - mean) * (t - mean)).sum::<f32>() / targets.len() as f32;
         let std = var.sqrt().max(1e-6);
         let normed: Vec<f32> = targets.iter().map(|t| (t - mean) / std).collect();
-        let model = match kind {
-            RegressorKind::Gbdt => RegressorModel::Gbdt(GbdtRegressor::fit(
-                features,
-                &normed,
-                &GbdtConfig::default(),
-            )),
-            RegressorKind::Mlp => {
-                let dim = features[0].len();
-                let mut rng = StdRng::seed_from_u64(config.seed);
-                let mut mlp = Mlp::new(&[dim, config.hidden, 1], &mut rng);
-                let x = pack(features);
-                let y = Tensor::from_vec(normed.len(), 1, normed);
-                let shards = shard_rows(&x);
-                let target_shards = shard_rows(&y);
-                let total = y.rows as f32;
-                let mut opt = Adam::new(config.lr);
-                let mut store = GradStore::new();
-                for _ in 0..config.epochs {
-                    let mlp_ref = &mlp;
-                    data_parallel::step(
-                        shards.len(),
-                        |i| {
-                            let mut g = Graph::new();
-                            let xn = g.constant(shards[i].clone());
-                            let pred = mlp_ref.forward(&mut g, xn);
-                            let loss = g.mse(pred, target_shards[i].clone());
-                            SampleTape {
-                                graph: g,
-                                outputs: vec![loss],
-                            }
-                        },
-                        |g, leaves| {
-                            let weighted: Vec<(NodeId, f32)> = leaves
-                                .iter()
-                                .enumerate()
-                                .map(|(i, l)| (l[0], target_shards[i].rows as f32 / total))
-                                .collect();
-                            nettag_nn::weighted_sum(g, &weighted)
-                        },
-                        &mut store,
-                    );
-                    opt.step(&mut mlp.params_mut(), &store);
-                }
-                RegressorModel::Mlp(mlp)
-            }
-        };
+        let model = GbdtRegressor::fit(features, &normed, &GbdtConfig::default());
         RegressorHead { model, mean, std }
     }
 
@@ -248,16 +184,11 @@ impl RegressorHead {
         if features.is_empty() {
             return Vec::new();
         }
-        let raw: Vec<f32> = match &self.model {
-            RegressorModel::Gbdt(m) => m.predict_batch(features),
-            RegressorModel::Mlp(m) => {
-                let mut g = Graph::no_grad();
-                let x = g.constant(pack(features));
-                let pred = m.forward(&mut g, x);
-                g.take_value(pred).data
-            }
-        };
-        raw.into_iter().map(|v| v * self.std + self.mean).collect()
+        self.model
+            .predict_batch(features)
+            .into_iter()
+            .map(|v| v * self.std + self.mean)
+            .collect()
     }
 }
 
@@ -303,22 +234,23 @@ mod tests {
         assert_eq!(head.classes(), 2);
     }
 
+    /// Targets far from zero mean and unit scale come back in their own
+    /// units: the head fits standardized targets and denormalizes.
     #[test]
-    fn mlp_regressor_fits_linear_map() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<Vec<f32>> = (0..80)
-            .map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)])
-            .collect();
-        let ys: Vec<f32> = xs.iter().map(|x| 3.0 * x[0] - 2.0 * x[1] + 5.0).collect();
-        let head = RegressorHead::train(&xs, &ys, RegressorKind::Mlp, &FinetuneConfig::default());
-        let preds = head.predict(&xs);
-        let mae: f32 = preds
+    fn regressor_standardizes_targets() {
+        let xs: Vec<Vec<f32>> = (0..100).map(|i| vec![i as f32 / 100.0]).collect();
+        let ys: Vec<f32> = xs.iter().map(|x| 5000.0 + 800.0 * x[0]).collect();
+        let head = RegressorHead::train(&xs, &ys);
+        let mae = head
+            .predict(&xs)
             .iter()
-            .zip(ys.iter())
+            .zip(&ys)
             .map(|(p, y)| (p - y).abs())
             .sum::<f32>()
             / ys.len() as f32;
-        assert!(mae < 0.5, "mae {mae}");
+        assert!(mae < 40.0, "mae {mae}");
+        let flat = RegressorHead::train(&xs, &vec![7.5; xs.len()]);
+        assert!(flat.predict(&xs).iter().all(|&p| (p - 7.5).abs() < 1e-3));
     }
 
     #[test]
@@ -328,7 +260,7 @@ mod tests {
             .iter()
             .map(|x| if x[0] < 0.4 { 10.0 } else { 20.0 })
             .collect();
-        let head = RegressorHead::train(&xs, &ys, RegressorKind::Gbdt, &FinetuneConfig::default());
+        let head = RegressorHead::train(&xs, &ys);
         let preds = head.predict(&[vec![0.1], vec![0.9]]);
         assert!((preds[0] - 10.0).abs() < 1.5);
         assert!((preds[1] - 20.0).abs() < 1.5);

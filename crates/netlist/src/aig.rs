@@ -64,11 +64,6 @@ impl Aig {
         lit(self.inputs.len() as u32, false)
     }
 
-    /// Total node count: constant + inputs + AND nodes.
-    pub fn node_count(&self) -> usize {
-        1 + self.inputs.len() + self.ands.len()
-    }
-
     /// Number of AND nodes.
     pub fn and_count(&self) -> usize {
         self.ands.len()
@@ -121,16 +116,6 @@ impl Aig {
     /// Registers an output literal.
     pub fn add_output(&mut self, name: impl Into<String>, l: Lit) {
         self.outputs.push((name.into(), l));
-    }
-
-    /// Fan-in literals of an AND variable (None for PI/constant vars).
-    pub fn and_fanins(&self, var: u32) -> Option<(Lit, Lit)> {
-        let first_and = self.inputs.len() as u32 + 1;
-        if var >= first_and {
-            self.ands.get((var - first_and) as usize).copied()
-        } else {
-            None
-        }
     }
 
     /// Bit-parallel simulation: `patterns[i]` holds 64 assignments for PI

@@ -24,13 +24,6 @@ pub struct Cone {
     pub frontier: Vec<GateId>,
 }
 
-impl Cone {
-    /// Number of gates inside the cone (excluding the frontier).
-    pub fn logic_size(&self) -> usize {
-        self.gates.len() - self.frontier.len()
-    }
-}
-
 /// Extracts the register cone rooted at `reg`.
 ///
 /// # Panics

@@ -173,11 +173,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Adds a gate and returns its id. Fan-out tables keep their last
     /// snapshot until [`Netlist::validate`] / [`Netlist::rebuild_fanout`].
     pub fn add_gate(

@@ -39,13 +39,15 @@
 //! ## SIMD dispatch and the unsafe policy
 //!
 //! Every numeric hot loop runs through the runtime-dispatched lane
-//! kernels in [`simd`] (scalar / AVX2 / opt-in FMA, selectable with
-//! `NETTAG_SIMD`). The crate is `#![deny(unsafe_code)]`; the **only**
-//! module allowed to override that is `simd/x86.rs`, which holds the
+//! kernels in [`simd`] (scalar / AVX2, bitwise equal, selectable with
+//! `NETTAG_SIMD`). The crate is `#![deny(unsafe_code)]`; the only module
+//! allowed to override that is `simd/x86.rs`, which holds the
 //! `std::arch::x86_64` intrinsics behind `is_x86_feature_detected!`,
 //! compiles with `#![deny(unsafe_op_in_unsafe_fn)]`, and bounds-checks
-//! every pointer access with debug asserts. Everything else in the
-//! workspace stays unsafe-free.
+//! every pointer access with asserts. The workspace has one other
+//! `unsafe` site: the lifetime-erasing `transmute` in `nettag-par`'s
+//! `pool.rs`, under `#[allow(unsafe_code)]`. Everything else is
+//! unsafe-free.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,31 +6,29 @@
 //! tiles ([`SimdKernels::mm_bt_tile`]), the CSR SpMM register tiles,
 //! `layer_norm` forward/backward rows, `Adam::step` elementwise updates,
 //! gradient accumulation) dispatches through the fn-pointer table
-//! returned by [`kernels`]. Three tiers implement the table:
+//! returned by [`kernels`]. Two tiers implement the table:
 //!
 //! | tier | selected | reduction contract |
 //! |------|----------|--------------------|
 //! | [`SimdTier::Scalar`] | always available; the fallback | the reference loops, verbatim |
 //! | [`SimdTier::Avx2`] | auto, when the host has AVX2 | **bitwise identical** to scalar |
-//! | [`SimdTier::Fma`] | only via `NETTAG_SIMD=fma` | fused multiply-add (different rounding) |
 //!
 //! The AVX2 tier vectorizes **across output columns** (lane-parallel)
 //! while keeping each output element's ascending-`k` mul-then-add
 //! sequence, so per-lane IEEE ops make it bit-for-bit equal to the scalar
 //! tier — the `kernel_equivalence` property tests pin every tier the host
-//! supports against the scalar references. The FMA tier fuses the
-//! multiply-add (one rounding instead of two, measurably faster) and is
-//! therefore **opt-in only**: auto-dispatch never picks it, and its own
-//! ulp-tolerance tests live in `tests/simd_fma.rs`.
+//! supports against the scalar references. No tier fuses multiply-adds:
+//! a fused tier would change rounding, and outputs must stay bitwise
+//! equal whichever tier runs.
 //!
 //! ## Dispatch
 //!
 //! The active tier is resolved exactly once (in a `OnceLock`) from the
 //! `NETTAG_SIMD` environment variable:
 //!
-//! * unset / `auto` — AVX2 when detected, else scalar (never FMA),
-//! * `scalar` | `avx2` | `fma` — force a tier; forcing a tier the host
-//!   lacks (or an unknown name) warns on stderr and falls back to auto.
+//! * unset / `auto` — AVX2 when detected, else scalar,
+//! * `scalar` | `avx2` — force a tier; forcing a tier the host lacks (or
+//!   an unknown name) warns on stderr and falls back to auto.
 //!
 //! Tests and benches can pin a tier in-process with [`with_tier`], which
 //! overrides the resolved table for the current thread; kernel entry
@@ -40,12 +38,13 @@
 //!
 //! ## Unsafe policy
 //!
-//! The whole workspace forbids `unsafe` except for exactly one module:
+//! The workspace denies `unsafe` except at two sites. This crate's one is
 //! [`x86`](self) (`simd/x86.rs`), which holds the `std::arch::x86_64`
 //! intrinsic instantiations behind `is_x86_feature_detected!`, compiles
 //! with `#![deny(unsafe_op_in_unsafe_fn)]`, and bounds-checks every
-//! pointer access with debug asserts. Everything else in the crate stays
-//! `#![deny(unsafe_code)]`-clean.
+//! pointer access with asserts. The other is the lifetime-erasing
+//! `transmute` in `nettag-par`'s `pool.rs`. Everything else in the crate
+//! stays `#![deny(unsafe_code)]`-clean.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -72,9 +71,6 @@ pub enum SimdTier {
     Scalar,
     /// AVX2 intrinsics, bitwise identical to [`SimdTier::Scalar`].
     Avx2,
-    /// AVX2+FMA with fused multiply-adds — different rounding, opt-in
-    /// only (`NETTAG_SIMD=fma`).
-    Fma,
 }
 
 impl SimdTier {
@@ -83,7 +79,6 @@ impl SimdTier {
         match self {
             SimdTier::Scalar => "scalar",
             SimdTier::Avx2 => "avx2",
-            SimdTier::Fma => "fma",
         }
     }
 }
@@ -415,23 +410,19 @@ static SCALAR: SimdKernels = SimdKernels {
 };
 
 /// The table for `tier`, or `None` when the host cannot run it. Scalar is
-/// always `Some`; AVX2/FMA require runtime CPU support (and an `x86_64`
+/// always `Some`; AVX2 requires runtime CPU support (and an `x86_64`
 /// build). Tests use this to pin every available tier.
 pub fn kernels_for(tier: SimdTier) -> Option<&'static SimdKernels> {
     match tier {
         SimdTier::Scalar => Some(&SCALAR),
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => x86::avx2_kernels(),
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Fma => x86::fma_kernels(),
         #[cfg(not(target_arch = "x86_64"))]
         _ => None,
     }
 }
 
 /// Best auto-dispatch tier: AVX2 when the host supports it, else scalar.
-/// FMA is never chosen automatically — it changes rounding, and the
-/// serving/training default must stay bitwise-reproducible.
 fn best_supported() -> &'static SimdKernels {
     kernels_for(SimdTier::Avx2).unwrap_or(&SCALAR)
 }
@@ -440,11 +431,11 @@ fn best_supported() -> &'static SimdKernels {
 fn resolve() -> &'static SimdKernels {
     match std::env::var("NETTAG_SIMD").ok().as_deref() {
         None | Some("") | Some("auto") => best_supported(),
-        Some(name @ ("scalar" | "avx2" | "fma")) => {
-            let tier = match name {
-                "scalar" => SimdTier::Scalar,
-                "avx2" => SimdTier::Avx2,
-                _ => SimdTier::Fma,
+        Some(name @ ("scalar" | "avx2")) => {
+            let tier = if name == "scalar" {
+                SimdTier::Scalar
+            } else {
+                SimdTier::Avx2
             };
             kernels_for(tier).unwrap_or_else(|| {
                 eprintln!("NETTAG_SIMD={name}: tier not supported on this host, using auto");
@@ -452,9 +443,7 @@ fn resolve() -> &'static SimdKernels {
             })
         }
         Some(other) => {
-            eprintln!(
-                "NETTAG_SIMD={other}: unknown tier (expected scalar|avx2|fma|auto), using auto"
-            );
+            eprintln!("NETTAG_SIMD={other}: unknown tier (expected scalar|avx2|auto), using auto");
             best_supported()
         }
     }
@@ -512,12 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_never_picks_fma() {
-        // Whatever the host supports, the resolved default must not fuse.
-        assert_ne!(best_supported().tier, SimdTier::Fma);
-    }
-
-    #[test]
     fn with_tier_overrides_and_restores() {
         let before = active_tier();
         let seen = with_tier(SimdTier::Scalar, active_tier).expect("scalar always available");
@@ -538,7 +521,7 @@ mod tests {
 
     #[test]
     fn tier_names_round_trip() {
-        for t in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Fma] {
+        for t in [SimdTier::Scalar, SimdTier::Avx2] {
             assert!(!t.name().is_empty());
         }
     }

@@ -11,27 +11,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Every dispatch tier that must be **bitwise** identical to the scalar
-/// references on this host (the FMA tier is opt-in and tolerance-tested
-/// separately in `simd_fma.rs`). On hosts without AVX2 this is just the
-/// scalar tier — the tests still pin the forced-scalar path.
+/// Every dispatch tier available on this host; each must be **bitwise**
+/// identical to the scalar references. On hosts without AVX2 this is just
+/// the scalar tier — the tests still pin the forced-scalar path.
 fn bitwise_tiers() -> Vec<SimdTier> {
     [SimdTier::Scalar, SimdTier::Avx2]
         .into_iter()
         .filter(|&t| simd::kernels_for(t).is_some())
         .collect()
-}
-
-/// True when the process was launched with `NETTAG_SIMD=fma`: the fused
-/// tier intentionally breaks the bitwise pins below (one rounding per
-/// mul-add instead of two), so those tests skip and defer to the
-/// tolerance bounds in `simd_fma.rs`.
-fn ambient_tier_fuses() -> bool {
-    let fuses = simd::active_tier() == SimdTier::Fma;
-    if fuses {
-        eprintln!("NETTAG_SIMD=fma — skipping bitwise pin (covered by simd_fma.rs)");
-    }
-    fuses
 }
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -124,9 +111,6 @@ proptest! {
         a in arb_tensor(13, 21),
         b in arb_tensor(21, 17),
     ) {
-        if ambient_tier_fuses() {
-            return Ok(());
-        }
         prop_assert_eq!(a.matmul(&b).data, a.matmul_ref(&b).data);
     }
 
@@ -139,9 +123,6 @@ proptest! {
         bt in arb_tensor(MAX_WIDTH, MAX_INNER),
         at in arb_tensor(11, MAX_WIDTH),
     ) {
-        if ambient_tier_fuses() {
-            return Ok(());
-        }
         for n in WIDTHS {
             for inner in INNERS {
                 let (a, bt) = (block(&a, 11, inner), block(&bt, n, inner));
@@ -173,7 +154,6 @@ proptest! {
         at in arb_tensor(6, MAX_WIDTH),
         seed in arb_tensor(MAX_INNER, MAX_WIDTH),
     ) {
-        let fuses = ambient_tier_fuses();
         let close = |got: &Tensor, want: &Tensor| {
             got.data.iter().zip(&want.data).all(|(u, v)| (u - v).abs() <= 1e-5 * (1.0 + v.abs()))
         };
@@ -192,14 +172,11 @@ proptest! {
                 let mut acc = seed_mn.clone();
                 a.matmul_bt_into(&bt, &mut acc, true);
                 let composed = seed_mn.zip(&reference, |x, y| x + y);
-                prop_assert!(close(&acc, &composed), "matmul_bt n {} inner {}", n, inner);
                 let mut over = seed_mn.clone();
                 a.matmul_bt_into(&bt, &mut over, false);
-                if !fuses {
-                    let what = format!("matmul_bt n {n} inner {inner}");
-                    prop_assert_eq!(bits(&acc), bits(&composed), "{} +=", what);
-                    prop_assert_eq!(bits(&over), bits(&reference), "{} =", what);
-                }
+                let what = format!("matmul_bt n {n} inner {inner}");
+                prop_assert_eq!(bits(&acc), bits(&composed), "{} +=", what);
+                prop_assert_eq!(bits(&over), bits(&reference), "{} =", what);
 
                 let at = block(&at, 6, n);
                 let seed_in = with_signed_zeros(&block(&seed, inner, n));
@@ -210,9 +187,7 @@ proptest! {
                 prop_assert!(close(&acc, &composed), "matmul_at n {} m {}", n, inner);
                 let mut over = seed_in.clone();
                 a.matmul_at_into(&at, &mut over, false);
-                if !fuses {
-                    prop_assert_eq!(bits(&over), bits(&reference), "matmul_at n {} m {}", n, inner);
-                }
+                prop_assert_eq!(bits(&over), bits(&reference), "matmul_at n {} m {}", n, inner);
             }
         }
     }
@@ -286,9 +261,6 @@ fn fixed_seed_tagformer_step_gradients_unchanged() {
 /// pinned to the serial one.
 #[test]
 fn layer_norm_above_parallel_gate_is_bitwise_across_tiers_and_threads() {
-    if ambient_tier_fuses() {
-        return;
-    }
     let mut rng = StdRng::seed_from_u64(31);
     let x = Tensor::xavier(1100, 64, &mut rng);
     let gain = Param::new(Tensor::xavier(1, 64, &mut rng).map(|v| 1.0 + v));
@@ -329,9 +301,6 @@ fn layer_norm_above_parallel_gate_is_bitwise_across_tiers_and_threads() {
 /// serial ones.
 #[test]
 fn linear_attention_is_bitwise_across_tiers_and_threads() {
-    if ambient_tier_fuses() {
-        return;
-    }
     let mut rng = StdRng::seed_from_u64(47);
     let [q, k, v, target] = [0; 4].map(|_| Tensor::xavier(1100, 16, &mut rng));
     let step = || {
@@ -374,9 +343,6 @@ fn linear_attention_is_bitwise_across_tiers_and_threads() {
 /// actual parallel row-partitioned code path, not the inline fallback.
 #[test]
 fn kernels_match_references_at_resolved_thread_count() {
-    if ambient_tier_fuses() {
-        return;
-    }
     let mut rng = StdRng::seed_from_u64(5150);
     // Inner 162 leaves a `dot` k-tail; width 168 ends in an 8-wide panel.
     let a = Tensor::xavier(160, 162, &mut rng);
@@ -541,28 +507,19 @@ proptest! {
 
 /// The resolved tier honors the `NETTAG_SIMD` override this process was
 /// launched with (the CI matrix runs `scalar` and `auto`): forcing
-/// `scalar` must pin the scalar table, and auto-dispatch must never pick
-/// FMA even when the host supports it.
+/// `scalar` must pin the scalar table; `avx2`, `auto`, unset and unknown
+/// names (`fma` included) all resolve to auto-dispatch, which is AVX2
+/// when the host has it.
 #[test]
 fn active_tier_matches_env() {
-    let tier = simd::active_tier();
-    match std::env::var("NETTAG_SIMD").ok().as_deref() {
-        Some("scalar") => assert_eq!(tier, SimdTier::Scalar),
-        Some("avx2") if simd::kernels_for(SimdTier::Avx2).is_some() => {
-            assert_eq!(tier, SimdTier::Avx2);
-        }
-        Some("fma") if simd::kernels_for(SimdTier::Fma).is_some() => {
-            assert_eq!(tier, SimdTier::Fma);
-        }
-        None | Some("") | Some("auto") => {
-            assert_ne!(tier, SimdTier::Fma, "auto-dispatch must never fuse");
-            if simd::kernels_for(SimdTier::Avx2).is_some() {
-                assert_eq!(tier, SimdTier::Avx2);
-            } else {
-                assert_eq!(tier, SimdTier::Scalar);
-            }
-        }
-        // Unsupported or unknown names fall back to auto.
-        _ => assert_ne!(tier, SimdTier::Fma),
-    }
+    let auto = if simd::kernels_for(SimdTier::Avx2).is_some() {
+        SimdTier::Avx2
+    } else {
+        SimdTier::Scalar
+    };
+    let want = match std::env::var("NETTAG_SIMD").ok().as_deref() {
+        Some("scalar") => SimdTier::Scalar,
+        _ => auto,
+    };
+    assert_eq!(simd::active_tier(), want);
 }

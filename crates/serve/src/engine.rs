@@ -295,15 +295,12 @@ impl Engine {
         } else {
             cfg.lanes
         };
-        // Builder plan wins; an empty one defers to `NETTAG_FAULTS`.
-        // Engines with an empty effective plan carry no fault state at
-        // all — the injection sites reduce to one `is_some` branch.
-        let plan = if cfg.faults.enabled() {
-            cfg.faults
-        } else {
-            crate::faults::Faults::from_env()
-        };
-        let faults = plan.enabled().then(|| Arc::new(FaultState::new(plan)));
+        // Engines with an empty plan carry no fault state at all — the
+        // injection sites reduce to one `is_some` branch.
+        let faults = cfg
+            .faults
+            .enabled()
+            .then(|| Arc::new(FaultState::new(cfg.faults)));
         let shared = Arc::new(Shared {
             state: RwLock::new(ModelState {
                 model,

@@ -6,9 +6,8 @@
 //! boundaries, added batch latency, corrupted response frames, and
 //! connections severed mid-reply — on a seeded, reproducible schedule.
 //!
-//! The plan is a plain [`Faults`] value (builder-configured through
-//! [`ServeConfig::faults`](crate::ServeConfig), or environment-configured
-//! through [`Faults::from_env`] / `NETTAG_FAULTS`). Each fault kind has a
+//! The plan is a plain [`Faults`] value, set only through
+//! [`ServeConfig::faults`](crate::ServeConfig). Each fault kind has a
 //! [`FaultRule`]: a firing probability and an optional firing budget.
 //! Probabilities draw from a seeded xorshift generator, so a given
 //! `(seed, request schedule)` replays the same faults; `rate = 1.0` plus
@@ -18,20 +17,6 @@
 //! **Zero-cost when off**: an engine built with an empty plan carries
 //! `None` runtime state, and every injection site is a single
 //! `Option::is_some` check on a field that never changes.
-//!
-//! `NETTAG_FAULTS` grammar (comma-separated, e.g.
-//! `panic=1:2,delay=0.5,delay_ms=20,seed=7`):
-//!
-//! | key         | meaning                                             |
-//! |-------------|-----------------------------------------------------|
-//! | `panic`     | rule for lane panics at the batch boundary          |
-//! | `delay`     | rule for added latency before a batch executes      |
-//! | `delay_ms`  | how much latency a fired delay adds (milliseconds)  |
-//! | `corrupt`   | rule for corrupting one outgoing response frame     |
-//! | `sever`     | rule for severing a connection mid-reply            |
-//! | `seed`      | RNG seed for sub-unit rates                         |
-//!
-//! where a rule is `rate` or `rate:limit` (`limit = 0` = unbounded).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -135,52 +120,6 @@ impl Faults {
     pub fn with_seed(mut self, seed: u64) -> Faults {
         self.seed = seed;
         self
-    }
-
-    /// Parses the `NETTAG_FAULTS` environment variable (empty plan when
-    /// unset or unparsable — a typo'd plan must not take a server down).
-    pub fn from_env() -> Faults {
-        match std::env::var("NETTAG_FAULTS") {
-            Ok(spec) => Faults::parse(&spec).unwrap_or_default(),
-            Err(_) => Faults::default(),
-        }
-    }
-
-    /// Parses a fault-plan spec (the `NETTAG_FAULTS` grammar).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed clause.
-    pub fn parse(spec: &str) -> Result<Faults, String> {
-        fn rule(v: &str) -> Result<FaultRule, String> {
-            let (rate, limit) = match v.split_once(':') {
-                Some((r, l)) => (r, l.parse::<u32>().map_err(|e| format!("limit: {e}"))?),
-                None => (v, 0),
-            };
-            let rate: f32 = rate.parse().map_err(|e| format!("rate: {e}"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("rate {rate} outside [0, 1]"));
-            }
-            Ok(FaultRule { rate, limit })
-        }
-        let mut f = Faults::default();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("clause `{clause}` is not key=value"))?;
-            match key.trim() {
-                "panic" => f.panic = rule(value)?,
-                "delay" => f.delay = rule(value)?,
-                "delay_ms" => {
-                    f.delay_ms = value.parse().map_err(|e| format!("delay_ms: {e}"))?;
-                }
-                "corrupt" => f.corrupt = rule(value)?,
-                "sever" => f.sever = rule(value)?,
-                "seed" => f.seed = value.parse().map_err(|e| format!("seed: {e}"))?,
-                other => return Err(format!("unknown fault key `{other}`")),
-            }
-        }
-        Ok(f)
     }
 
     fn rule(&self, kind: FaultKind) -> FaultRule {
@@ -314,39 +253,5 @@ mod tests {
         let other = FaultState::new(plan.with_seed(43));
         let b: Vec<_> = (0..64).map(|_| other.fire(FaultKind::Delay)).collect();
         assert_ne!(a, b, "different seed, different schedule");
-    }
-
-    #[test]
-    fn parse_round_trips_the_readme_grammar() {
-        let f = Faults::parse("panic=1:2, delay=0.5, delay_ms=20, sever=1.0:1, seed=7")
-            .expect("valid spec");
-        assert_eq!(
-            f.panic,
-            FaultRule {
-                rate: 1.0,
-                limit: 2
-            }
-        );
-        assert_eq!(
-            f.delay,
-            FaultRule {
-                rate: 0.5,
-                limit: 0
-            }
-        );
-        assert_eq!(f.delay_ms, 20);
-        assert_eq!(
-            f.sever,
-            FaultRule {
-                rate: 1.0,
-                limit: 1
-            }
-        );
-        assert_eq!(f.seed, 7);
-        assert!(f.enabled());
-        assert!(Faults::parse("panic=2.0").is_err(), "rate outside [0,1]");
-        assert!(Faults::parse("frobnicate=1").is_err(), "unknown key");
-        assert!(Faults::parse("panic").is_err(), "not key=value");
-        assert_eq!(Faults::parse("").expect("empty spec"), Faults::none());
     }
 }

@@ -142,9 +142,8 @@ pub struct ServeConfig {
     /// Override per client with [`Client::with_timeout`].
     pub request_timeout: Option<Duration>,
     /// Fault-injection plan (see [`faults`]). The default empty plan is
-    /// zero-cost; a non-empty plan (or the `NETTAG_FAULTS` environment
-    /// variable, which applies when this field is empty) arms the
-    /// deterministic injection harness.
+    /// zero-cost; a non-empty plan arms the deterministic injection
+    /// harness.
     pub faults: Faults,
 }
 

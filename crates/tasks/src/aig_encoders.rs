@@ -18,7 +18,7 @@
 use crate::gnn::{GnnConfig, GnnEncoder};
 use nettag_netlist::{aig_to_netlist, netlist_to_aig_tracked, Aig, CellKind, GateId, Netlist};
 use nettag_nn::{
-    data_parallel, info_nce, Adam, GradStore, Graph, Layer, Linear, Mlp, NodeId, SampleTape,
+    data_parallel, info_nce, Adam, GradStore, Graph, Layer, Linear, NodeId, SampleTape,
     SparseMatrix, Tensor,
 };
 use nettag_synth::{BlockLabel, Design};
@@ -270,11 +270,6 @@ pub fn classify_with_frozen_encoder(
     }
     (head.predict(&test_x), truth)
 }
-
-/// Uses a Mlp as a head over sim-prob features? (kept private; the public
-/// path is `classify_with_frozen_encoder`.)
-#[allow(dead_code)]
-fn _unused(_: &Mlp) {}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! contribution is read directly off the report.
 
 use crate::metrics::{regression_metrics, Regression};
-use nettag_core::{FinetuneConfig, NetTag, RegressorHead, RegressorKind};
+use nettag_core::{NetTag, RegressorHead};
 use nettag_geom::{geometry_features, train_fusion, FusionModel, FusionSample, FusionTrainConfig};
 use nettag_netlist::{cone_to_netlist, register_cone, synthesis_phys_estimates, Library, Tag};
 use nettag_nn::Tensor;
@@ -110,11 +110,10 @@ fn scenario(
     test_x_fused: &[Vec<f32>],
     test_x_plain: &[Vec<f32>],
     test_y: &[f32],
-    finetune: &FinetuneConfig,
 ) -> GeomScenario {
     let truth: Vec<f64> = test_y.iter().map(|&v| v as f64).collect();
     let eval = |train_x: &[Vec<f32>], test_x: &[Vec<f32>]| {
-        let head = RegressorHead::train(train_x, train_y, RegressorKind::Gbdt, finetune);
+        let head = RegressorHead::train(train_x, train_y);
         let pred: Vec<f64> = head.predict(test_x).iter().map(|&v| v as f64).collect();
         regression_metrics(&pred, &truth)
     };
@@ -139,7 +138,6 @@ pub fn run_geom_tasks(
     fusion: &mut FusionModel,
     designs: &[(String, Design)],
     lib: &Library,
-    finetune: &FinetuneConfig,
     train_cfg: &FusionTrainConfig,
 ) -> GeomTaskReport {
     assert!(designs.len() >= 2, "need a train/test design split");
@@ -198,7 +196,6 @@ pub fn run_geom_tasks(
             &test_fused,
             &test_plain,
             &wl_test,
-            finetune,
         ),
         congestion: scenario(
             &train_fused,
@@ -207,7 +204,6 @@ pub fn run_geom_tasks(
             &test_fused,
             &test_plain,
             &cg_test,
-            finetune,
         ),
         slack: scenario(
             &train_fused,
@@ -216,7 +212,6 @@ pub fn run_geom_tasks(
             &test_fused,
             &test_plain,
             &sl_test,
-            finetune,
         ),
         train_cones: train_fused.len(),
         test_cones: test_fused.len(),
@@ -245,10 +240,6 @@ mod tests {
             &mut fusion,
             &designs,
             &lib,
-            &FinetuneConfig {
-                epochs: 20,
-                ..FinetuneConfig::default()
-            },
             &FusionTrainConfig {
                 steps: 5,
                 batch: 4,

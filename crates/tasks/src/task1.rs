@@ -64,14 +64,6 @@ pub fn nettag_gate_samples(model: &NetTag, design: &Design, lib: &Library) -> De
     })
 }
 
-/// Extracts ExprLLM-only features (gate text embedding, no graph) — the
-/// "ExprLLM only" ablation bar of Fig. 5.
-pub fn exprllm_gate_samples(model: &NetTag, design: &Design, lib: &Library) -> DesignSamples {
-    let tag = Tag::from_netlist(&design.netlist, lib, &model.tag_options());
-    let feats = model.node_features(&tag);
-    collect_labeled(design, |i| feats.row_slice(i).to_vec())
-}
-
 fn collect_labeled(design: &Design, feature_of: impl Fn(usize) -> Vec<f32>) -> DesignSamples {
     let mut features = Vec::new();
     let mut labels = Vec::new();

@@ -9,7 +9,7 @@
 use crate::gnn::{GnnConfig, GnnGraph, GnnGraphModel};
 use crate::metrics::{regression_metrics, Regression};
 use crate::task2::cone_graph;
-use nettag_core::{FinetuneConfig, NetTag, RegressorHead, RegressorKind};
+use nettag_core::{NetTag, RegressorHead};
 use nettag_netlist::{cone_to_netlist, register_cone, Library, Tag};
 use nettag_physical::{run_flow, FlowConfig};
 use nettag_synth::Design;
@@ -89,7 +89,6 @@ pub fn run_task3(
     model: &NetTag,
     designs: &[(String, Design)],
     lib: &Library,
-    finetune: &FinetuneConfig,
     gnn: &GnnConfig,
     flow: &FlowConfig,
 ) -> Task3Report {
@@ -121,7 +120,7 @@ pub fn run_task3(
                 train_targets.push(t);
             }
         }
-        let head = RegressorHead::train(&train_x, &train_y, RegressorKind::Gbdt, finetune);
+        let head = RegressorHead::train(&train_x, &train_y);
         let pred: Vec<f64> = head
             .predict(&samples[test].features)
             .into_iter()
@@ -193,15 +192,11 @@ mod tests {
                 generate_design(Family::Chipyard, 0, 3, &gen),
             ),
         ];
-        let ft = FinetuneConfig {
-            epochs: 20,
-            ..FinetuneConfig::default()
-        };
         let gnn = GnnConfig {
             epochs: 5,
             ..GnnConfig::default()
         };
-        let report = run_task3(&model, &designs, &lib, &ft, &gnn, &FlowConfig::default());
+        let report = run_task3(&model, &designs, &lib, &gnn, &FlowConfig::default());
         assert!(!report.rows.is_empty());
         for r in &report.rows {
             assert!(r.nettag.mape.is_finite());

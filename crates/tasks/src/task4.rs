@@ -9,7 +9,7 @@
 
 use crate::gnn::{structural_features, GnnConfig, GnnGraph, GnnGraphModel};
 use crate::metrics::{regression_metrics, Regression};
-use nettag_core::{FinetuneConfig, NetTag, RegressorHead, RegressorKind};
+use nettag_core::{NetTag, RegressorHead};
 use nettag_netlist::{synthesis_phys_estimates, Library};
 use nettag_physical::{run_flow, FlowConfig};
 use nettag_synth::Design;
@@ -127,7 +127,7 @@ pub struct Task4Report {
 }
 
 /// Runs Task 4 with a deterministic train/test split (2/3 train).
-pub fn run_task4(samples: &PpaSamples, finetune: &FinetuneConfig, gnn: &GnnConfig) -> Task4Report {
+pub fn run_task4(samples: &PpaSamples, gnn: &GnnConfig) -> Task4Report {
     let n = samples.labels.len();
     assert!(n >= 6, "need at least 6 designs for a meaningful split");
     let test_idx: Vec<usize> = (0..n).filter(|i| i % 3 == 2).collect();
@@ -153,7 +153,7 @@ pub fn run_task4(samples: &PpaSamples, finetune: &FinetuneConfig, gnn: &GnnConfi
             .iter()
             .map(|&i| samples.labels[i][t] as f32)
             .collect();
-        let head = RegressorHead::train(&train_x, &train_y, RegressorKind::Gbdt, finetune);
+        let head = RegressorHead::train(&train_x, &train_y);
         let test_x: Vec<Vec<f32>> = test_idx
             .iter()
             .map(|&i| samples.features[i].clone())

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example early_ppa`
 
-use nettag::core::{FinetuneConfig, NetTag, NetTagConfig, RegressorHead, RegressorKind};
+use nettag::core::{NetTag, NetTagConfig, RegressorHead};
 use nettag::netlist::Library;
 use nettag::physical::{run_flow, FlowConfig};
 use nettag::synth::{generate_design, Family, GenerateConfig};
@@ -42,12 +42,7 @@ fn main() {
         train_x.extend(s.features);
         train_y.extend(s.targets);
     }
-    let head = RegressorHead::train(
-        &train_x,
-        &train_y,
-        RegressorKind::Gbdt,
-        &FinetuneConfig::default(),
-    );
+    let head = RegressorHead::train(&train_x, &train_y);
 
     // A fresh design straight out of synthesis.
     let fresh = generate_design(Family::VexRiscv, 5, 11, &gen);

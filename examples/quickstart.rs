@@ -9,7 +9,7 @@
 //! Thread count follows `RAYON_NUM_THREADS` / `NETTAG_NUM_THREADS`, and
 //! the numeric core auto-dispatches to AVX2 lane kernels where the host
 //! supports them (bitwise identical to the portable scalar path; set
-//! `NETTAG_SIMD=scalar|avx2|fma` to force a tier — see PERF.md).
+//! `NETTAG_SIMD=scalar|avx2` to force a tier — see PERF.md).
 
 use nettag::core::data::{build_pretrain_data, DataConfig};
 use nettag::core::{pretrain, NetTag, NetTagConfig, PretrainConfig};

@@ -68,7 +68,6 @@ fn full_pipeline_runs_all_four_tasks() {
         &model,
         &suite.task23,
         &suite.lib,
-        &ft,
         &gnn,
         &FlowConfig::default(),
     );
@@ -76,7 +75,7 @@ fn full_pipeline_runs_all_four_tasks() {
     assert!(t3.avg_nettag.mape.is_finite());
 
     let samples = ppa_samples(&model, &suite.task4, &suite.lib);
-    let t4 = run_task4(&samples, &ft, &gnn);
+    let t4 = run_task4(&samples, &gnn);
     assert_eq!(t4.rows.len(), 4);
     for row in &t4.rows {
         assert!(row.nettag.mape.is_finite(), "{:?}", row.target);
