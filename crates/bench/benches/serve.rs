@@ -147,8 +147,9 @@ fn run_scenario(
     warm: bool,
     request_timeout: Option<Duration>,
 ) -> Scenario {
+    // A clone per engine: each scenario starts with an empty text cache.
     let engine = Engine::new(
-        Arc::clone(model),
+        Arc::new(NetTag::clone(model)),
         ServeConfig {
             request_timeout,
             ..ServeConfig::default()
@@ -191,7 +192,7 @@ fn run_socket_scenario(
     per_client: usize,
     warm: bool,
 ) -> Scenario {
-    let engine = Engine::new(Arc::clone(model), ServeConfig::default());
+    let engine = Engine::new(Arc::new(NetTag::clone(model)), ServeConfig::default());
     let server = NetServer::bind(engine.client(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
     let total = clients * per_client;
@@ -247,7 +248,7 @@ fn run_socket_scenario(
 /// a typed `Overloaded` while staying responsive.
 fn run_overload_scenario(model: &Arc<NetTag>, flood: usize) -> (usize, usize) {
     let engine = Engine::new(
-        Arc::clone(model),
+        Arc::new(NetTag::clone(model)),
         ServeConfig {
             lanes: 1,
             queue_depth: 2,

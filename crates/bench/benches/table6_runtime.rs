@@ -28,6 +28,8 @@ fn main() {
         ("VexRiscv", "207", "8", "5", "2", "15"),
     ];
     for (fi, family) in ALL_FAMILIES.into_iter().enumerate() {
+        // A clone per design: its ExprLLM stage starts with an empty cache.
+        let model = &model.clone();
         let design = generate_design(
             family,
             0,

@@ -39,9 +39,9 @@ mod tagformer;
 
 pub use config::NetTagConfig;
 pub use encoders::{rtl_vocab, tokenize_rtl, LayoutEncoder, RtlEncoder, RTL_KEYWORDS};
-pub use exprllm::ExprLlm;
+pub use exprllm::{ExprLlm, TextCache};
 pub use finetune::{ClassifierHead, FinetuneConfig, RegressorHead};
-pub use nettag::{NetTag, TagEmbedding, TextCache};
+pub use nettag::{NetTag, TagEmbedding};
 pub use persist::{
     fnv1a, load_checkpoint, load_checkpoint_shared, reload_checkpoint_shared, save_checkpoint,
     CheckpointError,

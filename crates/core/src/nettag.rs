@@ -4,90 +4,12 @@
 use crate::config::NetTagConfig;
 use crate::exprllm::ExprLlm;
 use crate::tagformer::TagFormer;
-use nettag_expr::token::{TokenId, Vocab};
+use nettag_expr::token::Vocab;
 use nettag_netlist::{
     chunk_into_cones, cone_to_netlist, Library, Netlist, PhysProps, Tag, TagOptions,
 };
 use nettag_nn::{Layer, Param, Tensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Row bound of a default [`TextCache`]. A `design_cold` stream of 2,400
-/// designs carries about 1.4k distinct gate texts, so the bound is rarely
-/// reached.
-const TEXT_CACHE_ROWS: usize = 1 << 14;
-
-/// ExprLLM rows keyed by token sequence, valid for one set of weights.
-///
-/// `ExprLLM(t)` is a pure function of the weights and the sequence `t`
-/// (paper eq. 1), so a row computed once can be reused for as long as the
-/// weights stay frozen. The serving engine keeps one cache per loaded model
-/// and drops it with the model on a hot swap; the offline entry points use
-/// a fresh cache per call. The map compares the full sequence on a hit, so
-/// distinct texts never alias. When an insert would pass the bound the
-/// cache is cleared first: the working set is far below it.
-#[derive(Debug)]
-pub struct TextCache {
-    rows: Mutex<HashMap<Vec<TokenId>, Arc<[f32]>>>,
-    capacity: usize,
-    encoded: AtomicU64,
-}
-
-impl Default for TextCache {
-    /// An empty cache holding at most 2^14 rows.
-    fn default() -> TextCache {
-        TextCache::with_capacity(TEXT_CACHE_ROWS)
-    }
-}
-
-impl TextCache {
-    /// An empty cache holding at most `capacity` rows.
-    pub fn with_capacity(capacity: usize) -> TextCache {
-        TextCache {
-            rows: Mutex::new(HashMap::new()),
-            capacity,
-            encoded: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of rows held.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Rows encoded into this cache over its lifetime (hits excluded).
-    pub fn encoded(&self) -> u64 {
-        self.encoded.load(Ordering::Relaxed)
-    }
-
-    /// Whether the cache holds no row.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The row map, recovered through poison: every write inserts whole
-    /// rows, so the map is valid after any panic.
-    fn lock(&self) -> MutexGuard<'_, HashMap<Vec<TokenId>, Arc<[f32]>>> {
-        self.rows.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Inserts freshly encoded rows under one lock, clearing the map first
-    /// when they would not fit.
-    fn insert(&self, seqs: Vec<Vec<TokenId>>, rows: &[Arc<[f32]>]) {
-        if seqs.is_empty() {
-            return;
-        }
-        self.encoded.fetch_add(seqs.len() as u64, Ordering::Relaxed);
-        let mut map = self.lock();
-        if map.len() + seqs.len() > self.capacity {
-            map.clear();
-        }
-        for (s, row) in seqs.into_iter().zip(rows).take(self.capacity) {
-            map.insert(s, Arc::clone(row));
-        }
-    }
-}
 
 /// The pre-trainable NetTAG model.
 #[derive(Debug, Clone)]
@@ -167,25 +89,20 @@ impl NetTag {
             .expect("one tag in, one out")
     }
 
-    /// [`Self::node_features`] for many TAGs at once, through a fresh
-    /// per-call [`TextCache`] (see [`Self::node_features_cached`]).
-    pub fn node_features_batch(&self, tags: &[&Tag]) -> Vec<Tensor> {
-        self.node_features_cached(tags, &TextCache::default())
-    }
-
-    /// The single place ExprLLM rows become TAGFormer inputs, shared by
-    /// the offline API, pre-training, the tasks and serving.
+    /// [`Self::node_features`] for many TAGs at once: the single place
+    /// ExprLLM rows become TAGFormer inputs, shared by the offline API,
+    /// pre-training, the tasks and serving.
     ///
     /// Every node of every TAG is tokenized (in parallel) and its text row
-    /// comes from [`Self::encode_texts`], so each distinct token sequence
-    /// not already in `cache` is encoded once. The row is scattered, times
-    /// `text_scale`, to every node that carries it, followed by the node's
-    /// physical vector. Token sequences are canonical (`Tag::node_tokens`
-    /// renames variables) and the encoding is a pure function of them, so
-    /// the result is bitwise independent of what else shares the batch and
-    /// of what the cache already held. With `text_scale == 0` nothing is
-    /// tokenized and the text half stays zero.
-    pub fn node_features_cached(&self, tags: &[&Tag], cache: &TextCache) -> Vec<Tensor> {
+    /// comes from [`ExprLlm::encode_texts`], so each distinct token
+    /// sequence not already in ExprLLM's text cache is encoded once. The
+    /// row is scattered, times `text_scale`, to every node that carries
+    /// it, followed by the node's physical vector. Token sequences are
+    /// canonical (`Tag::node_tokens` renames variables) and the encoding is
+    /// a pure function of them, so the result is bitwise independent of
+    /// what else shares the batch and of what the cache already held. With
+    /// `text_scale == 0` nothing is tokenized and the text half stays zero.
+    pub fn node_features_batch(&self, tags: &[&Tag]) -> Vec<Tensor> {
         let dim = self.config.embed_dim;
         // `text[k]`: the ExprLLM row of the k-th node over all TAGs.
         let text = if self.text_scale != 0.0 {
@@ -197,7 +114,7 @@ impl NetTag {
             let seqs = nettag_par::map_slice(&nodes, |&(t, i)| {
                 t.node_tokens(&vocab, i, self.config.max_tokens, false)
             });
-            self.encode_texts(&seqs, cache)
+            self.exprllm.encode_texts(&seqs)
         } else {
             Vec::new()
         };
@@ -218,67 +135,23 @@ impl NetTag {
             .collect()
     }
 
-    /// ExprLLM rows for token sequences, one per input, each bitwise equal
-    /// to [`ExprLlm::encode`] of its sequence. Rows `cache` holds are
-    /// reused; the distinct remaining sequences are encoded in one
-    /// [`ExprLlm::encode_batch`] outside the cache lock, then inserted.
-    pub fn encode_texts(&self, seqs: &[Vec<TokenId>], cache: &TextCache) -> Vec<Arc<[f32]>> {
-        // `found[k]`: the cached row of `seqs[k]`, or its index in `misses`.
-        let mut misses: HashMap<&[TokenId], usize> = HashMap::new();
-        let found: Vec<Result<Arc<[f32]>, usize>> = {
-            let rows = cache.lock();
-            seqs.iter()
-                .map(|s| match rows.get(s.as_slice()) {
-                    Some(row) => Ok(Arc::clone(row)),
-                    None => {
-                        let next = misses.len();
-                        Err(*misses.entry(s.as_slice()).or_insert(next))
-                    }
-                })
-                .collect()
-        };
-        let mut missing = vec![Vec::new(); misses.len()];
-        for (s, k) in misses {
-            missing[k] = s.to_vec();
-        }
-        let encoded = self.exprllm.encode_batch(&missing);
-        let fresh: Vec<Arc<[f32]>> = (0..missing.len())
-            .map(|k| Arc::from(encoded.row_slice(k)))
-            .collect();
-        cache.insert(missing, &fresh);
-        found
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|k| Arc::clone(&fresh[k])))
-            .collect()
-    }
-
     /// Embeds a TAG (inference): per-gate + graph embeddings. A batch of
     /// one [`Self::embed_tags`].
     pub fn embed_tag(&self, tag: &Tag) -> TagEmbedding {
         self.embed_tags(&[tag]).pop().expect("one tag in, one out")
     }
 
-    /// Embeds many TAGs through a fresh per-call [`TextCache`] (see
-    /// [`Self::embed_tags_cached`]).
-    pub fn embed_tags(&self, tags: &[&Tag]) -> Vec<TagEmbedding> {
-        self.embed_tags_cached(tags, &TextCache::default())
-    }
-
-    /// Embeds many TAGs: one [`Self::node_features_cached`] over all of
+    /// Embeds many TAGs: one [`Self::node_features_batch`] over all of
     /// them, then one TAGFormer pass per TAG.
-    pub fn embed_tags_cached(&self, tags: &[&Tag], cache: &TextCache) -> Vec<TagEmbedding> {
-        let features = self.node_features_cached(tags, cache);
+    pub fn embed_tags(&self, tags: &[&Tag]) -> Vec<TagEmbedding> {
+        let features = self.node_features_batch(tags);
         tags.iter()
             .zip(&features)
-            .map(|(tag, f)| self.embed_tag_with_features(tag, f))
+            .map(|(tag, f)| {
+                let (nodes, cls) = self.tagformer.encode(f, &tag.edges);
+                TagEmbedding { nodes, cls }
+            })
             .collect()
-    }
-
-    /// Embeds a TAG from pre-computed node features (saves recomputing the
-    /// frozen ExprLLM pass when the caller also needs the raw features).
-    pub fn embed_tag_with_features(&self, tag: &Tag, features: &Tensor) -> TagEmbedding {
-        let (nodes, cls) = self.tagformer.encode(features, &tag.edges);
-        TagEmbedding { nodes, cls }
     }
 
     /// Embeds a full netlist at circuit granularity. Sequential circuits

@@ -1,8 +1,9 @@
-//! A `TextCache` carries ExprLLM rows across planner calls. Whatever it
-//! holds, and however often it is cleared at its bound, the features and
-//! embeddings stay bitwise equal to the per-call pipeline.
+//! ExprLLM owns the cache of its gate-text rows. Whatever the cache holds,
+//! features and embeddings stay bitwise equal to a cold model's; a weight
+//! update empties it, and a clone starts empty.
 
-use nettag_core::{NetTag, NetTagConfig, TextCache};
+use nettag_core::data::{build_pretrain_data, DataConfig};
+use nettag_core::{pretrain_exprllm, NetTag, NetTagConfig, PretrainConfig};
 use nettag_expr::token::TokenId;
 use nettag_netlist::{chunk_into_cones, cone_to_netlist, Library, Tag};
 use nettag_nn::Tensor;
@@ -45,19 +46,20 @@ fn distinct_texts(model: &NetTag, tags: &[Tag]) -> HashSet<Vec<TokenId>> {
 }
 
 #[test]
-fn a_shared_cache_encodes_each_text_once_and_changes_no_bits() {
+fn repeat_calls_encode_only_unseen_texts_and_change_no_bits() {
     let model = NetTag::new(NetTagConfig::tiny());
+    let cache = model.exprllm.text_cache();
     let groups = tag_groups(&model);
-    let cache = TextCache::default();
     let mut seen: HashSet<Vec<TokenId>> = HashSet::new();
     for group in &groups {
         let refs: Vec<&Tag> = group.iter().collect();
         let before = cache.encoded();
-        let cached = model.embed_tags_cached(&refs, &cache);
-        let fresh = model.embed_tags(&refs);
-        for (c, f) in cached.iter().zip(&fresh) {
-            assert_eq!(bits(&c.cls), bits(&f.cls));
-            assert_eq!(bits(&c.nodes), bits(&f.nodes));
+        let warm = model.embed_tags(&refs);
+        // A clone starts with an empty cache: the cold path.
+        let cold = model.clone().embed_tags(&refs);
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(bits(&w.cls), bits(&c.cls));
+            assert_eq!(bits(&w.nodes), bits(&c.nodes));
         }
         let texts = distinct_texts(&model, group);
         let new = texts.iter().filter(|t| !seen.contains(*t)).count();
@@ -73,41 +75,12 @@ fn a_shared_cache_encodes_each_text_once_and_changes_no_bits() {
     let before = cache.encoded();
     for group in &groups {
         let refs: Vec<&Tag> = group.iter().collect();
-        let cached = model.node_features_cached(&refs, &cache);
-        for (c, f) in cached.iter().zip(model.node_features_batch(&refs)) {
-            assert_eq!(bits(c), bits(&f));
+        let warm = model.node_features_batch(&refs);
+        for (w, c) in warm.iter().zip(model.clone().node_features_batch(&refs)) {
+            assert_eq!(bits(w), bits(&c));
         }
     }
     assert_eq!(cache.encoded(), before);
-}
-
-#[test]
-fn filling_past_capacity_stays_bounded_and_changes_no_bits() {
-    let model = NetTag::new(NetTagConfig::tiny());
-    let groups = tag_groups(&model);
-    let all: Vec<Tag> = groups.concat();
-    let cap = 8;
-    assert!(
-        distinct_texts(&model, &all).len() > 4 * cap,
-        "the fixture must overflow the cache several times"
-    );
-    let cache = TextCache::with_capacity(cap);
-    // Twice over, so later calls meet rows that survived a clear.
-    for group in groups.iter().chain(&groups) {
-        let refs: Vec<&Tag> = group.iter().collect();
-        let cached = model.node_features_cached(&refs, &cache);
-        assert!(cache.len() <= cap, "{} rows > {cap}", cache.len());
-        for (c, f) in cached.iter().zip(model.node_features_batch(&refs)) {
-            assert_eq!(bits(c), bits(&f));
-        }
-    }
-    // One call with more distinct texts than the whole cache holds.
-    let refs: Vec<&Tag> = all.iter().collect();
-    let cached = model.embed_tags_cached(&refs, &cache);
-    assert!(cache.len() <= cap);
-    for (c, f) in cached.iter().zip(model.embed_tags(&refs)) {
-        assert_eq!(bits(&c.cls), bits(&f.cls));
-    }
 }
 
 #[test]
@@ -117,16 +90,15 @@ fn encode_texts_rows_equal_exprllm_encode() {
     let texts: Vec<Vec<TokenId>> = distinct_texts(&model, &groups[0]).into_iter().collect();
     // Every text twice: the second copy is answered within the call.
     let seqs: Vec<Vec<TokenId>> = texts.iter().chain(&texts).cloned().collect();
-    let cache = TextCache::default();
-    let rows = model.encode_texts(&seqs, &cache);
-    assert_eq!(cache.encoded(), texts.len() as u64);
+    let rows = model.exprllm.encode_texts(&seqs);
+    assert_eq!(model.exprllm.text_cache().encoded(), texts.len() as u64);
     for (seq, row) in seqs.iter().zip(&rows) {
         assert_eq!(
             bits(&Tensor::row(row.to_vec())),
             bits(&model.exprllm.encode(seq))
         );
     }
-    assert!(model.encode_texts(&[], &cache).is_empty());
+    assert!(model.exprllm.encode_texts(&[]).is_empty());
 }
 
 #[test]
@@ -135,8 +107,65 @@ fn structure_only_features_touch_no_cache() {
     model.text_scale = 0.0;
     let groups = tag_groups(&model);
     let refs: Vec<&Tag> = groups[0].iter().collect();
-    let cache = TextCache::default();
-    model.node_features_cached(&refs, &cache);
-    assert!(cache.is_empty());
-    assert_eq!(cache.encoded(), 0);
+    model.node_features_batch(&refs);
+    assert!(model.exprllm.text_cache().is_empty());
+    assert_eq!(model.exprllm.text_cache().encoded(), 0);
+}
+
+#[test]
+fn a_weight_update_drops_every_row_of_the_old_weights() {
+    let mut model = NetTag::new(NetTagConfig::tiny());
+    let groups = tag_groups(&model);
+    let refs: Vec<&Tag> = groups[0].iter().collect();
+    let before = model.embed_tags(&refs);
+    assert!(!model.exprllm.text_cache().is_empty());
+
+    let lib = Library::default();
+    let designs = vec![generate_design(
+        ALL_FAMILIES[0],
+        0,
+        5,
+        &GenerateConfig::default(),
+    )];
+    let data = build_pretrain_data(&designs, &lib, &DataConfig::default());
+    let step = PretrainConfig {
+        step1_steps: 1,
+        ..PretrainConfig::default()
+    };
+    assert_eq!(pretrain_exprllm(&mut model, &data, &step).len(), 1);
+    assert!(
+        model.exprllm.text_cache().is_empty(),
+        "the optimizer step went through params_mut, which clears"
+    );
+
+    let after = model.embed_tags(&refs);
+    let cold = model.clone().embed_tags(&refs);
+    for ((a, c), b) in after.iter().zip(&cold).zip(&before) {
+        assert_eq!(bits(&a.cls), bits(&c.cls));
+        assert_eq!(bits(&a.nodes), bits(&c.nodes));
+        assert_ne!(
+            bits(&a.nodes),
+            bits(&b.nodes),
+            "a stale row would have reproduced the pre-step embedding"
+        );
+    }
+}
+
+#[test]
+fn a_clone_starts_with_an_empty_cache() {
+    let model = NetTag::new(NetTagConfig::tiny());
+    let groups = tag_groups(&model);
+    let refs: Vec<&Tag> = groups[0].iter().collect();
+    model.node_features_batch(&refs);
+    let held = model.exprllm.text_cache().len();
+    assert!(held > 0);
+
+    let copy = model.clone();
+    assert!(copy.exprllm.text_cache().is_empty());
+    assert_eq!(copy.exprllm.text_cache().encoded(), 0);
+    assert_eq!(
+        model.exprllm.text_cache().len(),
+        held,
+        "the original keeps its rows"
+    );
 }

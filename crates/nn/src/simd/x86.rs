@@ -8,8 +8,8 @@
 //!   `is_x86_feature_detected!` confirms AVX2, so the `#[target_feature]`
 //!   implementations can never run on a host that lacks the instructions.
 //! * Every pointer-width memory access goes through the `load`/`store`
-//!   helpers, which carry debug bounds asserts; release callers only pass
-//!   offsets their loop bounds keep in range.
+//!   helpers (debug bounds asserts). The table is public, so each kernel
+//!   asserts each operand length in release too: no access leaves a slice.
 //! * `#![deny(unsafe_op_in_unsafe_fn)]` keeps each unsafe operation
 //!   inside an explicit block with its own SAFETY justification.
 //!
@@ -348,11 +348,14 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     fn spmm_tile_impl(cols: &[u32], ws: &[f32], x: &[f32], stride: usize, out: &mut [f32]) {
-        debug_assert!(SPMM_CT <= out.len(), "spmm_tile out slice too short");
+        // Checked in release too; a wrapped `base` passes only inside `x`.
+        assert!(SPMM_CT <= out.len(), "spmm_tile out slice too short");
+        let last = x.len().checked_sub(SPMM_CT);
         let mut a0 = load(out, 0);
         let mut a1 = load(out, LANES);
         for (&c, &wt) in cols.iter().zip(ws.iter()) {
             let base = c as usize * stride;
+            assert!(last.is_some_and(|l| base <= l), "spmm_tile x too short");
             let wv = splat(wt);
             a0 = madd(wv, load(x, base), a0);
             a1 = madd(wv, load(x, base + LANES), a1);
@@ -385,7 +388,7 @@ mod avx2 {
         istd: f32,
     ) {
         let n = out.len();
-        debug_assert!(
+        assert!(
             xhat.len() >= n && x.len() >= n && gain.len() >= n && bias.len() >= n,
             "ln_fwd_row operand too short"
         );
@@ -415,7 +418,7 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     fn ln_bwd_row_impl(dx: &mut [f32], g: &[f32], gain: &[f32], xhat: &[f32], st: &LnBwdStats) {
         let n = dx.len();
-        debug_assert!(
+        assert!(
             g.len() >= n && gain.len() >= n && xhat.len() >= n,
             "ln_bwd_row operand too short"
         );
@@ -455,7 +458,7 @@ mod avx2 {
         h: &AdamParams,
     ) {
         let n = value.len();
-        debug_assert!(
+        assert!(
             m.len() >= n && v.len() >= n && g.len() >= n,
             "adam_update operand too short"
         );

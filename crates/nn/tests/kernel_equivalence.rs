@@ -523,3 +523,102 @@ fn active_tier_matches_env() {
     };
     assert_eq!(simd::active_tier(), want);
 }
+
+/// The kernel table is public and safe to call, so an operand shorter than
+/// a kernel's contract must panic in every tier — in release builds too,
+/// where the wide tiers' unchecked vector loads and stores would otherwise
+/// read or write past the slice. The wide tiers check before they touch
+/// anything, so a rejected call also leaves every buffer as it was (the
+/// scalar loops index as they go and may panic midway).
+#[test]
+fn short_operands_panic_in_every_tier() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const N: usize = 2 * simd::LANES;
+    let h = simd::AdamParams {
+        clip_scale: 1.0,
+        beta1: 0.9,
+        beta2: 0.999,
+        bc1: 0.1,
+        bc2: 0.001,
+        lr: 1e-3,
+        eps: 1e-8,
+        weight_decay: 0.0,
+    };
+    let st = simd::LnBwdStats {
+        istd: 1.0,
+        sum_gdy: 0.5,
+        sum_gdy_xhat: 0.25,
+        cols: N as f32,
+    };
+    type Call = Box<dyn Fn(&simd::SimdKernels, &mut [Vec<f32>])>;
+    // (case, operand lengths, call): each case makes one operand short.
+    let mut cases: Vec<(String, Vec<usize>, Call)> = vec![
+        (
+            "spmm_tile out".into(),
+            vec![2 * simd::SPMM_CT, simd::SPMM_CT - 1],
+            Box::new(|k, b| {
+                let [x, out] = b else { unreachable!() };
+                (k.spmm_tile)(&[0], &[1.0], x, simd::SPMM_CT, out);
+            }),
+        ),
+        (
+            "spmm_tile column past x".into(),
+            vec![2 * simd::SPMM_CT, simd::SPMM_CT],
+            Box::new(|k, b| {
+                let [x, out] = b else { unreachable!() };
+                (k.spmm_tile)(&[0, 2], &[1.0, 1.0], x, simd::SPMM_CT, out);
+            }),
+        ),
+    ];
+    let short = |len: usize, slot: usize| -> Vec<usize> {
+        (0..len)
+            .map(|i| if i == slot { N - 1 } else { N })
+            .collect()
+    };
+    for slot in 1..5 {
+        cases.push((
+            format!("ln_fwd_row operand {slot}"),
+            short(5, slot),
+            Box::new(|k, b| {
+                let [out, xhat, x, gain, bias] = b else {
+                    unreachable!()
+                };
+                (k.ln_fwd_row)(out, xhat, x, gain, bias, 0.1, 2.0);
+            }),
+        ));
+    }
+    for slot in 1..4 {
+        cases.push((
+            format!("ln_bwd_row operand {slot}"),
+            short(4, slot),
+            Box::new(move |k, b| {
+                let [dx, g, gain, xhat] = b else {
+                    unreachable!()
+                };
+                (k.ln_bwd_row)(dx, g, gain, xhat, &st);
+            }),
+        ));
+    }
+    for slot in 1..4 {
+        cases.push((
+            format!("adam_update operand {slot}"),
+            short(4, slot),
+            Box::new(move |k, b| {
+                let [value, m, v, g] = b else { unreachable!() };
+                (k.adam_update)(value, m, v, g, &h);
+            }),
+        ));
+    }
+    for tier in bitwise_tiers() {
+        let k = simd::kernels_for(tier).expect("listed tiers are available");
+        for (name, lens, call) in &cases {
+            let before: Vec<Vec<f32>> = lens.iter().map(|&n| vec![0.5; n]).collect();
+            let mut bufs = before.clone();
+            let caught = catch_unwind(AssertUnwindSafe(|| call(k, &mut bufs)));
+            assert!(caught.is_err(), "{name}: tier {tier:?} accepted it");
+            if tier != SimdTier::Scalar {
+                assert_eq!(bufs, before, "{name}: tier {tier:?} wrote first");
+            }
+        }
+    }
+}

@@ -15,16 +15,16 @@
 //! to `max_batch`) and answers it in three steps: plan (prune expired
 //! requests, answer cache hits, dedup identical structures), compute,
 //! reply. Every missing cone goes through the model's one embedding
-//! pipeline, [`NetTag::embed_tags_cached`], and standalone expression
-//! requests through the same [`NetTag::encode_texts`]. Both read gate-text
-//! rows from the model's [`TextCache`], which lives as long as the loaded
-//! weights: a gate text is encoded once per served model, in one ExprLLM
-//! pass over the batch's unseen texts, and every later batch reuses its
-//! row. Each cone then takes one no-grad TAGFormer pass; both passes fan
-//! out across the persistent `nettag-par` worker pool. Responses are bitwise
-//! independent of batch composition and lane assignment: a request
-//! answers with the same bits whether it ran alone, coalesced with
-//! strangers, or hit the cache (pinned by the `serve` integration
+//! pipeline, [`NetTag::embed_tags`], and standalone expression requests
+//! through the same [`nettag_core::ExprLlm::encode_texts`]. Both read
+//! gate-text rows from ExprLLM's own cache, which lives with the weights
+//! (engines sharing one [`load_checkpoint_shared`] model share it): a gate
+//! text is encoded once per served model, and every later batch reuses
+//! its row. Each cone then takes one no-grad TAGFormer pass; both passes
+//! fan out across the persistent `nettag-par` worker pool. Responses are
+//! bitwise independent of batch composition and lane assignment: a
+//! request answers with the same bits whether it ran alone, coalesced
+//! with strangers, or hit the cache (pinned by the `serve` integration
 //! tests).
 //!
 //! **Fault tolerance.** Batch execution runs inside `catch_unwind`: a
@@ -34,25 +34,26 @@
 //! strands the queue behind it. Every lock the serving path shares with
 //! a potentially panicking batch recovers the guard
 //! (`unwrap_or_else(|e| e.into_inner())`) instead of propagating the
-//! poison: the guarded states (weights pointer + generation, text rows,
-//! cache shards, counters) are valid after any partial batch. Requests
-//! carry an optional **deadline**: one still queued when it lapses is
-//! pruned from its batch without being encoded and resolves
+//! poison: the guarded states (weights pointer + generation, the model's
+//! text rows, cache shards, counters) are valid after any partial batch.
+//! Requests carry an optional **deadline**: one still queued when it
+//! lapses is pruned from its batch without being encoded and resolves
 //! [`ServeError::DeadlineExceeded`].
 //!
 //! The model itself can be **hot-swapped** ([`Engine::swap_checkpoint`] /
 //! [`Engine::swap_model`]): the swap atomically installs the new weights
-//! with an empty text cache and bumps the cone-cache generation, so
-//! embeddings and text rows computed under the old checkpoint are never
-//! served afterwards (stale cones are evicted lazily on touch). In-flight
-//! batches that already snapshotted the old model finish under it — their
-//! responses raced the swap either way.
+//! and bumps the cone-cache generation, so embeddings computed under the
+//! old checkpoint are never served afterwards (stale cones are evicted
+//! lazily on touch). Text rows need no step of their own: they travel
+//! with the `Arc<NetTag>` that computed them. In-flight batches that
+//! already snapshotted the old model finish under it — their responses
+//! raced the swap either way.
 
 use crate::cache::ConeCache;
 use crate::faults::{FaultKind, FaultState};
 use crate::{ServeConfig, ServeError};
 use nettag_core::{
-    fnv1a, load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag, TextCache,
+    fnv1a, load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag,
 };
 use nettag_expr::token::{tokenize_expr, TokenId, Vocab};
 use nettag_expr::{parse_expr, Expr};
@@ -66,7 +67,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -200,14 +201,12 @@ struct Request {
     reply: ReplyTo,
 }
 
-/// The swappable part of the engine: the frozen weights, the gate-text
-/// rows computed under them, and the cone-cache generation they define.
-/// Written only by [`Engine::swap_model`]; every batch snapshots all three
-/// under one read lock, so a batch never mixes one model's weights with
-/// another's text rows or cache entries.
+/// The swappable part of the engine: the frozen weights (which carry their
+/// gate-text rows) and the cone-cache generation they define. Written only
+/// by [`Engine::swap_model`]; a batch snapshots both under one read lock,
+/// so it never mixes one model's weights with another's cache entries.
 struct ModelState {
     model: Arc<NetTag>,
-    text: Arc<TextCache>,
     generation: u64,
 }
 
@@ -224,6 +223,12 @@ struct Shared {
 }
 
 impl Shared {
+    /// The served model and its generation, recovered through poison: a
+    /// swap writes both whole.
+    fn state(&self) -> RwLockReadGuard<'_, ModelState> {
+        self.state.read().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The one coherent counter snapshot, recovered through poison: the
     /// counters are valid after any partial batch.
     fn stats(&self) -> MutexGuard<'_, ServeStats> {
@@ -304,7 +309,6 @@ impl Engine {
         let shared = Arc::new(Shared {
             state: RwLock::new(ModelState {
                 model,
-                text: Arc::default(),
                 generation: 0,
             }),
             head,
@@ -360,13 +364,6 @@ impl Engine {
         self.shared.cache.len()
     }
 
-    /// The gate-text cache of the model currently served (replaced by
-    /// every hot swap).
-    pub fn text_cache(&self) -> Arc<TextCache> {
-        let st = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(&st.text)
-    }
-
     /// Number of batcher lanes this engine runs.
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
@@ -374,17 +371,13 @@ impl Engine {
 
     /// Current model generation (bumped by every hot swap).
     pub fn generation(&self) -> u64 {
-        self.shared
-            .state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .generation
+        self.shared.state().generation
     }
 
-    /// Hot-swaps the serving weights for `model`, with an empty text
-    /// cache, and bumps the cone-cache generation: embeddings and text
-    /// rows computed under the previous weights are never served again
-    /// (stale cone entries are evicted lazily on touch). In-flight batches
+    /// Hot-swaps the serving weights for `model` and bumps the cone-cache
+    /// generation: embeddings computed under the previous weights are
+    /// never served again (stale cone entries are evicted lazily on
+    /// touch), and text rows are `model`'s own. In-flight batches
     /// that snapshotted the old model finish under it — those requests
     /// raced the swap. A configured classifier head is kept; swapping in a
     /// model with a different embedding dimension while serving `predict`
@@ -392,7 +385,6 @@ impl Engine {
     pub fn swap_model(&self, model: Arc<NetTag>) {
         let mut st = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
         st.model = model;
-        st.text = Arc::default();
         st.generation += 1;
     }
 
@@ -457,11 +449,7 @@ impl Client {
 
     /// Current model generation — what a wire `ping` answers with.
     pub(crate) fn generation(&self) -> u64 {
-        self.shared
-            .state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .generation
+        self.shared.state().generation
     }
 
     /// The engine's armed fault state, for the network front-end's
@@ -827,12 +815,12 @@ fn run_batch(
         }
     }
     let mut tally = Tally::default();
-    // Snapshot the weights, text rows and cache generation together: a
-    // batch either runs entirely under the pre-swap model (and reads/writes
-    // pre-swap rows and cache entries) or entirely under the post-swap one.
-    let (model, text, generation) = {
-        let st = shared.state.read().unwrap_or_else(|e| e.into_inner());
-        (Arc::clone(&st.model), Arc::clone(&st.text), st.generation)
+    // Snapshot the weights (with their text rows) and cache generation
+    // together: a batch runs entirely under the pre-swap model or entirely
+    // under the post-swap one.
+    let (model, generation) = {
+        let st = shared.state();
+        (Arc::clone(&st.model), st.generation)
     };
     let opts = model.tag_options();
     // Planning pass: prune expired requests, consult the cache, dedup
@@ -933,12 +921,12 @@ fn run_batch(
     // model's text cache: only texts no batch has seen reach ExprLLM.
     let tags: Vec<&Tag> = compute.iter().map(|(_, tag)| tag).collect();
     let mut computed: HashMap<u128, Arc<Tensor>> = HashMap::with_capacity(compute.len());
-    for ((key, _), emb) in compute.iter().zip(model.embed_tags_cached(&tags, &text)) {
+    for ((key, _), emb) in compute.iter().zip(model.embed_tags(&tags)) {
         let emb = Arc::new(emb.cls);
         shared.cache.insert(*key, Arc::clone(&emb), generation);
         computed.insert(*key, emb);
     }
-    let expr_text = model.encode_texts(&exprs, &text);
+    let expr_text = model.exprllm.encode_texts(&exprs);
     // Fused pass: geometry extraction (deterministic seeded flow) +
     // no-grad cross-attentive fusion over the `[CLS]` embedding this
     // batch computed (or found cached).

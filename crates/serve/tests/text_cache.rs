@@ -1,6 +1,6 @@
-//! The engine keeps one gate-text cache per served model: a text is
-//! encoded once, later batches reuse its row bit for bit, and a hot swap
-//! starts an empty cache so no row of the old weights is ever served.
+//! The served model carries its own gate-text cache: a text is encoded
+//! once, later batches reuse its row bit for bit, and a hot swap serves
+//! the new model's rows, so no row of the old weights is ever served.
 
 use nettag_core::{NetTag, NetTagConfig};
 use nettag_expr::parse_expr;
@@ -54,6 +54,12 @@ fn tag(model: &NetTag, n: &Netlist, props: &[PhysProps]) -> Tag {
     Tag::from_netlist_with_phys(n, props, &model.tag_options())
 }
 
+/// `[CLS]` of `tag` on a clone of `model`: its cache starts empty, so the
+/// reference takes the cold path and leaves `model`'s rows alone.
+fn cold_cls(model: &NetTag, tag: &Tag) -> Vec<f32> {
+    model.clone().embed_tag(tag).cls.data
+}
+
 fn texts(model: &NetTag, tag: &Tag) -> HashSet<Vec<TokenId>> {
     let vocab = NetTag::vocab();
     (0..tag.len())
@@ -66,7 +72,7 @@ fn later_batches_reuse_text_rows_bitwise_and_encode_nothing_new() {
     let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
     let engine = Engine::new(Arc::clone(&model), ServeConfig::default());
     let client = engine.client();
-    let text = engine.text_cache();
+    let text = model.exprllm.text_cache();
     let cones = cones();
     assert!(cones.len() >= 3);
 
@@ -76,7 +82,7 @@ fn later_batches_reuse_text_rows_bitwise_and_encode_nothing_new() {
             .embed_cone(n.clone(), Some(props.clone()))
             .expect("serve");
         let t = tag(&model, n, props);
-        assert_eq!(served.data, model.embed_tag(&t).cls.data);
+        assert_eq!(served.data, cold_cls(&model, &t));
         seen.extend(texts(&model, &t));
     }
     assert_eq!(text.encoded(), seen.len() as u64, "each distinct text once");
@@ -94,7 +100,7 @@ fn later_batches_reuse_text_rows_bitwise_and_encode_nothing_new() {
         let t = tag(&model, n, &nudged);
         assert!(texts(&model, &t).is_subset(&seen), "nudge kept every text");
         let served = client.embed_cone(n.clone(), Some(nudged)).expect("serve");
-        assert_eq!(served.data, model.embed_tag(&t).cls.data);
+        assert_eq!(served.data, cold_cls(&model, &t));
     }
     assert_eq!(engine.stats().cache_misses - misses, cones.len() as u64);
     assert_eq!(
@@ -117,16 +123,14 @@ fn a_hot_swap_never_serves_rows_of_the_old_weights() {
     let a = client
         .embed_cone(n.clone(), Some(props.clone()))
         .expect("serve A");
-    assert_eq!(
-        a.data,
-        model_a.embed_tag(&tag(&model_a, &n, &props)).cls.data
-    );
-    let old = engine.text_cache();
+    assert_eq!(a.data, cold_cls(&model_a, &tag(&model_a, &n, &props)));
+    let old = model_a.exprllm.text_cache();
     assert!(!old.is_empty());
+    let old_encoded = old.encoded();
 
     engine.swap_model(Arc::clone(&model_b));
-    let new = engine.text_cache();
-    assert!(!Arc::ptr_eq(&old, &new) && new.is_empty());
+    let new = model_b.exprllm.text_cache();
+    assert!(new.is_empty());
 
     // Cone B: a new digest over cone A's gate texts.
     let nudged = nudged(&props);
@@ -140,18 +144,18 @@ fn a_hot_swap_never_serves_rows_of_the_old_weights() {
         .expect("serve B");
     assert_eq!(
         b.data,
-        model_b.embed_tag(&t).cls.data,
+        cold_cls(&model_b, &t),
         "cone B must be model B's embedding, bitwise"
     );
     assert_ne!(
         b.data,
-        model_a.embed_tag(&tag(&model_a, &n, &nudged)).cls.data,
+        cold_cls(&model_a, &tag(&model_a, &n, &nudged)),
         "a stale text row would have produced model A's embedding"
     );
     assert_eq!(new.encoded(), texts(&model_b, &t).len() as u64);
     assert_eq!(
-        old.encoded(),
-        old.len() as u64,
+        (old.encoded(), old.len() as u64),
+        (old_encoded, old_encoded),
         "the old cache saw no more rows"
     );
 }
@@ -173,7 +177,7 @@ fn expression_requests_share_the_text_cache() {
         assert_eq!(client.embed_expr(src).expect("serve").data, want);
     }
     assert_eq!(
-        engine.text_cache().encoded(),
+        model.exprllm.text_cache().encoded(),
         1,
         "encoded once, then reused"
     );

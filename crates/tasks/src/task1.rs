@@ -54,9 +54,9 @@ pub fn nettag_gate_samples(model: &NetTag, design: &Design, lib: &Library) -> De
     let adj = nettag_nn::SparseMatrix::normalized_adjacency(tag.len(), &tag.edges);
     let context = adj.matmul(&inputs);
     let context2 = adj.matmul(&context);
-    let emb = model.embed_tag_with_features(&tag, &inputs);
+    let (nodes, _) = model.tagformer.encode(&inputs, &tag.edges);
     collect_labeled(design, |i| {
-        let mut f = emb.nodes.row_slice(i).to_vec();
+        let mut f = nodes.row_slice(i).to_vec();
         f.extend_from_slice(inputs.row_slice(i));
         f.extend_from_slice(context.row_slice(i));
         f.extend_from_slice(context2.row_slice(i));

@@ -102,6 +102,10 @@ fn embeddings_are_deterministic_across_calls() {
     let lib = Library::default();
     let d = generate_design(Family::VexRiscv, 0, 21, &GenerateConfig::default());
     let e1 = model.embed_circuit(&d.netlist, &lib, None);
-    let e2 = model.embed_circuit(&d.netlist, &lib, None);
-    assert_eq!(e1.data, e2.data);
+    // The model keeps every gate-text row of the first call: the second
+    // runs warm, and a clone (which starts with an empty cache) runs cold.
+    let warm = model.embed_circuit(&d.netlist, &lib, None);
+    let cold = model.clone().embed_circuit(&d.netlist, &lib, None);
+    assert_eq!(e1.data, warm.data);
+    assert_eq!(warm.data, cold.data);
 }
