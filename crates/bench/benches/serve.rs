@@ -39,6 +39,13 @@
 //! connection and records the shed rate — the fraction of the flood
 //! refused with a typed `Overloaded` instead of queueing unboundedly.
 //!
+//! The layout-geometry path gets two more sections: `extraction`, the
+//! deterministic placement flow plus spatial feature extraction
+//! (`cone_geometry`) per register cone of an ITC'99-family design, and
+//! `fused_serve`, `embed_cone_fused` through an engine with a fusion
+//! model, cold (every structure new) and warm (every request a
+//! salted-cache hit). Geometry *quality* lives in the quality recorder.
+//!
 //! Run with `cargo bench -p nettag-bench --bench serve`. Thread count
 //! follows `RAYON_NUM_THREADS` / `NETTAG_NUM_THREADS`. Set
 //! `NETTAG_BENCH_SMOKE=1` for a one-request-per-client smoke run (CI
@@ -47,8 +54,12 @@
 //! workspace root, or at `NETTAG_BENCH_OUT` when set.
 
 use nettag_core::{NetTag, NetTagConfig};
-use nettag_netlist::{CellKind, Library, Netlist, Tag};
+use nettag_geom::{cone_geometry, FusionModel};
+use nettag_netlist::{
+    cone_to_netlist, register_cone, synthesis_phys_estimates, CellKind, Library, Netlist, Tag,
+};
 use nettag_serve::{Engine, NetClient, NetServer, ServeConfig, ServeError};
+use nettag_synth::{generate_design, Family, GenerateConfig};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -397,6 +408,54 @@ fn main() {
         shed_rate * 100.0
     );
 
+    // Extraction throughput: deterministic flow + feature matrix per
+    // register cone of one ITC'99-family design.
+    let design = generate_design(Family::Itc99, 0, 0x9E0, &GenerateConfig::default());
+    let netlist = &design.netlist;
+    let cones: Vec<Netlist> = netlist
+        .registers()
+        .into_iter()
+        .map(|r| cone_to_netlist(netlist, &register_cone(netlist, r)))
+        .filter(|c| c.gate_count() >= 2)
+        .collect();
+    let t0 = Instant::now();
+    for c in &cones {
+        let props = synthesis_phys_estimates(c, &lib);
+        std::hint::black_box(cone_geometry(c, &props, &lib));
+    }
+    let cones_per_s = cones.len() as f64 / t0.elapsed().as_secs_f64();
+    println!(
+        "  extraction: {} cones, {cones_per_s:.1} cones/s",
+        cones.len()
+    );
+
+    // Fused serving: cold pass over distinct structures, then the same
+    // requests warm (salted-cache hits). Untrained fusion weights cost
+    // what trained ones do; the model clone starts with an empty text
+    // cache.
+    let fusion = FusionModel::new(model.config.embed_dim, 2, 0x9E0);
+    let engine = Engine::with_fusion(
+        Arc::new(NetTag::clone(&model)),
+        fusion,
+        ServeConfig::default(),
+    );
+    let client = engine.client();
+    let fused_total = if smoke { 8 } else { 64 };
+    let fused_pass = |what: &str| {
+        let t0 = Instant::now();
+        for i in 0..fused_total {
+            client.embed_cone_fused(bench_cone(i), None).expect(what);
+        }
+        fused_total as f64 / t0.elapsed().as_secs_f64()
+    };
+    let fused_cold = fused_pass("cold");
+    let fused_warm = fused_pass("warm");
+    engine.shutdown();
+    println!(
+        "  fused serve: cold {fused_cold:.1} req/s, warm {fused_warm:.1} req/s ({:.2}x)",
+        fused_warm / fused_cold
+    );
+
     let rps = |name: &str| {
         scenarios
             .iter()
@@ -449,12 +508,15 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    if host_cpus == 1 {
-        json.push_str(
-            "  \"note\": \"single-core host: the offline comparison lacks the \
-             pool-parallel batched-encode term; re-record on multi-core\",\n",
-        );
-    }
+    json.push_str(&format!(
+        "  \"extraction\": {{\"cones\": {}, \"cones_per_s\": {cones_per_s:.3}}},\n",
+        cones.len()
+    ));
+    json.push_str(&format!(
+        "  \"fused_serve\": {{\"requests\": {fused_total}, \"cold_per_s\": {fused_cold:.3}, \
+         \"warm_per_s\": {fused_warm:.3}, \"warm_speedup\": {:.3}}},\n",
+        fused_warm / fused_cold
+    ));
     json.push_str(&format!(
         "  \"overload\": {{\"flood\": {flood}, \"shed\": {shed}, \"shed_rate\": {shed_rate:.3}}},\n"
     ));

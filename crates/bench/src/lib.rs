@@ -1,10 +1,10 @@
 //! # nettag-bench — experiment harness
 //!
-//! Shared machinery for the per-table/per-figure experiment benches: the
-//! `NETTAG_SCALE` knob (`smoke` / `default` / `full`), a pipeline that
-//! generates corpora, pre-trains NetTAG once, and exposes the task suite,
-//! plus table printing with the paper's reference numbers alongside, and
-//! [`time_it`], the adaptive timer the micro benches share.
+//! Shared machinery for the benches: the `NETTAG_SCALE` knob (`smoke` /
+//! `default`), a pipeline that generates the pre-training corpus,
+//! pre-trains NetTAG for one seed and assembles that seed's task suite
+//! (the quality recorder's unit of work), and [`time_it`], the adaptive
+//! timer the micro benches share.
 
 use nettag_core::data::{build_pretrain_data, DataConfig, PretrainData};
 use nettag_core::{pretrain, NetTag, NetTagConfig, PretrainConfig};
@@ -16,7 +16,7 @@ use std::time::Instant;
 /// Experiment scale, selected via the `NETTAG_SCALE` environment variable.
 #[derive(Debug, Clone)]
 pub struct Scale {
-    /// Scale name (smoke/default/full).
+    /// Scale name (smoke/default).
     pub name: &'static str,
     /// Pre-training designs per family.
     pub pretrain_per_family: usize,
@@ -43,7 +43,6 @@ impl Scale {
     pub fn from_env() -> Scale {
         match std::env::var("NETTAG_SCALE").as_deref() {
             Ok("smoke") => Scale::smoke(),
-            Ok("full") => Scale::full(),
             _ => Scale::default_scale(),
         }
     }
@@ -61,7 +60,7 @@ impl Scale {
             suite: SuiteConfig {
                 scale: 0.35,
                 task1_designs: 3,
-                task4_per_family: 2,
+                task4_per_family: 3,
                 ..SuiteConfig::default()
             },
             finetune_epochs: 40,
@@ -87,27 +86,6 @@ impl Scale {
             },
             finetune_epochs: 150,
             gnn_epochs: 40,
-        }
-    }
-
-    /// Longer configuration for overnight runs.
-    pub fn full() -> Scale {
-        Scale {
-            name: "full",
-            pretrain_per_family: 3,
-            pretrain_scale: 0.8,
-            max_cones: 12,
-            step1_steps: 150,
-            step2_steps: 120,
-            model: NetTagConfig::small(),
-            suite: SuiteConfig {
-                scale: 0.8,
-                task1_designs: 9,
-                task4_per_family: 4,
-                ..SuiteConfig::default()
-            },
-            finetune_epochs: 300,
-            gnn_epochs: 80,
         }
     }
 
@@ -138,25 +116,26 @@ impl Scale {
     }
 }
 
-/// A fully prepared experiment pipeline.
+/// One seed's experiment pipeline.
 pub struct Pipeline {
-    /// The pre-trained NetTAG model.
+    /// The pre-trained main model.
     pub model: NetTag,
-    /// The pre-training corpus (kept for Table II / Fig. 7 reuse).
+    /// The pre-training corpus (the same for every seed).
     pub data: PretrainData,
-    /// The task suite.
+    /// The seed's task suite.
     pub suite: TaskSuite,
     /// Scale used.
     pub scale: Scale,
-    /// Wall-clock seconds spent pre-training.
-    pub pretrain_seconds: f64,
 }
 
-/// Builds the corpus, pre-trains NetTAG, and assembles the task suite.
-pub fn build_pipeline(scale: Scale) -> Pipeline {
+/// Builds the corpus, pre-trains the main model and assembles the task
+/// suite for `seed`. The seed is XORed into the model's init seed and the
+/// suite's design seed, so seed 0 is the default configuration; the
+/// corpus does not depend on it.
+pub fn build_pipeline(scale: Scale, seed: u64) -> Pipeline {
     let lib = Library::default();
     eprintln!(
-        "[nettag-bench] scale={} — generating pre-training corpus…",
+        "[nettag-bench] scale={} seed={seed} — generating pre-training corpus…",
         scale.name
     );
     let designs = pretrain_designs(0xBE7C, scale.pretrain_per_family, scale.pretrain_scale);
@@ -169,108 +148,48 @@ pub fn build_pipeline(scale: Scale) -> Pipeline {
         },
     );
     eprintln!(
-        "[nettag-bench] corpus: {} expressions, {} cones — pre-training…",
+        "[nettag-bench] corpus: {} expressions, {} cones",
         data.exprs.len(),
         data.cones.len()
     );
-    let mut model = NetTag::new(scale.model.clone());
-    let t0 = Instant::now();
-    let report = pretrain(&mut model, &data, &scale.pretrain_config());
-    let pretrain_seconds = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "[nettag-bench] pre-trained in {:.1}s (step1 loss {:.3}→{:.3}, step2 {:.3}→{:.3})",
-        pretrain_seconds,
-        report.step1_losses.first().copied().unwrap_or(f32::NAN),
-        report.step1_losses.last().copied().unwrap_or(f32::NAN),
-        report.step2_losses.first().copied().unwrap_or(f32::NAN),
-        report.step2_losses.last().copied().unwrap_or(f32::NAN),
-    );
-    let suite = build_suite(&scale.suite);
+    let config = NetTagConfig {
+        seed: scale.model.seed ^ seed,
+        ..scale.model.clone()
+    };
+    let model = pretrained(config, 1.0, &data, &scale.pretrain_config());
+    let suite = build_suite(&SuiteConfig {
+        seed: scale.suite.seed ^ seed,
+        ..scale.suite.clone()
+    });
     Pipeline {
         model,
         data,
         suite,
         scale,
-        pretrain_seconds,
     }
 }
 
-/// Prints a fixed-width table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let joined: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        println!("  {}", joined.join("  "));
-    };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(
-        &widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<String>>(),
+/// Pre-trains a fresh `config` model on `data` with its gate text scaled
+/// by `text_scale` (0 removes the text: structure-only features).
+pub fn pretrained(
+    config: NetTagConfig,
+    text_scale: f32,
+    data: &PretrainData,
+    schedule: &PretrainConfig,
+) -> NetTag {
+    let mut model = NetTag::new(config);
+    model.text_scale = text_scale;
+    let t0 = Instant::now();
+    let report = pretrain(&mut model, data, schedule);
+    eprintln!(
+        "[nettag-bench] pre-trained in {:.1}s (step1 loss {:.3}→{:.3}, step2 {:.3}→{:.3})",
+        t0.elapsed().as_secs_f64(),
+        report.step1_losses.first().copied().unwrap_or(f32::NAN),
+        report.step1_losses.last().copied().unwrap_or(f32::NAN),
+        report.step2_losses.first().copied().unwrap_or(f32::NAN),
+        report.step2_losses.last().copied().unwrap_or(f32::NAN),
     );
-    for row in rows {
-        line(row);
-    }
-}
-
-/// Compact all-task summary used by the ablation (Fig. 6) and scaling
-/// (Fig. 7) harnesses.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskSummary {
-    /// Task 1 average accuracy.
-    pub task1_acc: f64,
-    /// Task 2 average balanced accuracy.
-    pub task2_acc: f64,
-    /// Task 3 average MAPE (%).
-    pub task3_mape: f64,
-    /// Task 4 average MAPE (%) over the four targets.
-    pub task4_mape: f64,
-}
-
-/// Runs all four tasks and summarizes the headline metric of each.
-pub fn eval_all_tasks(model: &NetTag, suite: &TaskSuite, scale: &Scale) -> TaskSummary {
-    let ft = scale.finetune();
-    let gnn = scale.gnn();
-    let t1 = nettag_tasks::run_task1(model, &suite.task1, &suite.lib, &ft, &gnn);
-    let t2 = nettag_tasks::run_task2(model, &suite.task23, &suite.lib, &ft, &gnn);
-    let t3 = nettag_tasks::run_task3(
-        model,
-        &suite.task23,
-        &suite.lib,
-        &gnn,
-        &nettag_physical::FlowConfig::default(),
-    );
-    let ppa = nettag_tasks::ppa_samples(model, &suite.task4, &suite.lib);
-    let t4 = nettag_tasks::run_task4(&ppa, &gnn);
-    TaskSummary {
-        task1_acc: t1.avg_nettag.accuracy,
-        task2_acc: t2.avg_nettag.balanced_accuracy,
-        task3_mape: t3.avg_nettag.mape,
-        task4_mape: t4.rows.iter().map(|r| r.nettag.mape).sum::<f64>() / t4.rows.len() as f64,
-    }
-}
-
-/// Formats a fraction as a percent string.
-pub fn pct(v: f64) -> String {
-    format!("{:.0}", v * 100.0)
-}
-
-/// Formats a float to 2 decimals.
-pub fn f2(v: f64) -> String {
-    format!("{v:.2}")
+    model
 }
 
 /// Times `f` adaptively: batch sized during warm-up, best-of-4 batches,
@@ -306,18 +225,19 @@ mod tests {
 
     #[test]
     fn smoke_pipeline_builds_end_to_end() {
-        let pipeline = build_pipeline(Scale::smoke());
+        let pipeline = build_pipeline(Scale::smoke(), 1);
         assert!(!pipeline.data.cones.is_empty());
         assert_eq!(pipeline.suite.task23.len(), 8);
-        assert!(pipeline.pretrain_seconds >= 0.0);
+        assert_eq!(pipeline.model.config.seed, Scale::smoke().model.seed ^ 1);
     }
 
     #[test]
     fn scales_are_ordered() {
         let s = Scale::smoke();
         let d = Scale::default_scale();
-        let f = Scale::full();
         assert!(s.step1_steps < d.step1_steps);
-        assert!(d.step1_steps < f.step1_steps);
+        assert!(s.step2_steps < d.step2_steps);
+        assert!(s.finetune_epochs < d.finetune_epochs);
+        assert!(s.suite.task1_designs < d.suite.task1_designs);
     }
 }

@@ -93,15 +93,15 @@ impl TextCache {
 #[derive(Debug, Clone)]
 pub struct ExprLlm {
     /// Token embedding table.
-    pub embed: Embedding,
+    embed: Embedding,
     /// Learned positional embeddings (max_tokens × dim).
-    pub pos: Param,
+    pos: Param,
     /// Transformer stack (bidirectional attention).
-    pub blocks: Vec<TransformerBlock>,
+    blocks: Vec<TransformerBlock>,
     /// Final norm.
-    pub ln: LayerNorm,
+    ln: LayerNorm,
     /// Projection into the shared embedding space.
-    pub proj: Linear,
+    proj: Linear,
     /// Maximum sequence length.
     pub max_tokens: usize,
     /// Rows [`Self::encode_texts`] computed under the current weights.

@@ -24,20 +24,9 @@ fn roundtrip_preserves_every_weight_bitwise() {
     let path = tmp_path("roundtrip.json");
     save_checkpoint(&model, &path).expect("save");
     let loaded = load_checkpoint(&path).expect("load");
-    // Weight-level equality, not just embedding-level: compare a few
-    // representative tensors bit for bit.
-    assert_eq!(
-        model.exprllm.proj.w.value.data,
-        loaded.exprllm.proj.w.value.data
-    );
-    assert_eq!(
-        model.exprllm.embed.table.value.data,
-        loaded.exprllm.embed.table.value.data
-    );
-    assert_eq!(
-        model.tagformer.cls_seed.value.data,
-        loaded.tagformer.cls_seed.value.data
-    );
+    // Weight-level equality, not just embedding-level: every tensor bit
+    // for bit.
+    assert_bitwise_equal(&model, &loaded);
     assert_eq!(model.config.embed_dim, loaded.config.embed_dim);
     std::fs::remove_file(&path).ok();
 }
@@ -78,10 +67,7 @@ fn save_replaces_atomically_and_leaves_no_temp_files() {
     save_checkpoint(&model, &path).expect("seed save");
     save_checkpoint(&model, &path).expect("overwrite save");
     let loaded = load_checkpoint(&path).expect("overwritten checkpoint parses");
-    assert_eq!(
-        model.exprllm.proj.w.value.data,
-        loaded.exprllm.proj.w.value.data
-    );
+    assert_bitwise_equal(&model, &loaded);
     let dir = path.parent().expect("tmp dir");
     let leftovers: Vec<_> = std::fs::read_dir(dir)
         .expect("scan dir")
@@ -139,7 +125,7 @@ fn shared_loads_alias_one_buffer() {
         Arc::ptr_eq(&a, &b),
         "repeated loads of one path must share one model buffer"
     );
-    assert_eq!(a.exprllm.proj.w.value.data, model.exprllm.proj.w.value.data);
+    assert_bitwise_equal(&a, &model);
     std::fs::remove_file(&path).ok();
 }
 
@@ -325,10 +311,10 @@ fn non_finite_and_subnormal_values_round_trip_bitwise() {
         f32::MIN_POSITIVE / 3.0,
     ];
     let mut model = NetTag::new(NetTagConfig::tiny());
-    {
-        let p = &mut model.exprllm.proj.w;
+    for p in model.exprllm.params_mut() {
         for t in [&mut p.value, &mut p.m, &mut p.v] {
-            t.data[..specials.len()].copy_from_slice(&specials);
+            let n = specials.len().min(t.data.len());
+            t.data[..n].copy_from_slice(&specials[..n]);
         }
     }
     let path = tmp_path("non_finite.ckpt");

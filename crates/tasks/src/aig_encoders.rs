@@ -16,6 +16,7 @@
 //! representational limit the paper's Fig. 5 exposes.
 
 use crate::gnn::{GnnConfig, GnnEncoder};
+use crate::task1::DesignSamples;
 use nettag_netlist::{aig_to_netlist, netlist_to_aig_tracked, Aig, CellKind, GateId, Netlist};
 use nettag_nn::{
     data_parallel, info_nce, Adam, GradStore, Graph, Layer, Linear, NodeId, SampleTape,
@@ -238,37 +239,18 @@ impl PretrainedAigEncoder {
     }
 }
 
-/// Trains a classifier head on frozen AIG-encoder embeddings and
-/// evaluates on held-out samples; returns (pred, truth) class indices.
-pub fn classify_with_frozen_encoder(
-    encoder: &PretrainedAigEncoder,
-    train: &[&AigSample],
-    test: &AigSample,
-    classes: usize,
-    finetune: &nettag_core::FinetuneConfig,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut train_x = Vec::new();
-    let mut train_y = Vec::new();
-    for s in train {
-        let emb = encoder.node_embeddings(s);
-        for (i, &l) in s.labels.iter().enumerate() {
-            if l != usize::MAX {
-                train_x.push(emb.row_slice(i).to_vec());
-                train_y.push(l);
-            }
-        }
-    }
-    let head = nettag_core::ClassifierHead::train(&train_x, &train_y, classes, finetune);
-    let emb = encoder.node_embeddings(test);
-    let mut test_x = Vec::new();
-    let mut truth = Vec::new();
-    for (i, &l) in test.labels.iter().enumerate() {
-        if l != usize::MAX {
-            test_x.push(emb.row_slice(i).to_vec());
-            truth.push(l);
-        }
-    }
-    (head.predict(&test_x), truth)
+/// The labeled nodes' rows of a per-node matrix over `sample.netlist`
+/// (a frozen encoder's embeddings or NetTAG's features), as samples for
+/// [`crate::loo_classify`].
+pub fn labeled_rows(sample: &AigSample, rows: &Tensor) -> DesignSamples {
+    let (features, labels) = sample
+        .labels
+        .iter()
+        .enumerate()
+        .filter(|&(_, &l)| l != usize::MAX)
+        .map(|(n, &l)| (rows.row_slice(n).to_vec(), l))
+        .unzip();
+    DesignSamples { features, labels }
 }
 
 #[cfg(test)]
@@ -320,15 +302,13 @@ mod tests {
             ..nettag_core::FinetuneConfig::default()
         };
         for enc in [&fgnn, &dg] {
-            let (pred, truth) = classify_with_frozen_encoder(
-                enc,
-                &[&samples[0], &samples[1]],
-                &samples[2],
-                nettag_synth::ALL_BLOCK_LABELS.len(),
-                &ft,
-            );
-            assert_eq!(pred.len(), truth.len());
-            assert!(!pred.is_empty());
+            let rows: Vec<DesignSamples> = samples
+                .iter()
+                .map(|s| labeled_rows(s, &enc.node_embeddings(s)))
+                .collect();
+            let scores = crate::loo_classify(&rows, nettag_synth::ALL_BLOCK_LABELS.len(), &ft);
+            assert_eq!(scores.len(), samples.len());
+            assert!(scores.iter().all(|m| (0.0..=1.0).contains(&m.accuracy)));
         }
     }
 }

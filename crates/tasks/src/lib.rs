@@ -24,11 +24,21 @@ pub use gnn::{
     structural_features, GnnConfig, GnnEncoder, GnnGraph, GnnGraphModel, GnnNodeClassifier,
 };
 pub use metrics::{
-    classification_metrics, regression_metrics, sensitivity_metrics, BinarySensitivity,
-    Classification, Regression,
+    classification_metrics, mean_classification, regression_metrics, sensitivity_metrics,
+    BinarySensitivity, Classification, Regression,
 };
 pub use suite::{build_suite, pretrain_designs, SuiteConfig, TaskSuite};
-pub use task1::{run_task1, Task1Report, Task1Row};
-pub use task2::{run_task2, Task2Report, Task2Row};
-pub use task3::{run_task3, Task3Report, Task3Row};
-pub use task4::{ppa_samples, run_task4, PpaTarget, Task4Report, Task4Row};
+pub use task1::{loo_classify, nettag_task1, run_task1, DesignSamples, Task1Report, Task1Row};
+pub use task2::{nettag_task2, register_samples, run_task2, Task2Report, Task2Row};
+pub use task3::{nettag_task3, run_task3, slack_samples, Task3Report, Task3Row};
+pub use task4::{nettag_task4, ppa_samples, run_task4, PpaTarget, Task4Report, Task4Row};
+
+/// Every item of `items` but the held-out `test`-th: the training side of
+/// a leave-one-design-out split.
+fn held_out<T>(items: &[T], test: usize) -> impl Iterator<Item = &T> {
+    items
+        .iter()
+        .enumerate()
+        .filter(move |&(i, _)| i != test)
+        .map(|(_, item)| item)
+}

@@ -16,6 +16,17 @@ pub struct Classification {
     pub f1: f64,
 }
 
+/// Field-wise mean of per-design classification metrics.
+pub fn mean_classification(ms: &[Classification]) -> Classification {
+    let n = ms.len() as f64;
+    Classification {
+        accuracy: ms.iter().map(|m| m.accuracy).sum::<f64>() / n,
+        precision: ms.iter().map(|m| m.precision).sum::<f64>() / n,
+        recall: ms.iter().map(|m| m.recall).sum::<f64>() / n,
+        f1: ms.iter().map(|m| m.f1).sum::<f64>() / n,
+    }
+}
+
 /// Computes classification metrics over predicted/true class indices.
 ///
 /// # Panics

@@ -7,7 +7,8 @@
 //! recall / F1 exactly like the paper's table.
 
 use crate::gnn::{structural_features, GnnConfig, GnnGraph, GnnNodeClassifier};
-use crate::metrics::{classification_metrics, Classification};
+use crate::held_out;
+use crate::metrics::{classification_metrics, mean_classification, Classification};
 use nettag_core::{ClassifierHead, FinetuneConfig, NetTag};
 use nettag_netlist::{Library, Tag};
 use nettag_synth::{Design, ALL_BLOCK_LABELS};
@@ -96,6 +97,42 @@ pub fn gnnre_graph(design: &Design, lib: &Library) -> GnnGraph {
     }
 }
 
+/// Leave-one-design-out classification: for each design, a head trained
+/// on every other design's samples scores the held-out one.
+pub fn loo_classify(
+    samples: &[DesignSamples],
+    classes: usize,
+    finetune: &FinetuneConfig,
+) -> Vec<Classification> {
+    (0..samples.len())
+        .map(|test| {
+            let train_x: Vec<Vec<f32>> = held_out(samples, test)
+                .flat_map(|s| s.features.iter().cloned())
+                .collect();
+            let train_y: Vec<usize> = held_out(samples, test)
+                .flat_map(|s| s.labels.iter().copied())
+                .collect();
+            let head = ClassifierHead::train(&train_x, &train_y, classes, finetune);
+            let pred = head.predict(&samples[test].features);
+            classification_metrics(&pred, &samples[test].labels, classes)
+        })
+        .collect()
+}
+
+/// NetTAG's Task 1 metrics per design, leave-one-design-out.
+pub fn nettag_task1(
+    model: &NetTag,
+    designs: &[Design],
+    lib: &Library,
+    finetune: &FinetuneConfig,
+) -> Vec<Classification> {
+    let samples: Vec<DesignSamples> = designs
+        .iter()
+        .map(|d| nettag_gate_samples(model, d, lib))
+        .collect();
+    loo_classify(&samples, ALL_BLOCK_LABELS.len(), finetune)
+}
+
 /// Runs the full Task 1 comparison with leave-one-design-out evaluation.
 pub fn run_task1(
     model: &NetTag,
@@ -105,31 +142,13 @@ pub fn run_task1(
     gnn: &GnnConfig,
 ) -> Task1Report {
     let classes = ALL_BLOCK_LABELS.len();
-    let nettag_samples: Vec<DesignSamples> = designs
-        .iter()
-        .map(|d| nettag_gate_samples(model, d, lib))
-        .collect();
+    let nettag = nettag_task1(model, designs, lib, finetune);
     let gnn_graphs: Vec<GnnGraph> = designs.iter().map(|d| gnnre_graph(d, lib)).collect();
     let mut rows = Vec::new();
-    for test in 0..designs.len() {
-        // NetTAG: train head on all other designs' gates.
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
-        for (i, s) in nettag_samples.iter().enumerate() {
-            if i != test {
-                train_x.extend(s.features.iter().cloned());
-                train_y.extend(s.labels.iter().copied());
-            }
-        }
-        let head = ClassifierHead::train(&train_x, &train_y, classes, finetune);
-        let pred = head.predict(&nettag_samples[test].features);
-        let nettag_m = classification_metrics(&pred, &nettag_samples[test].labels, classes);
+    for (test, nettag_m) in nettag.into_iter().enumerate() {
         // GNN-RE: supervised GNN on the other designs' graphs.
-        let train_graphs: Vec<GnnGraph> = gnn_graphs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != test)
-            .map(|(_, g)| GnnGraph {
+        let train_graphs: Vec<GnnGraph> = held_out(&gnn_graphs, test)
+            .map(|g| GnnGraph {
                 features: g.features.clone(),
                 edges: g.edges.clone(),
                 node_labels: g.node_labels.clone(),
@@ -151,26 +170,12 @@ pub fn run_task1(
             nettag: nettag_m,
         });
     }
-    let avg = |f: &dyn Fn(&Task1Row) -> Classification| -> Classification {
-        let n = rows.len() as f64;
-        let mut acc = Classification {
-            accuracy: 0.0,
-            precision: 0.0,
-            recall: 0.0,
-            f1: 0.0,
-        };
-        for r in &rows {
-            let m = f(r);
-            acc.accuracy += m.accuracy / n;
-            acc.precision += m.precision / n;
-            acc.recall += m.recall / n;
-            acc.f1 += m.f1 / n;
-        }
-        acc
+    let avg = |f: fn(&Task1Row) -> Classification| {
+        mean_classification(&rows.iter().map(f).collect::<Vec<_>>())
     };
     Task1Report {
-        avg_gnnre: avg(&|r| r.gnnre),
-        avg_nettag: avg(&|r| r.nettag),
+        avg_gnnre: avg(|r| r.gnnre),
+        avg_nettag: avg(|r| r.nettag),
         rows,
     }
 }

@@ -7,6 +7,7 @@
 //! balanced accuracy, evaluated leave-one-design-out.
 
 use crate::gnn::{structural_features, GnnConfig, GnnGraph, GnnGraphModel};
+use crate::held_out;
 use crate::metrics::{sensitivity_metrics, BinarySensitivity};
 use nettag_core::{ClassifierHead, FinetuneConfig, NetTag};
 use nettag_netlist::{cone_to_netlist, register_cone, Library, Netlist, Tag};
@@ -90,6 +91,36 @@ pub struct Task2Report {
     pub avg_nettag: BinarySensitivity,
 }
 
+/// NetTAG's Task 2 metrics, leave-one-design-out, for each design that
+/// has labeled registers (in design order).
+pub fn nettag_task2(
+    samples: &[RegisterSamples],
+    finetune: &FinetuneConfig,
+) -> Vec<BinarySensitivity> {
+    labeled(samples)
+        .map(|test| {
+            let train_x: Vec<Vec<f32>> = held_out(samples, test)
+                .flat_map(|s| s.features.iter().cloned())
+                .collect();
+            let train_y: Vec<usize> = held_out(samples, test)
+                .flat_map(|s| s.labels.iter().map(|&b| usize::from(b)))
+                .collect();
+            let head = ClassifierHead::train(&train_x, &train_y, 2, finetune);
+            let pred: Vec<bool> = head
+                .predict(&samples[test].features)
+                .into_iter()
+                .map(|c| c == 1)
+                .collect();
+            sensitivity_metrics(&pred, &samples[test].labels)
+        })
+        .collect()
+}
+
+/// Indices of the designs with at least one labeled register.
+fn labeled(samples: &[RegisterSamples]) -> impl Iterator<Item = usize> + '_ {
+    (0..samples.len()).filter(|&i| !samples[i].labels.is_empty())
+}
+
 /// Runs Task 2 leave-one-design-out.
 pub fn run_task2(
     model: &NetTag,
@@ -102,22 +133,13 @@ pub fn run_task2(
         .iter()
         .map(|(_, d)| register_samples(model, d, lib))
         .collect();
+    let nettag = nettag_task2(&samples, finetune);
     let mut rows = Vec::new();
-    for test in 0..designs.len() {
-        if samples[test].labels.is_empty() {
-            continue;
-        }
-        // NetTAG head.
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
+    for (test, nettag_m) in labeled(&samples).zip(nettag) {
+        // ReIGNN baseline: graph-level GNN classifier over cones.
         let mut train_graphs = Vec::new();
         let mut train_graph_labels = Vec::new();
-        for (i, s) in samples.iter().enumerate() {
-            if i == test {
-                continue;
-            }
-            train_x.extend(s.features.iter().cloned());
-            train_y.extend(s.labels.iter().map(|&b| usize::from(b)));
+        for s in held_out(&samples, test) {
             for (g, &l) in s.graphs.iter().zip(s.labels.iter()) {
                 train_graphs.push(GnnGraph {
                     features: g.features.clone(),
@@ -127,14 +149,6 @@ pub fn run_task2(
                 train_graph_labels.push(usize::from(l));
             }
         }
-        let head = ClassifierHead::train(&train_x, &train_y, 2, finetune);
-        let pred: Vec<bool> = head
-            .predict(&samples[test].features)
-            .into_iter()
-            .map(|c| c == 1)
-            .collect();
-        let nettag_m = sensitivity_metrics(&pred, &samples[test].labels);
-        // ReIGNN baseline: graph-level GNN classifier over cones.
         let gnn_model =
             GnnGraphModel::train_classification(&train_graphs, &train_graph_labels, 2, gnn);
         let gpred: Vec<bool> = gnn_model

@@ -7,6 +7,7 @@
 //! embeddings; the baseline is the netlist-adapted timing GNN of \[2\].
 
 use crate::gnn::{GnnConfig, GnnGraph, GnnGraphModel};
+use crate::held_out;
 use crate::metrics::{regression_metrics, Regression};
 use crate::task2::cone_graph;
 use nettag_core::{NetTag, RegressorHead};
@@ -84,6 +85,37 @@ pub struct Task3Report {
     pub avg_nettag: Regression,
 }
 
+/// NetTAG's Task 3 metrics, leave-one-design-out, for each design with at
+/// least three slack-labeled registers (in design order).
+pub fn nettag_task3(samples: &[SlackSamples]) -> Vec<Regression> {
+    scored(samples)
+        .map(|test| {
+            let train_x: Vec<Vec<f32>> = held_out(samples, test)
+                .flat_map(|s| s.features.iter().cloned())
+                .collect();
+            let train_y: Vec<f32> = held_out(samples, test)
+                .flat_map(|s| s.targets.iter().copied())
+                .collect();
+            let head = RegressorHead::train(&train_x, &train_y);
+            let pred: Vec<f64> = head
+                .predict(&samples[test].features)
+                .into_iter()
+                .map(f64::from)
+                .collect();
+            regression_metrics(&pred, &truth(&samples[test]))
+        })
+        .collect()
+}
+
+/// Indices of the designs with enough labeled registers to score.
+fn scored(samples: &[SlackSamples]) -> impl Iterator<Item = usize> + '_ {
+    (0..samples.len()).filter(|&i| samples[i].targets.len() >= 3)
+}
+
+fn truth(s: &SlackSamples) -> Vec<f64> {
+    s.targets.iter().map(|&t| f64::from(t)).collect()
+}
+
 /// Runs Task 3 leave-one-design-out.
 pub fn run_task3(
     model: &NetTag,
@@ -96,21 +128,12 @@ pub fn run_task3(
         .iter()
         .map(|(_, d)| slack_samples(model, d, lib, flow))
         .collect();
+    let nettag = nettag_task3(&samples);
     let mut rows = Vec::new();
-    for test in 0..designs.len() {
-        if samples[test].targets.len() < 3 {
-            continue;
-        }
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
+    for (test, nettag_m) in scored(&samples).zip(nettag) {
         let mut train_graphs = Vec::new();
         let mut train_targets = Vec::new();
-        for (i, s) in samples.iter().enumerate() {
-            if i == test {
-                continue;
-            }
-            train_x.extend(s.features.iter().cloned());
-            train_y.extend(s.targets.iter().copied());
+        for s in held_out(&samples, test) {
             for (g, &t) in s.graphs.iter().zip(s.targets.iter()) {
                 train_graphs.push(GnnGraph {
                     features: g.features.clone(),
@@ -120,25 +143,13 @@ pub fn run_task3(
                 train_targets.push(t);
             }
         }
-        let head = RegressorHead::train(&train_x, &train_y);
-        let pred: Vec<f64> = head
-            .predict(&samples[test].features)
-            .into_iter()
-            .map(f64::from)
-            .collect();
-        let truth: Vec<f64> = samples[test]
-            .targets
-            .iter()
-            .map(|&t| f64::from(t))
-            .collect();
-        let nettag_m = regression_metrics(&pred, &truth);
         let gnn_model = GnnGraphModel::train_regression(&train_graphs, &train_targets, gnn);
         let gpred: Vec<f64> = gnn_model
             .predict_regression(&samples[test].graphs)
             .into_iter()
             .map(f64::from)
             .collect();
-        let gnn_m = regression_metrics(&gpred, &truth);
+        let gnn_m = regression_metrics(&gpred, &truth(&samples[test]));
         rows.push(Task3Row {
             design: designs[test].0.clone(),
             gnn: gnn_m,

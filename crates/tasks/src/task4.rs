@@ -11,6 +11,7 @@ use crate::gnn::{structural_features, GnnConfig, GnnGraph, GnnGraphModel};
 use crate::metrics::{regression_metrics, Regression};
 use nettag_core::{NetTag, RegressorHead};
 use nettag_netlist::{synthesis_phys_estimates, Library};
+use nettag_nn::GbdtConfig;
 use nettag_physical::{run_flow, FlowConfig};
 use nettag_synth::Design;
 
@@ -126,15 +127,80 @@ pub struct Task4Report {
     pub rows: Vec<Task4Row>,
 }
 
+/// The deterministic Task 4 split: every third design is held out.
+///
+/// # Panics
+///
+/// Panics when fewer designs train than the GBDT head's
+/// `min_samples_split`: its root could not split, so it would score a
+/// constant predictor.
+fn split(n: usize) -> (Vec<usize>, Vec<usize>) {
+    let train: Vec<usize> = (0..n).filter(|i| i % 3 != 2).collect();
+    let min = GbdtConfig::default().min_samples_split;
+    assert!(
+        train.len() >= min,
+        "Task 4 trains on {} designs; its GBDT head needs at least {min} \
+         (min_samples_split) or it predicts a constant",
+        train.len()
+    );
+    (train, (0..n).filter(|i| i % 3 == 2).collect())
+}
+
+fn truth(samples: &PpaSamples, idx: &[usize], t: usize) -> Vec<f64> {
+    idx.iter().map(|&i| samples.labels[i][t]).collect()
+}
+
+fn graphs(samples: &PpaSamples, idx: &[usize]) -> Vec<GnnGraph> {
+    idx.iter()
+        .map(|&i| GnnGraph {
+            features: samples.graphs[i].features.clone(),
+            edges: samples.graphs[i].edges.clone(),
+            node_labels: vec![],
+        })
+        .collect()
+}
+
+/// NetTAG's Task 4 metrics, one per target in [`PpaTarget::ALL`] order.
+///
+/// # Panics
+///
+/// Panics when the split trains on fewer designs than the GBDT head can
+/// split (see [`run_task4`]).
+pub fn nettag_task4(samples: &PpaSamples) -> Vec<Regression> {
+    let (train_idx, test_idx) = split(samples.labels.len());
+    let features = |idx: &[usize]| -> Vec<Vec<f32>> {
+        idx.iter().map(|&i| samples.features[i].clone()).collect()
+    };
+    (0..PpaTarget::ALL.len())
+        .map(|t| {
+            let train_y: Vec<f32> = truth(samples, &train_idx, t)
+                .into_iter()
+                .map(|v| v as f32)
+                .collect();
+            let head = RegressorHead::train(&features(&train_idx), &train_y);
+            let pred: Vec<f64> = head
+                .predict(&features(&test_idx))
+                .into_iter()
+                .map(f64::from)
+                .collect();
+            regression_metrics(&pred, &truth(samples, &test_idx, t))
+        })
+        .collect()
+}
+
 /// Runs Task 4 with a deterministic train/test split (2/3 train).
+///
+/// # Panics
+///
+/// Panics when fewer designs train than `GbdtConfig::default()`'s
+/// `min_samples_split` (8, so at least 12 designs): the NetTAG head
+/// would predict a constant.
 pub fn run_task4(samples: &PpaSamples, gnn: &GnnConfig) -> Task4Report {
-    let n = samples.labels.len();
-    assert!(n >= 6, "need at least 6 designs for a meaningful split");
-    let test_idx: Vec<usize> = (0..n).filter(|i| i % 3 == 2).collect();
-    let train_idx: Vec<usize> = (0..n).filter(|i| i % 3 != 2).collect();
+    let (train_idx, test_idx) = split(samples.labels.len());
+    let nettag = nettag_task4(samples);
     let mut rows = Vec::new();
-    for (t, target) in PpaTarget::ALL.into_iter().enumerate() {
-        let truth: Vec<f64> = test_idx.iter().map(|&i| samples.labels[i][t]).collect();
+    for (t, (target, nettag)) in PpaTarget::ALL.into_iter().zip(nettag).enumerate() {
+        let truth = truth(samples, &test_idx, t);
         // EDA tool: direct estimate, no training.
         let tool_pred: Vec<f64> = test_idx
             .iter()
@@ -144,50 +210,22 @@ pub fn run_task4(samples: &PpaSamples, gnn: &GnnConfig) -> Task4Report {
             })
             .collect();
         let tool = regression_metrics(&tool_pred, &truth);
-        // NetTAG head.
-        let train_x: Vec<Vec<f32>> = train_idx
-            .iter()
-            .map(|&i| samples.features[i].clone())
-            .collect();
+        // GNN baseline.
         let train_y: Vec<f32> = train_idx
             .iter()
             .map(|&i| samples.labels[i][t] as f32)
             .collect();
-        let head = RegressorHead::train(&train_x, &train_y);
-        let test_x: Vec<Vec<f32>> = test_idx
-            .iter()
-            .map(|&i| samples.features[i].clone())
-            .collect();
-        let nettag_pred: Vec<f64> = head.predict(&test_x).into_iter().map(f64::from).collect();
-        let nettag = regression_metrics(&nettag_pred, &truth);
-        // GNN baseline.
-        let train_graphs: Vec<GnnGraph> = train_idx
-            .iter()
-            .map(|&i| GnnGraph {
-                features: samples.graphs[i].features.clone(),
-                edges: samples.graphs[i].edges.clone(),
-                node_labels: vec![],
-            })
-            .collect();
-        let gnn_model = GnnGraphModel::train_regression(&train_graphs, &train_y, gnn);
-        let test_graphs: Vec<GnnGraph> = test_idx
-            .iter()
-            .map(|&i| GnnGraph {
-                features: samples.graphs[i].features.clone(),
-                edges: samples.graphs[i].edges.clone(),
-                node_labels: vec![],
-            })
-            .collect();
+        let gnn_model =
+            GnnGraphModel::train_regression(&graphs(samples, &train_idx), &train_y, gnn);
         let gnn_pred: Vec<f64> = gnn_model
-            .predict_regression(&test_graphs)
+            .predict_regression(&graphs(samples, &test_idx))
             .into_iter()
             .map(f64::from)
             .collect();
-        let gnn_m = regression_metrics(&gnn_pred, &truth);
         rows.push(Task4Row {
             target,
             tool,
-            gnn: gnn_m,
+            gnn: regression_metrics(&gnn_pred, &truth),
             nettag,
         });
     }
@@ -222,5 +260,25 @@ mod tests {
         for (i, (_, est_p)) in s.tool_estimates.iter().enumerate() {
             assert!(*est_p < s.labels[i][2], "tool underestimates power");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs at least 8")]
+    fn task4_rejects_a_split_its_head_cannot_split() {
+        // Eight designs train six rows: below `min_samples_split`.
+        let samples = PpaSamples {
+            features: (0..8).map(|i| vec![i as f32]).collect(),
+            graphs: (0..8)
+                .map(|_| GnnGraph {
+                    features: nettag_nn::Tensor::zeros(1, 1),
+                    edges: vec![],
+                    node_labels: vec![],
+                })
+                .collect(),
+            tool_estimates: vec![(1.0, 1.0); 8],
+            labels: (0..8).map(|i| [1.0 + i as f64; 4]).collect(),
+            names: (0..8).map(|i| format!("d{i}")).collect(),
+        };
+        run_task4(&samples, &GnnConfig::default());
     }
 }

@@ -113,7 +113,7 @@ fn main() {
     );
     engine.shutdown();
 
-    println!("\nDone. `cargo bench -p nettag-bench --bench geom` records the fused-vs-plain");
-    println!("fine-tune scenarios (wirelength, congestion, slack) in BENCH_geom.json;");
+    println!("\nDone. `cargo bench -p nettag-bench --bench quality` records the fused-vs-plain");
+    println!("fine-tune scenarios (wirelength, congestion, slack) in BENCH_quality.json;");
     println!("`crates/geom/tests/equivalence.rs` proves 1-vs-N-thread training determinism.");
 }

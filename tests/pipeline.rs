@@ -45,7 +45,7 @@ fn full_pipeline_runs_all_four_tasks() {
     let suite = build_suite(&SuiteConfig {
         scale: 0.25,
         task1_designs: 2,
-        task4_per_family: 2,
+        task4_per_family: 3,
         ..SuiteConfig::default()
     });
     let ft = nettag::core::FinetuneConfig {
