@@ -12,15 +12,18 @@
 //!   designs: FGNN-like and DeepGate3-like AIG encoders, ExprLLM-only
 //!   features and full NetTAG;
 //! * **geometry** — wirelength, congestion and slack regressed from the
-//!   fused (geometry × topology) embedding and from the plain TAGFormer
-//!   embedding, three ITC'99-family designs with the last held out;
+//!   late-fused `[CLS] ‖ mean geometry` embedding
+//!   (`nettag_core::fuse_geometry`, no trained fusion weights) and from
+//!   the plain TAGFormer embedding, three ITC'99-family designs with the
+//!   last held out;
 //! * **Figs. 6 and 7** (`fig6_fig7`) — the main model (Fig. 6's full
 //!   model, Fig. 7(a)'s 8B stand-in, Fig. 7(b)'s 100%) and one variant per
 //!   ablated objective, smaller model and data fraction, all pre-trained
 //!   on the main schedule. Each is scored by its NetTAG heads only (the
 //!   baselines do not depend on the model): Task 1 accuracy over the first
 //!   [`VARIANT_TASK1_DESIGNS`] designs, Task 2 balanced accuracy and the
-//!   Task 3 and Task 4 MAPEs over the full suite.
+//!   Task 3 and Task 4 MAPEs over the full suite. Task 4's sign-off labels
+//!   do not depend on the model either: each seed computes them once.
 //!
 //! Table II (dataset statistics) does not depend on the seed and is
 //! computed once. Every other leaf holds `mean`, `min` and `max` over the
@@ -38,7 +41,6 @@ use nettag_bench::{build_pipeline, pretrained, Pipeline, Scale};
 use nettag_core::data::{build_pretrain_data, DataConfig, PretrainData};
 use nettag_core::{NetTag, NetTagConfig, Objectives};
 use nettag_expr::token::tokenize_expr;
-use nettag_geom::{FusionModel, FusionTrainConfig};
 use nettag_netlist::{Library, Tag};
 use nettag_nn::Tensor;
 use nettag_physical::FlowConfig;
@@ -51,9 +53,9 @@ use nettag_tasks::aig_encoders::{
 };
 use nettag_tasks::{
     loo_classify, mean_classification, nettag_task1, nettag_task2, nettag_task3, nettag_task4,
-    ppa_samples, register_samples, run_geom_tasks, run_task1, run_task2, run_task3, run_task4,
-    slack_samples, BinarySensitivity, Classification, DesignSamples, GeomScenario, Regression,
-    TaskSuite,
+    ppa_features, ppa_samples, register_samples, run_geom_tasks, run_task1, run_task2, run_task3,
+    run_task4, slack_samples, BinarySensitivity, Classification, DesignSamples, GeomScenario,
+    PpaSamples, Regression, TaskSuite,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,7 +156,7 @@ fn table2(m: &mut Metrics, scale: &Scale) {
 }
 
 /// Tables III–V: every task, NetTAG and its baselines.
-fn tables(m: &mut Metrics, p: &Pipeline) {
+fn tables(m: &mut Metrics, p: &Pipeline, ppa: &PpaSamples) {
     let (model, suite, lib) = (&p.model, &p.suite, &p.suite.lib);
     let (ft, gnn) = (p.scale.finetune(), p.scale.gnn());
     let t1 = run_task1(model, &suite.task1, lib, &ft, &gnn);
@@ -184,7 +186,7 @@ fn tables(m: &mut Metrics, p: &Pipeline) {
     put_regression(m, "table4_task3/avg/gnn", &t3.avg_gnn);
     put_regression(m, "table4_task3/avg/nettag", &t3.avg_nettag);
 
-    let t4 = run_task4(&ppa_samples(model, &suite.task4, lib), &gnn);
+    let t4 = run_task4(ppa, &ppa_features(model, &suite.task4, lib), &gnn);
     let targets = ["area_wo_opt", "area_w_opt", "power_wo_opt", "power_w_opt"];
     for (key, r) in targets.into_iter().zip(&t4.rows) {
         put_regression(m, &format!("table5_task4/{key}/tool"), &r.tool);
@@ -224,7 +226,7 @@ fn fig5(m: &mut Metrics, p: &Pipeline) {
 }
 
 /// Geometry fusion: three ITC'99-family designs (about 20 register cones
-/// each), the fusion trained on the first two and scored on the third.
+/// each), the heads trained on the first two and scored on the third.
 fn geometry(m: &mut Metrics, p: &Pipeline, seed: u64) {
     let designs: Vec<(String, Design)> = (0..3)
         .map(|i| {
@@ -232,14 +234,7 @@ fn geometry(m: &mut Metrics, p: &Pipeline, seed: u64) {
             (format!("itc{i}"), d)
         })
         .collect();
-    let mut fusion = FusionModel::new(p.model.config.embed_dim, 2, 0x9E0 ^ seed);
-    let report = run_geom_tasks(
-        &p.model,
-        &mut fusion,
-        &designs,
-        &p.suite.lib,
-        &FusionTrainConfig::default(),
-    );
+    let report = run_geom_tasks(&p.model, &designs, &p.suite.lib);
     let scenarios: [(&str, &GeomScenario); 3] = [
         ("wirelength", &report.wirelength),
         ("congestion", &report.congestion),
@@ -291,7 +286,14 @@ fn variants(scale: &Scale) -> Vec<(&'static str, NetTagConfig, Objectives, f32, 
 }
 
 /// One Fig. 6/7 row: the headline metric of each task, NetTAG heads only.
-fn variant_scores(m: &mut Metrics, key: &str, model: &NetTag, suite: &TaskSuite, scale: &Scale) {
+fn variant_scores(
+    m: &mut Metrics,
+    key: &str,
+    model: &NetTag,
+    suite: &TaskSuite,
+    ppa: &PpaSamples,
+    scale: &Scale,
+) {
     let (lib, ft) = (&suite.lib, scale.finetune());
     let designs = &suite.task1[..VARIANT_TASK1_DESIGNS.min(suite.task1.len())];
     let t1 = nettag_task1(model, designs, lib, &ft);
@@ -307,7 +309,7 @@ fn variant_scores(m: &mut Metrics, key: &str, model: &NetTag, suite: &TaskSuite,
         .map(|(_, d)| slack_samples(model, d, lib, &FlowConfig::default()))
         .collect();
     let t3 = nettag_task3(&slacks);
-    let t4 = nettag_task4(&ppa_samples(model, &suite.task4, lib));
+    let t4 = nettag_task4(ppa, &ppa_features(model, &suite.task4, lib));
     let row = |metric: &str| format!("fig6_fig7/{key}/{metric}");
     put(
         m,
@@ -323,10 +325,11 @@ fn variant_scores(m: &mut Metrics, key: &str, model: &NetTag, suite: &TaskSuite,
 fn record_seed(m: &mut Metrics, scale: &Scale, seed: u64) {
     let t0 = Instant::now();
     let p = build_pipeline(scale.clone(), seed);
-    tables(m, &p);
+    let ppa = ppa_samples(&p.suite.task4, &p.suite.lib);
+    tables(m, &p, &ppa);
     fig5(m, &p);
     geometry(m, &p, seed);
-    variant_scores(m, "main", &p.model, &p.suite, scale);
+    variant_scores(m, "main", &p.model, &p.suite, &ppa, scale);
     for (key, config, objectives, text_scale, f) in variants(scale) {
         let config = NetTagConfig {
             seed: config.seed ^ seed,
@@ -337,7 +340,7 @@ fn record_seed(m: &mut Metrics, scale: &Scale, seed: u64) {
             ..scale.pretrain_config()
         };
         let model = pretrained(config, text_scale, &fraction(&p.data, f), &schedule);
-        variant_scores(m, key, &model, &p.suite, scale);
+        variant_scores(m, key, &model, &p.suite, &ppa, scale);
     }
     eprintln!(
         "[quality] seed {seed} in {:.0}s",

@@ -42,9 +42,10 @@
 //! The layout-geometry path gets two more sections: `extraction`, the
 //! deterministic placement flow plus spatial feature extraction
 //! (`cone_geometry`) per register cone of an ITC'99-family design, and
-//! `fused_serve`, `embed_cone_fused` through an engine with a fusion
-//! model, cold (every structure new) and warm (every request a
-//! salted-cache hit). Geometry *quality* lives in the quality recorder.
+//! `fused_serve`, `embed_cone_fused` (`[CLS] ‖ mean geometry`), cold
+//! (every structure new: a `[CLS]` pass plus a placement flow per
+//! request) and warm (every request a salted-cache hit). Geometry
+//! *quality* lives in the quality recorder.
 //!
 //! Run with `cargo bench -p nettag-bench --bench serve`. Thread count
 //! follows `RAYON_NUM_THREADS` / `NETTAG_NUM_THREADS`. Set
@@ -53,8 +54,7 @@
 //! names an output path. Results land in `BENCH_serve.json` at the
 //! workspace root, or at `NETTAG_BENCH_OUT` when set.
 
-use nettag_core::{NetTag, NetTagConfig};
-use nettag_geom::{cone_geometry, FusionModel};
+use nettag_core::{cone_geometry, NetTag, NetTagConfig};
 use nettag_netlist::{
     cone_to_netlist, register_cone, synthesis_phys_estimates, CellKind, Library, Netlist, Tag,
 };
@@ -296,18 +296,20 @@ fn main() {
     let lib = Library::default();
 
     // Sequential offline baseline over the 8-client request set: one
-    // embed_tag per request, no engine.
+    // embed_tag per request, no engine. Each request runs on its own
+    // clone of the model, whose gate-text cache starts empty, so no
+    // request reuses another's work. The clone is not timed: throughput
+    // is the request count over the summed per-request times.
     let seq_total = if smoke { 8 } else { 128 };
     let mut seq_lat = Vec::with_capacity(seq_total);
-    let t0 = Instant::now();
     for i in 0..seq_total {
-        let n = bench_cone(i);
+        let (n, fresh) = (bench_cone(i), NetTag::clone(&model));
         let t = Instant::now();
-        let tag = Tag::from_netlist(&n, &lib, &model.tag_options());
-        std::hint::black_box(model.embed_tag(&tag).cls);
+        let tag = Tag::from_netlist(&n, &lib, &fresh.tag_options());
+        std::hint::black_box(fresh.embed_tag(&tag).cls);
         seq_lat.push(t.elapsed().as_secs_f64());
     }
-    let seq_wall = t0.elapsed().as_secs_f64();
+    let seq_wall: f64 = seq_lat.iter().sum();
     seq_lat.sort_by(f64::total_cmp);
     let seq_rps = seq_total as f64 / seq_wall;
     println!(
@@ -430,15 +432,9 @@ fn main() {
     );
 
     // Fused serving: cold pass over distinct structures, then the same
-    // requests warm (salted-cache hits). Untrained fusion weights cost
-    // what trained ones do; the model clone starts with an empty text
-    // cache.
-    let fusion = FusionModel::new(model.config.embed_dim, 2, 0x9E0);
-    let engine = Engine::with_fusion(
-        Arc::new(NetTag::clone(&model)),
-        fusion,
-        ServeConfig::default(),
-    );
+    // requests warm (salted-cache hits). The model clone starts with an
+    // empty text cache.
+    let engine = Engine::new(Arc::new(NetTag::clone(&model)), ServeConfig::default());
     let client = engine.client();
     let fused_total = if smoke { 8 } else { 64 };
     let fused_pass = |what: &str| {

@@ -1,10 +1,17 @@
-//! Deterministic per-gate spatial features from a physical-flow outcome.
+//! The layout-geometry modality: deterministic per-gate spatial features
+//! from a physical-flow outcome, and their late fusion with a cone's
+//! `[CLS]` embedding.
 //!
 //! Everything here is a pure function of `(FlowOutcome, PhysProps)`. The
 //! flow itself is seeded (placement jitter, activity vectors), so the
 //! composition `cone_geometry` is a pure function of `(netlist, props)` —
 //! exactly the inputs `structural_hash_with_phys` digests, which is why
 //! the serving cache key needs no extension for the fused path.
+//!
+//! Fusion has no weights: [`fuse_geometry`] appends the column means of
+//! the geometry features to the `[CLS]` row and leaves the rest to the
+//! task head. The serving engine and the geometry fine-tune scenarios
+//! both call it, so served and in-process fused rows are bitwise equal.
 
 use nettag_netlist::{Library, Netlist, PhysProps};
 use nettag_nn::Tensor;
@@ -92,6 +99,28 @@ pub fn geometry_features(outcome: &FlowOutcome, props: &[PhysProps]) -> Tensor {
 pub fn cone_geometry(netlist: &Netlist, props: &[PhysProps], lib: &Library) -> Tensor {
     let outcome = run_flow(netlist, lib, &FlowConfig::default());
     geometry_features(&outcome, props)
+}
+
+/// Late fusion of a cone's 1×d `[CLS]` embedding with its n×[`GEOM_DIM`]
+/// geometry: `[CLS] ‖ column means of geom`, a 1×(d + [`GEOM_DIM`]) row.
+/// A cone with no gates contributes a zero tail.
+///
+/// # Panics
+///
+/// Panics if `cls` is not one row or `geom` is not [`GEOM_DIM`] wide.
+pub fn fuse_geometry(cls: &Tensor, geom: &Tensor) -> Tensor {
+    assert_eq!(cls.rows, 1, "one [CLS] row");
+    assert_eq!(geom.cols, GEOM_DIM, "GEOM_DIM features per gate");
+    let mut out = cls.data.clone();
+    let n = geom.rows.max(1) as f32;
+    for c in 0..GEOM_DIM {
+        let mut s = 0.0;
+        for r in 0..geom.rows {
+            s += geom.at(r, c);
+        }
+        out.push(s / n);
+    }
+    Tensor::row(out)
 }
 
 #[cfg(test)]

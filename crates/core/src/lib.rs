@@ -6,7 +6,9 @@
 //! (SGFormer-style graph transformer with a `[CLS]` node) — pre-trained
 //! with four circuit self-supervised objectives plus cross-stage
 //! contrastive alignment against RTL and layout encoders, then fine-tuned
-//! with lightweight heads for functional and physical netlist tasks.
+//! with lightweight heads for functional and physical netlist tasks. The
+//! layout-geometry modality ([`cone_geometry`], [`fuse_geometry`]) appends
+//! a cone's mean spatial features to its `[CLS]` embedding.
 //!
 //! ```no_run
 //! use nettag_core::{pretrain, NetTag, NetTagConfig, PretrainConfig};
@@ -32,6 +34,7 @@ pub mod data;
 mod encoders;
 mod exprllm;
 mod finetune;
+mod geometry;
 mod nettag;
 mod persist;
 mod pretrain;
@@ -41,6 +44,7 @@ pub use config::NetTagConfig;
 pub use encoders::{rtl_vocab, tokenize_rtl, LayoutEncoder, RtlEncoder, RTL_KEYWORDS};
 pub use exprllm::{ExprLlm, TextCache};
 pub use finetune::{ClassifierHead, FinetuneConfig, RegressorHead};
+pub use geometry::{cone_geometry, fuse_geometry, geometry_features, GEOM_DIM};
 pub use nettag::{NetTag, TagEmbedding};
 pub use persist::{
     fnv1a, load_checkpoint, load_checkpoint_shared, reload_checkpoint_shared, save_checkpoint,

@@ -12,10 +12,10 @@
 //! parameter operands (`&Param`) are read in place instead of
 //! being copied onto the tape, LayerNorm keeps no `xhat`/`1/std`, and an
 //! attention head (softmax or linear) keeps only its output. Inference
-//! entry points (the encoders' `encode`, fusion's `fuse`) are thin
-//! wrappers that run the training `forward` on such a graph, so served
-//! outputs are bitwise equal to the tape's by construction. `backward*`
-//! on a no-grad graph panics.
+//! entry points (the encoders' `encode`) are thin wrappers that run the
+//! training `forward` on such a graph, so served outputs are bitwise
+//! equal to the tape's by construction. `backward*` on a no-grad graph
+//! panics.
 //!
 //! ## Backward-pass memory discipline
 //!

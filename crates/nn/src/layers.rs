@@ -215,20 +215,12 @@ impl MultiHeadAttention {
 
     /// Full (unmasked) self-attention over an n×d sequence.
     pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        self.forward_cross(g, x, x)
-    }
-
-    /// Cross-attention: queries projected from the m×d `query` sequence,
-    /// keys/values from the n×d `context` sequence, output m×d.
-    /// `forward_cross(g, x, x)` is exactly `forward(g, x)` — the same
-    /// kernels run in the same order.
-    pub fn forward_cross(&self, g: &mut Graph, query: NodeId, context: NodeId) -> NodeId {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut heads = Vec::with_capacity(self.wq.len());
         for h in 0..self.wq.len() {
-            let q = self.wq[h].forward(g, query);
-            let k = self.wk[h].forward(g, context);
-            let v = self.wv[h].forward(g, context);
+            let q = self.wq[h].forward(g, x);
+            let k = self.wk[h].forward(g, x);
+            let v = self.wv[h].forward(g, x);
             heads.push(g.attention(q, k, v, scale));
         }
         let cat = g.concat_cols(&heads);
@@ -470,32 +462,26 @@ mod tests {
 
     /// Every op whose no-grad branch differs from tape mode — param
     /// linear and linear+ReLU, LayerNorm (below and above the parallel
-    /// gate), the param-row gather, the softmax attention head, self and
-    /// cross, and linear attention — produces the tape's bits on a
-    /// no-grad graph.
+    /// gate), the param-row gather, the softmax attention head and linear
+    /// attention — produces the tape's bits on a no-grad graph.
     #[test]
     fn no_grad_matches_tape_bitwise() {
         let mut r = rng();
         let emb = Embedding::new(10, 16, &mut r);
         let block = TransformerBlock::new(16, 4, 2, &mut r);
-        let cross = MultiHeadAttention::new(16, 4, &mut r);
         let mlp = Mlp::new(&[16, 24, 24, 6], &mut r);
         let mut wide = LayerNorm::new(80);
         wide.gain.value = Tensor::xavier(1, 80, &mut r);
         wide.bias.value = Tensor::xavier(1, 80, &mut r);
-        let context = Tensor::xavier(11, 16, &mut r);
         let big = Tensor::xavier(1024, 80, &mut r);
         let run = |mut g: Graph| -> Vec<Tensor> {
             let x = emb.forward(&mut g, &[3, 1, 4, 1, 5, 9, 2]);
             let y = block.forward(&mut g, x);
-            let q = g.select_row(y, 0);
-            let c = g.constant(context.clone());
-            let z = cross.forward_cross(&mut g, q, c);
             let m = mlp.forward(&mut g, y);
             let b = g.constant(big.clone());
             let n = wide.forward(&mut g, b);
             let l = g.linear_attention(y, x, m);
-            [x, y, z, m, n, l].map(|id| g.take_value(id)).to_vec()
+            [x, y, m, n, l].map(|id| g.take_value(id)).to_vec()
         };
         let tape = run(Graph::new());
         let no_grad = run(Graph::no_grad());

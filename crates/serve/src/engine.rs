@@ -53,11 +53,11 @@ use crate::cache::ConeCache;
 use crate::faults::{FaultKind, FaultState};
 use crate::{ServeConfig, ServeError};
 use nettag_core::{
-    fnv1a, load_checkpoint_shared, reload_checkpoint_shared, ClassifierHead, NetTag,
+    cone_geometry, fnv1a, fuse_geometry, load_checkpoint_shared, reload_checkpoint_shared,
+    ClassifierHead, NetTag,
 };
 use nettag_expr::token::{tokenize_expr, TokenId, Vocab};
 use nettag_expr::{parse_expr, Expr};
-use nettag_geom::{cone_geometry, FusionModel};
 use nettag_netlist::{
     structural_hash_with_phys, synthesis_phys_estimates, Library, Netlist, PhysProps, Tag,
 };
@@ -133,9 +133,11 @@ pub(crate) enum RawRequest {
 }
 
 /// Salt XORed into a cone's structural digest to key its *fused*
-/// embedding: the fused result is a different value computed from the
-/// same inputs, so it must share the digest (dedup against the plain
-/// compute) but never alias the plain cache entry.
+/// embedding, the 1×(d + `GEOM_DIM`) row of
+/// [`nettag_core::fuse_geometry`]: the fused result is a different value
+/// computed from the same inputs, so it must share the digest (dedup
+/// against the plain compute) but never alias the plain cache entry. A
+/// fused hit saves the cone's placement flow.
 const FUSED_SALT: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834;
 
 /// A routed request: validation done, digest computed, lane chosen.
@@ -213,7 +215,6 @@ struct ModelState {
 struct Shared {
     state: RwLock<ModelState>,
     head: Option<ClassifierHead>,
-    fusion: Option<FusionModel>,
     lib: Library,
     vocab: Vocab,
     cache: ConeCache,
@@ -260,20 +261,13 @@ pub struct Client {
 impl Engine {
     /// Starts an engine over a (frozen) model with no prediction head.
     pub fn new(model: Arc<NetTag>, cfg: ServeConfig) -> Engine {
-        Engine::build(model, None, None, cfg)
+        Engine::build(model, None, cfg)
     }
 
     /// Starts an engine that also serves `predict` requests through a
     /// fine-tuned classifier head (input: the cone `[CLS]` embedding).
     pub fn with_classifier(model: Arc<NetTag>, head: ClassifierHead, cfg: ServeConfig) -> Engine {
-        Engine::build(model, Some(head), None, cfg)
-    }
-
-    /// Starts an engine that also serves [`Client::embed_cone_fused`]
-    /// requests through a frozen geometry fusion model (embedding width
-    /// must match the serving model's).
-    pub fn with_fusion(model: Arc<NetTag>, fusion: FusionModel, cfg: ServeConfig) -> Engine {
-        Engine::build(model, None, Some(fusion), cfg)
+        Engine::build(model, Some(head), cfg)
     }
 
     /// Starts an engine from a checkpoint on disk. Loading goes through
@@ -289,12 +283,7 @@ impl Engine {
         Ok(Engine::new(model, cfg))
     }
 
-    fn build(
-        model: Arc<NetTag>,
-        head: Option<ClassifierHead>,
-        fusion: Option<FusionModel>,
-        cfg: ServeConfig,
-    ) -> Engine {
+    fn build(model: Arc<NetTag>, head: Option<ClassifierHead>, cfg: ServeConfig) -> Engine {
         let lane_count = if cfg.lanes == 0 {
             nettag_par::num_threads()
         } else {
@@ -312,7 +301,6 @@ impl Engine {
                 generation: 0,
             }),
             head,
-            fusion,
             lib: Library::default(),
             vocab: NetTag::vocab(),
             cache: ConeCache::new(cfg.cache_capacity),
@@ -492,10 +480,11 @@ impl Client {
     }
 
     /// Embeds a netlist and fuses the embedding with the cone's layout
-    /// geometry through the engine's [`FusionModel`] — `1 × embed_dim`,
-    /// bitwise identical to running
-    /// [`nettag_geom::cone_geometry`] + [`FusionModel::fuse`] on the
-    /// offline `[CLS]` embedding (the engine calls exactly those
+    /// geometry — `1 × (embed_dim + GEOM_DIM)`: the `[CLS]` row that
+    /// [`Client::embed_cone`] returns, followed by the column means of
+    /// the cone's spatial features. Bitwise identical to running
+    /// [`nettag_core::cone_geometry`] + [`nettag_core::fuse_geometry`] on
+    /// the offline `[CLS]` embedding (the engine calls exactly those
     /// functions).
     ///
     /// Rides the same batcher lanes as [`Client::embed_cone`]: a fused
@@ -506,13 +495,12 @@ impl Client {
     /// netlist and its physical attributes, which is precisely what
     /// [`nettag_netlist::structural_hash_with_phys`] already digests;
     /// fused entries store under that digest XOR a private salt so they
-    /// never alias plain embeddings.
+    /// never alias plain embeddings, and a cached fused row saves the
+    /// cone's placement flow.
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoFusion`] when the engine was built without a
-    /// fusion model ([`Engine::with_fusion`]); otherwise as
-    /// [`Client::embed_cone`].
+    /// As [`Client::embed_cone`].
     pub fn embed_cone_fused(
         &self,
         netlist: Netlist,
@@ -591,9 +579,6 @@ impl Client {
                 ))
             }
             RawRequest::ConeFused { netlist, phys } => {
-                if self.shared.fusion.is_none() {
-                    return Err(ServeError::NoFusion);
-                }
                 let props = self.resolve_props(&netlist, phys)?;
                 let key = structural_hash_with_phys(&netlist, &props);
                 // Lane by the *plain* digest: fused and plain requests
@@ -927,25 +912,22 @@ fn run_batch(
         computed.insert(*key, emb);
     }
     let expr_text = model.exprllm.encode_texts(&exprs);
-    // Fused pass: geometry extraction (deterministic seeded flow) +
-    // no-grad cross-attentive fusion over the `[CLS]` embedding this
-    // batch computed (or found cached).
+    // Fused pass: geometry extraction (deterministic seeded flow), then
+    // late fusion onto the `[CLS]` embedding this batch computed (or found
+    // cached).
     let mut computed_fused: HashMap<u128, Arc<Tensor>> =
         HashMap::with_capacity(fused_compute.len());
-    if !fused_compute.is_empty() {
-        let fusion = shared.fusion.as_ref().expect("validated during routing");
-        for (key, netlist, props) in fused_compute {
-            let cls = computed
-                .get(&key)
-                .or_else(|| cls_from_cache.get(&key))
-                .expect("fused request's [CLS] embedding available");
-            let geom = cone_geometry(&netlist, &props, &shared.lib);
-            let emb = Arc::new(fusion.fuse(cls, &geom));
-            shared
-                .cache
-                .insert(key ^ FUSED_SALT, Arc::clone(&emb), generation);
-            computed_fused.insert(key, emb);
-        }
+    for (key, netlist, props) in fused_compute {
+        let cls = computed
+            .get(&key)
+            .or_else(|| cls_from_cache.get(&key))
+            .expect("fused request's [CLS] embedding available");
+        let geom = cone_geometry(&netlist, &props, &shared.lib);
+        let emb = Arc::new(fuse_geometry(cls, &geom));
+        shared
+            .cache
+            .insert(key ^ FUSED_SALT, Arc::clone(&emb), generation);
+        computed_fused.insert(key, emb);
     }
     // Commit the batch's counters in one coherent write — *before* any
     // reply goes out, so a caller that observes its answer also observes

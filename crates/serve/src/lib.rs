@@ -23,11 +23,14 @@
 //!   a forward pass. A checkpoint hot-swap
 //!   ([`Engine::swap_checkpoint`]) bumps the cache generation and
 //!   lazily evicts embeddings computed under the old weights. The fused
-//!   geometry path ([`Client::embed_cone_fused`]) needs no extra key
-//!   material: geometry is a deterministic function of the cone netlist
-//!   and its physical attributes (the placement flow is seeded), which
-//!   is exactly what `structural_hash_with_phys` digests — fused entries
-//!   just salt the same digest so they never alias plain embeddings.
+//!   geometry path ([`Client::embed_cone_fused`]), served by every
+//!   engine, answers `[CLS] ‖ mean geometry`, a `1 × (embed_dim +
+//!   GEOM_DIM)` row ([`nettag_core::fuse_geometry`]). It needs no extra
+//!   key material: geometry is a deterministic function of the cone
+//!   netlist and its physical attributes (the placement flow is seeded),
+//!   which is exactly what `structural_hash_with_phys` digests — fused
+//!   entries just salt the same digest so they never alias plain
+//!   embeddings.
 //! * **Network front-end** — [`NetServer`] exposes the engine over TCP
 //!   with a simple length-prefixed binary protocol ([`proto`]);
 //!   [`NetClient`] is the matching blocking client. Remote requests
@@ -171,9 +174,6 @@ pub enum ServeError {
     Invalid(String),
     /// A predict request reached an engine built without a classifier.
     NoClassifier,
-    /// A fused-embedding request reached an engine built without a
-    /// geometry fusion model ([`Engine::with_fusion`]).
-    NoFusion,
     /// Checkpoint loading failed ([`Engine::from_checkpoint`] /
     /// [`Engine::swap_checkpoint`]).
     Checkpoint(CheckpointError),
@@ -199,7 +199,6 @@ impl fmt::Display for ServeError {
             ServeError::Closed => write!(f, "serving engine is shut down"),
             ServeError::Invalid(msg) => write!(f, "invalid request: {msg}"),
             ServeError::NoClassifier => write!(f, "engine has no classifier head"),
-            ServeError::NoFusion => write!(f, "engine has no geometry fusion model"),
             ServeError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             ServeError::Overloaded => write!(f, "engine overloaded: request shed, retry later"),
             ServeError::DeadlineExceeded => {

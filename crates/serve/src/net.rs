@@ -284,12 +284,10 @@ fn wire_result(result: Result<Response, ServeError>) -> ResponseBody {
                 ServeError::Closed => ErrorCode::Closed,
                 ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
                 ServeError::Internal(_) => ErrorCode::Internal,
-                // Not produced by the engine for a served wire request
-                // (the fused path is in-process only); fold into Invalid
-                // rather than invent wire codes for them.
-                ServeError::Checkpoint(_) | ServeError::Transport(_) | ServeError::NoFusion => {
-                    ErrorCode::Invalid
-                }
+                // Not produced by the engine for a served wire request;
+                // fold into Invalid rather than invent wire codes for
+                // them.
+                ServeError::Checkpoint(_) | ServeError::Transport(_) => ErrorCode::Invalid,
             };
             ResponseBody::Error {
                 code,

@@ -2,14 +2,17 @@
 //! bitwise identical to the offline embedding API, the cache keys on
 //! structure (not names), and lifecycle/error paths behave.
 
-use nettag_core::{save_checkpoint, ClassifierHead, FinetuneConfig, NetTag, NetTagConfig};
+use nettag_core::{
+    cone_geometry, fuse_geometry, save_checkpoint, ClassifierHead, FinetuneConfig, NetTag,
+    NetTagConfig, GEOM_DIM,
+};
 use nettag_expr::parse_expr;
 use nettag_expr::token::tokenize_expr;
-use nettag_geom::{cone_geometry, FusionModel};
 use nettag_netlist::{
     chunk_into_cones, cone_to_netlist, synthesis_phys_estimates, CellKind, Library, Netlist,
     PhysProps, Tag,
 };
+use nettag_nn::Tensor;
 use nettag_serve::{Engine, ServeConfig, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -479,40 +482,61 @@ fn hot_swap_with_concurrent_clients_serves_one_model_or_the_other() {
     assert_eq!(last.data, offline_cls(&model_a, &n));
 }
 
+/// The cone's deterministic geometry, as the engine extracts it.
+fn geometry(n: &Netlist) -> Tensor {
+    let lib = Library::default();
+    cone_geometry(n, &synthesis_phys_estimates(n, &lib), &lib)
+}
+
 /// The offline reference for the fused path: plain `[CLS]` embedding
 /// fused with the deterministic geometry of the same cone.
-fn offline_fused(model: &NetTag, fusion: &FusionModel, n: &Netlist) -> Vec<f32> {
+fn offline_fused(model: &NetTag, n: &Netlist) -> Vec<f32> {
     let lib = Library::default();
     let cls = model
         .embed_tag(&Tag::from_netlist(n, &lib, &model.tag_options()))
         .cls;
-    let props = synthesis_phys_estimates(n, &lib);
-    let geom = cone_geometry(n, &props, &lib);
-    fusion.fuse(&cls, &geom).data
+    fuse_geometry(&cls, &geometry(n)).data
+}
+
+/// Pins the late-fusion layout of a served fused row: `embed_dim +
+/// GEOM_DIM` wide, the plain `[CLS]` reply bitwise, then the column
+/// means of the cone's geometry.
+fn assert_fused_layout(fused: &[f32], plain: &[f32], n: &Netlist) {
+    let d = plain.len();
+    assert_eq!(
+        fused.len(),
+        d + GEOM_DIM,
+        "fused width is embed_dim + GEOM_DIM"
+    );
+    assert_eq!(fused[..d], plain[..], "fused head is the plain [CLS] row");
+    let geom = geometry(n);
+    let means: Vec<f32> = (0..GEOM_DIM)
+        .map(|c| (0..geom.rows).map(|r| geom.at(r, c)).sum::<f32>() / geom.rows as f32)
+        .collect();
+    assert_eq!(fused[d..], means[..], "fused tail is the mean geometry");
 }
 
 #[test]
 fn served_fused_embedding_matches_in_process_fusion_bitwise() {
-    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
-    let fusion = FusionModel::new(model.config.embed_dim, 2, 0x9E0);
-    let engine = Engine::with_fusion(Arc::clone(&model), fusion.clone(), ServeConfig::default());
+    let (model, engine) = tiny_engine();
     let client = engine.client();
     for i in 0..4 {
         let n = cone(i);
         let served = client.embed_cone_fused(n.clone(), None).expect("serve");
         assert_eq!(
             served.data,
-            offline_fused(&model, &fusion, &n),
+            offline_fused(&model, &n),
             "served fused embedding for cone {i} must match the in-process path bitwise"
         );
+        let plain = client.embed_cone(n.clone(), None).expect("plain");
+        assert_eq!(plain.cols, model.config.embed_dim);
+        assert_fused_layout(&served.data, &plain.data, &n);
     }
 }
 
 #[test]
 fn fused_requests_cache_and_never_alias_plain_embeddings() {
-    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
-    let fusion = FusionModel::new(model.config.embed_dim, 2, 0x9E0);
-    let engine = Engine::with_fusion(Arc::clone(&model), fusion, ServeConfig::default());
+    let (_model, engine) = tiny_engine();
     let client = engine.client();
     let n = cone(3);
     // First fused request: a miss that computes (and caches) both the
@@ -521,13 +545,11 @@ fn fused_requests_cache_and_never_alias_plain_embeddings() {
     assert_eq!(engine.stats().cache_misses, 1);
     assert_eq!(engine.cached_embeddings(), 2);
     // The plain embedding for the same structure is now a cache hit —
-    // the fused pass shared its `[CLS]` compute — and differs bitwise.
+    // the fused pass shared its `[CLS]` compute — and the fused entry
+    // extends it rather than aliasing it.
     let plain = client.embed_cone(n.clone(), None).expect("plain");
     assert_eq!(engine.stats().cache_hits, 1);
-    assert_ne!(
-        fused.data, plain.data,
-        "fused and plain entries must not alias in the cache"
-    );
+    assert_fused_layout(&fused.data, &plain.data, &n);
     // A repeat fused request hits the salted entry and shares the buffer.
     let again = client.embed_cone_fused(n, None).expect("fused again");
     assert!(
@@ -540,28 +562,14 @@ fn fused_requests_cache_and_never_alias_plain_embeddings() {
 
 #[test]
 fn fused_requests_reuse_a_cached_plain_cls() {
-    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
-    let fusion = FusionModel::new(model.config.embed_dim, 2, 0x9E0);
-    let engine = Engine::with_fusion(Arc::clone(&model), fusion.clone(), ServeConfig::default());
+    let (model, engine) = tiny_engine();
     let client = engine.client();
     let n = cone(2);
     // Seed the cache with the plain embedding, then ask for the fusion:
     // the `[CLS]` pass must come from the cache, not recompute.
     let _ = client.embed_cone(n.clone(), None).expect("plain");
     let served = client.embed_cone_fused(n.clone(), None).expect("fused");
-    assert_eq!(served.data, offline_fused(&model, &fusion, &n));
-}
-
-#[test]
-fn fused_requires_a_fusion_model() {
-    let (_model, engine) = tiny_engine();
-    let err = engine
-        .client()
-        .embed_cone_fused(cone(0), None)
-        .expect_err("no fusion model configured");
-    assert!(matches!(err, ServeError::NoFusion), "got: {err}");
-    // The refusal must not poison the lane for later requests.
-    assert!(engine.client().embed_cone(cone(0), None).is_ok());
+    assert_eq!(served.data, offline_fused(&model, &n));
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Layout-geometry fusion fine-tune scenarios (Table-V style).
 //!
-//! Two scenarios ride the fused embedding from `nettag_geom`: pre-route
+//! Two scenarios ride the late-fused embedding of
+//! [`nettag_core::fuse_geometry`], `[CLS] ‖ mean geometry` (no trained
+//! fusion weights; the GBDT head does the mixing): pre-route
 //! total-wirelength/congestion regression and per-register slack
 //! prediction. Ground truth comes from the repository's own physical
 //! flow — cone-level wirelength and congestion from the default
@@ -11,8 +13,7 @@
 //! contribution is read directly off the report.
 
 use crate::metrics::{regression_metrics, Regression};
-use nettag_core::{NetTag, RegressorHead};
-use nettag_geom::{geometry_features, train_fusion, FusionModel, FusionSample, FusionTrainConfig};
+use nettag_core::{fuse_geometry, geometry_features, NetTag, RegressorHead};
 use nettag_netlist::{cone_to_netlist, register_cone, synthesis_phys_estimates, Library, Tag};
 use nettag_nn::Tensor;
 use nettag_physical::{run_flow, FlowConfig};
@@ -82,7 +83,7 @@ pub fn geom_samples(model: &NetTag, design: &Design, lib: &Library) -> GeomSampl
 /// Fused-vs-plain metrics for one regression target.
 #[derive(Debug, Clone)]
 pub struct GeomScenario {
-    /// Regressed from the fused (geometry × topology) embedding.
+    /// Regressed from the fused `[CLS] ‖ mean geometry` embedding.
     pub fused: Regression,
     /// Regressed from the plain TAGFormer cone embedding.
     pub plain: Regression,
@@ -125,20 +126,14 @@ fn scenario(
 
 /// Runs both geometry fine-tune scenarios with the last design held out.
 ///
-/// The fusion model is trained on the training cones (wirelength-grounded
-/// regression through the data-parallel driver), then frozen and used to
-/// extract fused features for every cone.
-///
 /// # Panics
 ///
 /// Panics with fewer than two designs or when no cones survive
 /// filtering.
 pub fn run_geom_tasks(
     model: &NetTag,
-    fusion: &mut FusionModel,
     designs: &[(String, Design)],
     lib: &Library,
-    train_cfg: &FusionTrainConfig,
 ) -> GeomTaskReport {
     assert!(designs.len() >= 2, "need a train/test design split");
     let samples: Vec<GeomSamples> = designs
@@ -150,28 +145,12 @@ pub fn run_geom_tasks(
         !test.cls.is_empty() && train.iter().any(|s| !s.cls.is_empty()),
         "no cones survived filtering"
     );
-    // Ground the fusion on the training cones' wirelength.
-    let fusion_data: Vec<FusionSample> = train
-        .iter()
-        .flat_map(|s| {
-            s.cls
-                .iter()
-                .zip(s.geom.iter())
-                .zip(s.wirelength.iter())
-                .map(|((cls, geom), &target)| FusionSample {
-                    cls: cls.clone(),
-                    geom: geom.clone(),
-                    target,
-                })
-        })
-        .collect();
-    train_fusion(fusion, &fusion_data, train_cfg);
     let features = |set: &[&GeomSamples]| {
         let mut fused = Vec::new();
         let mut plain = Vec::new();
         for s in set {
             for (cls, geom) in s.cls.iter().zip(s.geom.iter()) {
-                fused.push(fusion.fuse(cls, geom).data.clone());
+                fused.push(fuse_geometry(cls, geom).data);
                 plain.push(cls.data.clone());
             }
         }
@@ -234,18 +213,7 @@ mod tests {
                 (format!("d{i}"), d)
             })
             .collect();
-        let mut fusion = FusionModel::new(model.config.embed_dim, 2, 0xF1);
-        let report = run_geom_tasks(
-            &model,
-            &mut fusion,
-            &designs,
-            &lib,
-            &FusionTrainConfig {
-                steps: 5,
-                batch: 4,
-                ..FusionTrainConfig::default()
-            },
-        );
+        let report = run_geom_tasks(&model, &designs, &lib);
         assert!(report.train_cones > 0 && report.test_cones > 0);
         for s in [&report.wirelength, &report.congestion, &report.slack] {
             assert!(s.fused.r.is_finite() && s.fused.mape.is_finite());

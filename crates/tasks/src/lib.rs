@@ -31,7 +31,10 @@ pub use suite::{build_suite, pretrain_designs, SuiteConfig, TaskSuite};
 pub use task1::{loo_classify, nettag_task1, run_task1, DesignSamples, Task1Report, Task1Row};
 pub use task2::{nettag_task2, register_samples, run_task2, Task2Report, Task2Row};
 pub use task3::{nettag_task3, run_task3, slack_samples, Task3Report, Task3Row};
-pub use task4::{nettag_task4, ppa_samples, run_task4, PpaTarget, Task4Report, Task4Row};
+pub use task4::{
+    nettag_task4, ppa_features, ppa_samples, run_task4, PpaSamples, PpaTarget, Task4Report,
+    Task4Row,
+};
 
 /// Every item of `items` but the held-out `test`-th: the training side of
 /// a leave-one-design-out split.

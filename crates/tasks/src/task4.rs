@@ -48,10 +48,10 @@ impl PpaTarget {
     }
 }
 
-/// Per-design Task 4 data.
+/// Per-design Task 4 data that does not depend on the model: computed
+/// once per suite and scored against any number of models' features
+/// ([`ppa_features`]).
 pub struct PpaSamples {
-    /// NetTAG circuit embeddings.
-    pub features: Vec<Vec<f32>>,
     /// Whole-netlist graphs for the GNN.
     pub graphs: Vec<GnnGraph>,
     /// Synthesis-tool estimates: (area, power) per design.
@@ -62,18 +62,24 @@ pub struct PpaSamples {
     pub names: Vec<String>,
 }
 
-/// Collects circuit-level samples and sign-off labels for all designs.
-pub fn ppa_samples(model: &NetTag, designs: &[Design], lib: &Library) -> PpaSamples {
+/// NetTAG circuit embeddings, one per design: the per-model half of Task 4.
+pub fn ppa_features(model: &NetTag, designs: &[Design], lib: &Library) -> Vec<Vec<f32>> {
+    designs
+        .iter()
+        .map(|d| model.embed_circuit(&d.netlist, lib, None).data)
+        .collect()
+}
+
+/// Collects the GNN graphs, tool estimates and sign-off labels (two
+/// physical flows per design) for all designs.
+pub fn ppa_samples(designs: &[Design], lib: &Library) -> PpaSamples {
     let mut out = PpaSamples {
-        features: Vec::new(),
         graphs: Vec::new(),
         tool_estimates: Vec::new(),
         labels: Vec::new(),
         names: Vec::new(),
     };
     for d in designs {
-        out.features
-            .push(model.embed_circuit(&d.netlist, lib, None).data.clone());
         out.graphs.push(GnnGraph {
             features: structural_features(&d.netlist, lib),
             edges: d
@@ -160,17 +166,22 @@ fn graphs(samples: &PpaSamples, idx: &[usize]) -> Vec<GnnGraph> {
         .collect()
 }
 
-/// NetTAG's Task 4 metrics, one per target in [`PpaTarget::ALL`] order.
+/// NetTAG's Task 4 metrics from one model's [`ppa_features`], one per
+/// target in [`PpaTarget::ALL`] order.
 ///
 /// # Panics
 ///
 /// Panics when the split trains on fewer designs than the GBDT head can
-/// split (see [`run_task4`]).
-pub fn nettag_task4(samples: &PpaSamples) -> Vec<Regression> {
+/// split (see [`run_task4`]), or when `features` has no row per design.
+pub fn nettag_task4(samples: &PpaSamples, features: &[Vec<f32>]) -> Vec<Regression> {
+    assert_eq!(
+        features.len(),
+        samples.labels.len(),
+        "one feature row per design"
+    );
     let (train_idx, test_idx) = split(samples.labels.len());
-    let features = |idx: &[usize]| -> Vec<Vec<f32>> {
-        idx.iter().map(|&i| samples.features[i].clone()).collect()
-    };
+    let features =
+        |idx: &[usize]| -> Vec<Vec<f32>> { idx.iter().map(|&i| features[i].clone()).collect() };
     (0..PpaTarget::ALL.len())
         .map(|t| {
             let train_y: Vec<f32> = truth(samples, &train_idx, t)
@@ -195,9 +206,9 @@ pub fn nettag_task4(samples: &PpaSamples) -> Vec<Regression> {
 /// Panics when fewer designs train than `GbdtConfig::default()`'s
 /// `min_samples_split` (8, so at least 12 designs): the NetTAG head
 /// would predict a constant.
-pub fn run_task4(samples: &PpaSamples, gnn: &GnnConfig) -> Task4Report {
+pub fn run_task4(samples: &PpaSamples, features: &[Vec<f32>], gnn: &GnnConfig) -> Task4Report {
     let (train_idx, test_idx) = split(samples.labels.len());
-    let nettag = nettag_task4(samples);
+    let nettag = nettag_task4(samples, features);
     let mut rows = Vec::new();
     for (t, (target, nettag)) in PpaTarget::ALL.into_iter().zip(nettag).enumerate() {
         let truth = truth(samples, &test_idx, t);
@@ -235,13 +246,11 @@ pub fn run_task4(samples: &PpaSamples, gnn: &GnnConfig) -> Task4Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nettag_core::NetTagConfig;
     use nettag_synth::{generate_design, Family, GenerateConfig};
 
     #[test]
     fn ppa_labels_reflect_optimization() {
         let lib = Library::default();
-        let model = NetTag::new(NetTagConfig::tiny());
         let gen = GenerateConfig {
             scale: 0.4,
             ..GenerateConfig::default()
@@ -249,7 +258,7 @@ mod tests {
         let designs: Vec<Design> = (0..2)
             .map(|i| generate_design(Family::OpenCores, i, 3, &gen))
             .collect();
-        let s = ppa_samples(&model, &designs, &lib);
+        let s = ppa_samples(&designs, &lib);
         assert_eq!(s.labels.len(), 2);
         for l in &s.labels {
             assert!(l.iter().all(|v| *v > 0.0));
@@ -266,8 +275,8 @@ mod tests {
     #[should_panic(expected = "needs at least 8")]
     fn task4_rejects_a_split_its_head_cannot_split() {
         // Eight designs train six rows: below `min_samples_split`.
+        let features: Vec<Vec<f32>> = (0..8).map(|i| vec![i as f32]).collect();
         let samples = PpaSamples {
-            features: (0..8).map(|i| vec![i as f32]).collect(),
             graphs: (0..8)
                 .map(|_| GnnGraph {
                     features: nettag_nn::Tensor::zeros(1, 1),
@@ -279,6 +288,6 @@ mod tests {
             labels: (0..8).map(|i| [1.0 + i as f64; 4]).collect(),
             names: (0..8).map(|i| format!("d{i}")).collect(),
         };
-        run_task4(&samples, &GnnConfig::default());
+        run_task4(&samples, &features, &GnnConfig::default());
     }
 }

@@ -108,7 +108,6 @@ fn main() {
     println!("For serving over the network — the TCP front-end, multi-lane batching,");
     println!("typed load shedding, and checkpoint hot-swaps — run");
     println!("`cargo run --release --example serve_net_demo`.");
-    println!("For the layout-geometry modality — spatial features from the placement");
-    println!("flow, cross-attentive fusion into TAGFormer embeddings, and the fused");
-    println!("serving path — run `cargo run --release --example geom_fusion_demo`.");
+    println!("Every engine also serves `embed_cone_fused`: the cone's [CLS] embedding");
+    println!("followed by the mean of its layout-geometry features from the placement flow.");
 }

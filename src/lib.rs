@@ -16,8 +16,8 @@
 //! * [`synth`] — RTL IR, benchmark generators, elaboration, optimization
 //! * [`physical`] — placement, parasitics, STA, power, layout graphs
 //! * [`nn`] — tensors, autograd, layers, optimizers, GBDT
-//! * [`core`] — ExprLLM, TAGFormer, pre-training, fine-tuning
-//! * [`geom`] — layout-geometry modality: spatial encoder + fusion
+//! * [`core`] — ExprLLM, TAGFormer, pre-training, fine-tuning, layout
+//!   geometry and its late fusion
 //! * [`tasks`] — the four downstream tasks and every baseline
 //! * [`serve`] — batching embedding server with a structural cone cache
 //!
@@ -43,7 +43,6 @@
 
 pub use nettag_core as core;
 pub use nettag_expr as expr;
-pub use nettag_geom as geom;
 pub use nettag_netlist as netlist;
 pub use nettag_nn as nn;
 pub use nettag_physical as physical;

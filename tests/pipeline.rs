@@ -7,7 +7,8 @@ use nettag::netlist::Library;
 use nettag::physical::FlowConfig;
 use nettag::synth::{generate_design, Family, GenerateConfig};
 use nettag::tasks::{
-    build_suite, ppa_samples, run_task1, run_task2, run_task3, run_task4, GnnConfig, SuiteConfig,
+    build_suite, ppa_features, ppa_samples, run_task1, run_task2, run_task3, run_task4, GnnConfig,
+    SuiteConfig,
 };
 
 fn mini_model() -> NetTag {
@@ -74,8 +75,9 @@ fn full_pipeline_runs_all_four_tasks() {
     assert!(!t3.rows.is_empty());
     assert!(t3.avg_nettag.mape.is_finite());
 
-    let samples = ppa_samples(&model, &suite.task4, &suite.lib);
-    let t4 = run_task4(&samples, &gnn);
+    let samples = ppa_samples(&suite.task4, &suite.lib);
+    let features = ppa_features(&model, &suite.task4, &suite.lib);
+    let t4 = run_task4(&samples, &features, &gnn);
     assert_eq!(t4.rows.len(), 4);
     for row in &t4.rows {
         assert!(row.nettag.mape.is_finite(), "{:?}", row.target);
