@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the pipeline's hot paths: symbolic expression
 //! extraction (+ the 2-hop ablation from DESIGN.md, sweeping hop depth),
-//! cone chunking, STA, power, ExprLLM and TAGFormer inference.
+//! cone chunking, the per-cone TAG front end, STA, power, ExprLLM and
+//! TAGFormer inference.
 //!
 //! Run with `cargo bench -p nettag-bench --bench micro`; each line prints
 //! the best per-iteration time of [`nettag_bench::time_it`].
@@ -9,12 +10,14 @@ use nettag_bench::time_it;
 use nettag_core::{NetTag, NetTagConfig};
 use nettag_expr::token::tokenize_expr;
 use nettag_netlist::{
-    chunk_into_cones, cone_to_netlist, gate_expr, Library, Netlist, Tag, TagOptions,
+    chunk_into_cones, cone_to_netlist, gate_expr, synthesis_phys_estimates, Library, Netlist,
+    PhysProps, Tag, TagOptions,
 };
 use nettag_physical::{
     analyze_timing, extract, measure_activity, place, ActivityConfig, PlaceConfig, TimingConfig,
 };
 use nettag_synth::{generate_design, Family, GenerateConfig, ALL_FAMILIES};
+use std::hint::black_box;
 
 fn report(name: &str, seconds: f64) {
     println!("{name:<28} {:>12.2} us/iter", seconds * 1e6);
@@ -47,6 +50,62 @@ fn bench_chunking_and_tag() {
     report(
         "tag_conversion",
         time_it(|| Tag::from_netlist(&design.netlist, &lib, &TagOptions::default())),
+    );
+}
+
+/// The per-cone TAG front end over the 48-design corpus of
+/// `tests/equivalence.rs` (every family, generator scale 0.5): chunking
+/// plus `cone_to_netlist` per design, then synthesis phys estimates and
+/// the TAG build per cone.
+fn bench_front_end() {
+    let lib = Library::default();
+    let opts = TagOptions::default();
+    let gen = GenerateConfig {
+        scale: 0.5,
+        ..GenerateConfig::default()
+    };
+    let designs: Vec<Netlist> = (0..48)
+        .map(|k| {
+            let family = ALL_FAMILIES[k % ALL_FAMILIES.len()];
+            generate_design(family, k / ALL_FAMILIES.len(), 0x5eed, &gen).netlist
+        })
+        .collect();
+    let extract = |d: &Netlist| -> Vec<Netlist> {
+        chunk_into_cones(d)
+            .iter()
+            .map(|c| cone_to_netlist(d, c))
+            .collect()
+    };
+    let cones: Vec<Netlist> = designs.iter().flat_map(extract).collect();
+    let props: Vec<Vec<PhysProps>> = cones
+        .iter()
+        .map(|c| synthesis_phys_estimates(c, &lib))
+        .collect();
+    let per_design = designs.len() as f64;
+    let per_cone = cones.len() as f64;
+    report(
+        "front_end/extract_per_design",
+        time_it(|| {
+            for d in &designs {
+                black_box(extract(d));
+            }
+        }) / per_design,
+    );
+    report(
+        "front_end/phys_per_cone",
+        time_it(|| {
+            for c in &cones {
+                black_box(synthesis_phys_estimates(c, &lib));
+            }
+        }) / per_cone,
+    );
+    report(
+        "front_end/tag_per_cone",
+        time_it(|| {
+            for (c, p) in cones.iter().zip(&props) {
+                black_box(Tag::from_netlist_with_phys(c, p, &opts));
+            }
+        }) / per_cone,
     );
 }
 
@@ -128,6 +187,7 @@ fn bench_tagformer_cone_sizes() {
 fn main() {
     bench_expression_extraction();
     bench_chunking_and_tag();
+    bench_front_end();
     bench_physical();
     bench_model_inference();
     bench_tagformer_cone_sizes();

@@ -10,7 +10,10 @@
 //!
 //! Reported per scenario: p50/p99 request latency (measured at the
 //! client, so it includes the batching window) and requests/second.
-//! Derived headlines:
+//! A full run makes seven passes over every timed scenario and reports
+//! each of these, and each headline, as the median over the passes; a
+//! headline is a ratio within one pass first, so both of its legs see
+//! the same stretch of host load. Derived headlines:
 //!
 //! * `batched_vs_single_request_c8` — cold 8-client throughput over
 //!   cold single-client (single-request serving) throughput: the
@@ -56,7 +59,7 @@
 
 use nettag_core::{cone_geometry, NetTag, NetTagConfig};
 use nettag_netlist::{
-    cone_to_netlist, register_cone, synthesis_phys_estimates, CellKind, Library, Netlist, Tag,
+    chunk_into_cones, cone_to_netlist, synthesis_phys_estimates, CellKind, Library, Netlist, Tag,
 };
 use nettag_serve::{Engine, NetClient, NetServer, ServeConfig, ServeError};
 use nettag_synth::{generate_design, Family, GenerateConfig};
@@ -288,13 +291,65 @@ fn run_overload_scenario(model: &Arc<NetTag>, flood: usize) -> (usize, usize) {
     (flood, shed)
 }
 
-fn main() {
-    let smoke = std::env::var("NETTAG_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let threads = nettag_par::num_threads();
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
-    let lib = Library::default();
+/// Timed passes per full run. One scenario is 64–128 requests, well
+/// under a second, so a single pass moves with whatever else the host
+/// runs; every metric and headline is the median over these passes
+/// (smoke runs make one).
+const REPEATS: usize = 7;
 
+/// One pass over every timed scenario.
+struct Round {
+    seq_rps: f64,
+    seq_p50_ms: f64,
+    seq_p99_ms: f64,
+    scenarios: Vec<Scenario>,
+    extraction_per_s: f64,
+    fused_cold: f64,
+    fused_warm: f64,
+}
+
+impl Round {
+    fn rps(&self, name: &str) -> f64 {
+        self.scenarios
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(f64::NAN, |s| s.reqs_per_s)
+    }
+
+    /// The derived headlines, in report order.
+    fn headlines(&self) -> [(&'static str, f64); 5] {
+        [
+            (
+                "batched_vs_single_request_c8",
+                self.rps("cold_c8") / self.rps("cold_c1"),
+            ),
+            (
+                "batched_vs_sequential_offline_c8",
+                self.rps("cold_c8") / self.seq_rps,
+            ),
+            (
+                "socket_vs_inprocess_c8",
+                self.rps("socket_cold_c8") / self.rps("cold_c8"),
+            ),
+            (
+                "resilience_off_speedup",
+                self.rps("warm_c8_deadline") / self.rps("warm_c8"),
+            ),
+            ("warm_speedup_c8", self.rps("warm_c8") / self.rps("cold_c8")),
+        ]
+    }
+}
+
+/// The median of `values` (the upper one for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Runs every timed scenario once: the sequential offline baseline, the
+/// in-process and socket engine scenarios, geometry extraction and fused
+/// serving.
+fn round(model: &Arc<NetTag>, lib: &Library, cones: &[Netlist], smoke: bool) -> Round {
     // Sequential offline baseline over the 8-client request set: one
     // embed_tag per request, no engine. Each request runs on its own
     // clone of the model, whose gate-text cache starts empty, so no
@@ -303,21 +358,14 @@ fn main() {
     let seq_total = if smoke { 8 } else { 128 };
     let mut seq_lat = Vec::with_capacity(seq_total);
     for i in 0..seq_total {
-        let (n, fresh) = (bench_cone(i), NetTag::clone(&model));
+        let (n, fresh) = (bench_cone(i), NetTag::clone(model));
         let t = Instant::now();
-        let tag = Tag::from_netlist(&n, &lib, &fresh.tag_options());
+        let tag = Tag::from_netlist(&n, lib, &fresh.tag_options());
         std::hint::black_box(fresh.embed_tag(&tag).cls);
         seq_lat.push(t.elapsed().as_secs_f64());
     }
     let seq_wall: f64 = seq_lat.iter().sum();
     seq_lat.sort_by(f64::total_cmp);
-    let seq_rps = seq_total as f64 / seq_wall;
-    println!(
-        "sequential baseline: {seq_total} reqs, {:.1} req/s, p50 {:.3} ms, p99 {:.3} ms",
-        seq_rps,
-        percentile(&seq_lat, 50.0),
-        percentile(&seq_lat, 99.0),
-    );
 
     // Engine scenarios: total request count held near the baseline's so
     // throughputs compare like for like.
@@ -330,20 +378,7 @@ fn main() {
     for &(clients, per_client) in plan {
         for warm in [false, true] {
             let label = format!("{}_c{clients}", if warm { "warm" } else { "cold" });
-            let s = run_scenario(&model, label, clients, per_client, warm, None);
-            println!(
-                "  {:<10} {:>3} client(s) × {:<3} reqs: {:>8.1} req/s, p50 {:>8.3} ms, \
-                 p99 {:>8.3} ms ({} hits / {} misses)",
-                s.name,
-                s.clients,
-                per_client,
-                s.reqs_per_s,
-                s.p50_ms,
-                s.p99_ms,
-                s.cache_hits,
-                s.cache_misses,
-            );
-            scenarios.push(s);
+            scenarios.push(run_scenario(model, label, clients, per_client, warm, None));
         }
     }
 
@@ -353,88 +388,36 @@ fn main() {
     // `catch_unwind` wraps every batch in both runs, so the headline
     // `resilience_off_speedup` prices the whole fault-tolerance layer's
     // steady-state cost — it must sit at ~1.0x.
-    {
-        let (clients, per_client) = if smoke { (8, 1) } else { (8, 16) };
-        let s = run_scenario(
-            &model,
-            "warm_c8_deadline".into(),
-            clients,
-            per_client,
-            true,
-            Some(Duration::from_secs(30)),
-        );
-        println!(
-            "  {:<14} {:>3} client(s) × {:<3} reqs: {:>8.1} req/s, p50 {:>8.3} ms, \
-             p99 {:>8.3} ms ({} hits / {} misses)",
-            s.name,
-            s.clients,
-            per_client,
-            s.reqs_per_s,
-            s.p50_ms,
-            s.p99_ms,
-            s.cache_hits,
-            s.cache_misses,
-        );
-        scenarios.push(s);
-    }
+    let (clients, per_client) = if smoke { (8, 1) } else { (8, 16) };
+    scenarios.push(run_scenario(
+        model,
+        "warm_c8_deadline".into(),
+        clients,
+        per_client,
+        true,
+        Some(Duration::from_secs(30)),
+    ));
 
     // Socket scenarios: the same c8 load through the loopback TCP
     // front-end, so the in-process/socket gap isolates the transport.
-    let (socket_clients, socket_per_client) = if smoke { (8, 1) } else { (8, 16) };
     for warm in [false, true] {
-        let label = format!(
-            "socket_{}_c{socket_clients}",
-            if warm { "warm" } else { "cold" }
-        );
-        let s = run_socket_scenario(&model, label, socket_clients, socket_per_client, warm);
-        println!(
-            "  {:<14} {:>3} client(s) × {:<3} reqs: {:>8.1} req/s, p50 {:>8.3} ms, \
-             p99 {:>8.3} ms ({} hits / {} misses)",
-            s.name,
-            s.clients,
-            socket_per_client,
-            s.reqs_per_s,
-            s.p50_ms,
-            s.p99_ms,
-            s.cache_hits,
-            s.cache_misses,
-        );
-        scenarios.push(s);
+        let label = format!("socket_{}_c{clients}", if warm { "warm" } else { "cold" });
+        scenarios.push(run_socket_scenario(model, label, clients, per_client, warm));
     }
-
-    // Overload: flood a tiny bounded queue, record how much load sheds.
-    let (flood, shed) = run_overload_scenario(&model, if smoke { 16 } else { 64 });
-    let shed_rate = shed as f64 / flood as f64;
-    println!(
-        "  overload: {shed}/{flood} flooded requests shed ({:.0}%)",
-        shed_rate * 100.0
-    );
 
     // Extraction throughput: deterministic flow + feature matrix per
-    // register cone of one ITC'99-family design.
-    let design = generate_design(Family::Itc99, 0, 0x9E0, &GenerateConfig::default());
-    let netlist = &design.netlist;
-    let cones: Vec<Netlist> = netlist
-        .registers()
-        .into_iter()
-        .map(|r| cone_to_netlist(netlist, &register_cone(netlist, r)))
-        .filter(|c| c.gate_count() >= 2)
-        .collect();
+    // register cone.
     let t0 = Instant::now();
-    for c in &cones {
-        let props = synthesis_phys_estimates(c, &lib);
-        std::hint::black_box(cone_geometry(c, &props, &lib));
+    for c in cones {
+        let props = synthesis_phys_estimates(c, lib);
+        std::hint::black_box(cone_geometry(c, &props, lib));
     }
-    let cones_per_s = cones.len() as f64 / t0.elapsed().as_secs_f64();
-    println!(
-        "  extraction: {} cones, {cones_per_s:.1} cones/s",
-        cones.len()
-    );
+    let extraction_per_s = cones.len() as f64 / t0.elapsed().as_secs_f64();
 
     // Fused serving: cold pass over distinct structures, then the same
     // requests warm (salted-cache hits). The model clone starts with an
     // empty text cache.
-    let engine = Engine::new(Arc::new(NetTag::clone(&model)), ServeConfig::default());
+    let engine = Engine::new(Arc::new(NetTag::clone(model)), ServeConfig::default());
     let client = engine.client();
     let fused_total = if smoke { 8 } else { 64 };
     let fused_pass = |what: &str| {
@@ -447,27 +430,117 @@ fn main() {
     let fused_cold = fused_pass("cold");
     let fused_warm = fused_pass("warm");
     engine.shutdown();
+
+    Round {
+        seq_rps: seq_total as f64 / seq_wall,
+        seq_p50_ms: percentile(&seq_lat, 50.0),
+        seq_p99_ms: percentile(&seq_lat, 99.0),
+        scenarios,
+        extraction_per_s,
+        fused_cold,
+        fused_warm,
+    }
+}
+
+fn main() {
+    let smoke = std::env::var("NETTAG_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let threads = nettag_par::num_threads();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
+    let lib = Library::default();
+    // The extraction scenario's register cones, from one ITC'99-family
+    // design.
+    let design = generate_design(Family::Itc99, 0, 0x9E0, &GenerateConfig::default());
+    let netlist = &design.netlist;
+    let cones: Vec<Netlist> = chunk_into_cones(netlist)
+        .iter()
+        .map(|c| cone_to_netlist(netlist, c))
+        .filter(|c| c.gate_count() >= 2)
+        .collect();
+
+    let repeats = if smoke { 1 } else { REPEATS };
+    let rounds: Vec<Round> = (0..repeats)
+        .map(|r| {
+            let round = round(&model, &lib, &cones, smoke);
+            let line: Vec<String> = round
+                .headlines()
+                .iter()
+                .map(|(name, v)| format!("{name} {v:.2}"))
+                .collect();
+            println!("pass {}/{repeats}: {}", r + 1, line.join(", "));
+            round
+        })
+        .collect();
+    let med = |f: &dyn Fn(&Round) -> f64| median(rounds.iter().map(f).collect());
+
+    let seq_total = if smoke { 8 } else { 128 };
+    let seq_rps = med(&|r| r.seq_rps);
+    let (seq_p50, seq_p99) = (med(&|r| r.seq_p50_ms), med(&|r| r.seq_p99_ms));
     println!(
-        "  fused serve: cold {fused_cold:.1} req/s, warm {fused_warm:.1} req/s ({:.2}x)",
-        fused_warm / fused_cold
+        "sequential baseline: {seq_total} reqs, {seq_rps:.1} req/s, p50 {seq_p50:.3} ms, \
+         p99 {seq_p99:.3} ms"
+    );
+    let scenarios: Vec<Scenario> = (0..rounds[0].scenarios.len())
+        .map(|i| {
+            let first = &rounds[0].scenarios[i];
+            Scenario {
+                name: first.name.clone(),
+                clients: first.clients,
+                requests: first.requests,
+                reqs_per_s: med(&|r| r.scenarios[i].reqs_per_s),
+                p50_ms: med(&|r| r.scenarios[i].p50_ms),
+                p99_ms: med(&|r| r.scenarios[i].p99_ms),
+                cache_hits: first.cache_hits,
+                cache_misses: first.cache_misses,
+            }
+        })
+        .collect();
+    for s in &scenarios {
+        println!(
+            "  {:<16} {:>3} client(s) × {:<3} reqs: {:>8.1} req/s, p50 {:>8.3} ms, \
+             p99 {:>8.3} ms ({} hits / {} misses)",
+            s.name,
+            s.clients,
+            s.requests / s.clients,
+            s.reqs_per_s,
+            s.p50_ms,
+            s.p99_ms,
+            s.cache_hits,
+            s.cache_misses,
+        );
+    }
+
+    // Overload: flood a tiny bounded queue, record how much load sheds.
+    let (flood, shed) = run_overload_scenario(&model, if smoke { 16 } else { 64 });
+    let shed_rate = shed as f64 / flood as f64;
+    println!(
+        "  overload: {shed}/{flood} flooded requests shed ({:.0}%)",
+        shed_rate * 100.0
     );
 
-    let rps = |name: &str| {
-        scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .map_or(f64::NAN, |s| s.reqs_per_s)
-    };
-    let batched_vs_single = rps("cold_c8") / rps("cold_c1");
-    let batched_vs_sequential = rps("cold_c8") / seq_rps;
-    let warm_speedup = rps("warm_c8") / rps("cold_c8");
-    let socket_vs_inprocess = rps("socket_cold_c8") / rps("cold_c8");
-    let resilience_off = rps("warm_c8_deadline") / rps("warm_c8");
-    println!("batched_vs_single_request_c8: {batched_vs_single:.2}x");
-    println!("warm_speedup_c8: {warm_speedup:.2}x");
-    println!("batched_vs_sequential_offline_c8: {batched_vs_sequential:.2}x");
-    println!("socket_vs_inprocess_c8: {socket_vs_inprocess:.2}x");
-    println!("resilience_off_speedup: {resilience_off:.2}x");
+    let cones_per_s = med(&|r| r.extraction_per_s);
+    println!(
+        "  extraction: {} cones, {cones_per_s:.1} cones/s",
+        cones.len()
+    );
+    let fused_total = if smoke { 8 } else { 64 };
+    let (fused_cold, fused_warm) = (med(&|r| r.fused_cold), med(&|r| r.fused_warm));
+    let fused_speedup = med(&|r| r.fused_warm / r.fused_cold);
+    println!(
+        "  fused serve: cold {fused_cold:.1} req/s, warm {fused_warm:.1} req/s ({fused_speedup:.2}x)"
+    );
+
+    // Each headline is a ratio within one pass, then the median over
+    // passes, so a slow stretch of the host moves both of its legs.
+    let headlines: Vec<(&str, f64)> = rounds[0]
+        .headlines()
+        .iter()
+        .enumerate()
+        .map(|(i, &(name, _))| (name, med(&|r| r.headlines()[i].1)))
+        .collect();
+    for (name, v) in &headlines {
+        println!("{name}: {v:.2}x");
+    }
 
     // Smoke runs write JSON only when CI (or a user) names an explicit
     // output path for a freshness diff against the committed baseline.
@@ -480,12 +553,10 @@ fn main() {
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str("  \"model\": \"tiny\",\n");
+    json.push_str(&format!("  \"repeats\": {repeats},\n"));
     json.push_str(&format!(
-        "  \"sequential_baseline\": {{\"requests\": {seq_total}, \"reqs_per_s\": {:.3}, \
-         \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}},\n",
-        seq_rps,
-        percentile(&seq_lat, 50.0),
-        percentile(&seq_lat, 99.0),
+        "  \"sequential_baseline\": {{\"requests\": {seq_total}, \"reqs_per_s\": {seq_rps:.3}, \
+         \"p50_ms\": {seq_p50:.4}, \"p99_ms\": {seq_p99:.4}}},\n",
     ));
     json.push_str("  \"scenarios\": {\n");
     for (i, s) in scenarios.iter().enumerate() {
@@ -510,25 +581,15 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"fused_serve\": {{\"requests\": {fused_total}, \"cold_per_s\": {fused_cold:.3}, \
-         \"warm_per_s\": {fused_warm:.3}, \"warm_speedup\": {:.3}}},\n",
-        fused_warm / fused_cold
+         \"warm_per_s\": {fused_warm:.3}, \"warm_speedup\": {fused_speedup:.3}}},\n",
     ));
     json.push_str(&format!(
         "  \"overload\": {{\"flood\": {flood}, \"shed\": {shed}, \"shed_rate\": {shed_rate:.3}}},\n"
     ));
-    json.push_str(&format!(
-        "  \"batched_vs_single_request_c8\": {batched_vs_single:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"batched_vs_sequential_offline_c8\": {batched_vs_sequential:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"socket_vs_inprocess_c8\": {socket_vs_inprocess:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"resilience_off_speedup\": {resilience_off:.3},\n"
-    ));
-    json.push_str(&format!("  \"warm_speedup_c8\": {warm_speedup:.3}\n"));
+    for (i, (name, v)) in headlines.iter().enumerate() {
+        let sep = if i + 1 == headlines.len() { "" } else { "," };
+        json.push_str(&format!("  \"{name}\": {v:.3}{sep}\n"));
+    }
     json.push_str("}\n");
     let path = match &out_override {
         Some(p) => std::path::PathBuf::from(p),

@@ -91,14 +91,21 @@ pub fn geometry_features(outcome: &FlowOutcome, props: &[PhysProps]) -> Tensor {
 
 /// Canonical geometry extraction for a cone netlist: runs the default
 /// (seeded, deterministic) physical flow and extracts
-/// [`geometry_features`].
+/// [`geometry_features`], returning the flow outcome beside them (the
+/// fine-tune scenarios read their wirelength and congestion labels off
+/// it).
 ///
 /// Both the serving engine's fused path and the fine-tune scenarios call
 /// this — in-process and served fused embeddings are bit-identical by
 /// construction because they share this single entry point.
-pub fn cone_geometry(netlist: &Netlist, props: &[PhysProps], lib: &Library) -> Tensor {
+pub fn cone_geometry(
+    netlist: &Netlist,
+    props: &[PhysProps],
+    lib: &Library,
+) -> (FlowOutcome, Tensor) {
     let outcome = run_flow(netlist, lib, &FlowConfig::default());
-    geometry_features(&outcome, props)
+    let features = geometry_features(&outcome, props);
+    (outcome, features)
 }
 
 /// Late fusion of a cone's 1×d `[CLS]` embedding with its n×[`GEOM_DIM`]
@@ -144,7 +151,7 @@ mod tests {
         let n = cone();
         let lib = Library::default();
         let props = synthesis_phys_estimates(&n, &lib);
-        let t = cone_geometry(&n, &props, &lib);
+        let (_, t) = cone_geometry(&n, &props, &lib);
         assert_eq!(t.rows, n.gate_count());
         assert_eq!(t.cols, GEOM_DIM);
         for r in 0..t.rows {
@@ -165,8 +172,8 @@ mod tests {
         let n = cone();
         let lib = Library::default();
         let props = synthesis_phys_estimates(&n, &lib);
-        let a = cone_geometry(&n, &props, &lib);
-        let b = cone_geometry(&n, &props, &lib);
+        let (_, a) = cone_geometry(&n, &props, &lib);
+        let (_, b) = cone_geometry(&n, &props, &lib);
         assert_eq!(a.data, b.data, "geometry must be bit-reproducible");
     }
 

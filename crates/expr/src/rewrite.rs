@@ -385,12 +385,12 @@ pub fn augment_equivalent(expr: &Expr, config: &AugmentConfig, rng: &mut StdRng)
             if next.size() <= config.max_size {
                 current = next;
             } else {
-                current = simplify(&current);
+                current = simplify(current);
             }
         }
     }
     if config.simplify_result {
-        simplify(&current)
+        simplify(current)
     } else {
         current
     }

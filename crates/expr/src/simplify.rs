@@ -18,50 +18,64 @@ use crate::ast::Expr;
 /// `a | a = a`), Xor pair cancellation, complement laws (`a & !a = 0`,
 /// `a | !a = 1`), and `Ite` with constant selector or equal branches.
 ///
+/// Takes the tree by value and moves its subtrees into the result, so
+/// nothing is cloned.
+///
 /// # Examples
 ///
 /// ```
 /// use nettag_expr::{parse_expr, simplify};
 /// let e = parse_expr("!!a & (b | 0) & 1").unwrap();
-/// assert_eq!(simplify(&e).to_string(), "a & b");
+/// assert_eq!(simplify(e).to_string(), "a & b");
 /// ```
-pub fn simplify(expr: &Expr) -> Expr {
+pub fn simplify(expr: Expr) -> Expr {
     match expr {
-        Expr::Const(_) | Expr::Var(_) => expr.clone(),
-        Expr::Not(e) => {
-            let inner = simplify(e);
-            match inner {
-                Expr::Const(b) => Expr::Const(!b),
-                Expr::Not(inner2) => *inner2,
-                other => Expr::not(other),
-            }
-        }
-        Expr::And(es) => simplify_and(es),
-        Expr::Or(es) => simplify_or(es),
+        Expr::Const(_) | Expr::Var(_) => expr,
+        Expr::Not(e) => match simplify(*e) {
+            Expr::Const(b) => Expr::Const(!b),
+            Expr::Not(inner) => *inner,
+            other => Expr::not(other),
+        },
+        Expr::And(es) => simplify_and_or(es, true),
+        Expr::Or(es) => simplify_and_or(es, false),
         Expr::Xor(es) => simplify_xor(es),
         Expr::Ite(s, t, e) => {
-            let s = simplify(s);
-            let t = simplify(t);
-            let e = simplify(e);
+            let s = simplify(*s);
+            let t = simplify(*t);
+            let e = simplify(*e);
             match (&s, &t, &e) {
                 (Expr::Const(true), _, _) => t,
                 (Expr::Const(false), _, _) => e,
                 _ if t == e => t,
                 (_, Expr::Const(true), Expr::Const(false)) => s,
-                (_, Expr::Const(false), Expr::Const(true)) => simplify(&Expr::not(s)),
+                (_, Expr::Const(false), Expr::Const(true)) => simplify(Expr::not(s)),
                 _ => Expr::ite(s, t, e),
             }
         }
     }
 }
 
-fn simplify_and(es: &[Expr]) -> Expr {
+/// Whether `a` is `!b` or `b` is `!a`, the way the complement laws read
+/// it: a negation's complement is its operand, anything else's is its
+/// negation.
+fn complementary(a: &Expr, b: &Expr) -> bool {
+    match b {
+        Expr::Not(inner) => a == &**inner,
+        _ => matches!(a, Expr::Not(inner) if &**inner == b),
+    }
+}
+
+/// And (`is_and`) or Or: the neutral element drops out, the absorbing one
+/// (and a complementary pair) wins, nested operands of the same operator
+/// flatten and repeats keep their first occurrence.
+fn simplify_and_or(es: Vec<Expr>, is_and: bool) -> Expr {
     let mut flat: Vec<Expr> = Vec::with_capacity(es.len());
     for e in es {
         match simplify(e) {
-            Expr::Const(true) => {}
-            Expr::Const(false) => return Expr::Const(false),
-            Expr::And(inner) => flat.extend(inner),
+            Expr::Const(b) if b == is_and => {}
+            Expr::Const(_) => return Expr::Const(!is_and),
+            Expr::And(inner) if is_and => flat.extend(inner),
+            Expr::Or(inner) if !is_and => flat.extend(inner),
             other => flat.push(other),
         }
     }
@@ -71,46 +85,19 @@ fn simplify_and(es: &[Expr]) -> Expr {
         if kept.contains(&e) {
             continue;
         }
-        let negated = match &e {
-            Expr::Not(inner) => (**inner).clone(),
-            other => Expr::not(other.clone()),
-        };
-        if kept.contains(&negated) {
-            return Expr::Const(false);
+        if kept.iter().any(|k| complementary(k, &e)) {
+            return Expr::Const(!is_and);
         }
         kept.push(e);
     }
-    Expr::and(kept)
+    if is_and {
+        Expr::and(kept)
+    } else {
+        Expr::or(kept)
+    }
 }
 
-fn simplify_or(es: &[Expr]) -> Expr {
-    let mut flat: Vec<Expr> = Vec::with_capacity(es.len());
-    for e in es {
-        match simplify(e) {
-            Expr::Const(false) => {}
-            Expr::Const(true) => return Expr::Const(true),
-            Expr::Or(inner) => flat.extend(inner),
-            other => flat.push(other),
-        }
-    }
-    let mut kept: Vec<Expr> = Vec::with_capacity(flat.len());
-    for e in flat {
-        if kept.contains(&e) {
-            continue;
-        }
-        let negated = match &e {
-            Expr::Not(inner) => (**inner).clone(),
-            other => Expr::not(other.clone()),
-        };
-        if kept.contains(&negated) {
-            return Expr::Const(true);
-        }
-        kept.push(e);
-    }
-    Expr::or(kept)
-}
-
-fn simplify_xor(es: &[Expr]) -> Expr {
+fn simplify_xor(es: Vec<Expr>) -> Expr {
     let mut parity = false;
     let mut flat: Vec<Expr> = Vec::with_capacity(es.len());
     for e in es {
@@ -147,7 +134,7 @@ mod tests {
     use crate::parse::parse_expr;
 
     fn s(input: &str) -> String {
-        simplify(&parse_expr(input).expect("test input parses")).to_string()
+        simplify(parse_expr(input).expect("test input parses")).to_string()
     }
 
     #[test]
@@ -193,7 +180,7 @@ mod tests {
     #[test]
     fn simplify_preserves_semantics_on_mixed_input() {
         let e = parse_expr("Ite(s, a & !!b, (a & b) & 1) ^ 0 | (c & !c)").expect("parses");
-        let simplified = simplify(&e);
+        let simplified = simplify(e.clone());
         assert!(equivalent(&e, &simplified));
         assert!(simplified.size() <= e.size());
     }

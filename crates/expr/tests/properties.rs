@@ -41,7 +41,7 @@ proptest! {
     /// Simplification preserves the Boolean function and never grows the AST.
     #[test]
     fn simplify_preserves_semantics_and_size(e in arb_expr()) {
-        let s = simplify(&e);
+        let s = simplify(e.clone());
         prop_assert!(equivalent(&e, &s));
         prop_assert!(s.size() <= e.size());
     }
@@ -73,7 +73,7 @@ proptest! {
         let v = augment_equivalent(&e, &AugmentConfig::default(), &mut rng);
         // Signatures are support-sensitive; equivalence rewrites preserve
         // semantic support, so simplified forms with equal support match.
-        let (se, sv) = (simplify(&e), simplify(&v));
+        let (se, sv) = (simplify(e), simplify(v));
         if se.support() == sv.support() {
             prop_assert_eq!(semantic_signature(&se), semantic_signature(&sv));
         }

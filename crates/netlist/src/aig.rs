@@ -395,9 +395,9 @@ mod tests {
             let (_, out_lit) = aig.outputs[0];
             // Symbolic reference.
             let sym = kind.expr(
-                &(0..kind.arity())
+                (0..kind.arity())
                     .map(|i| Expr::var(format!("i{i}")))
-                    .collect::<Vec<_>>(),
+                    .collect(),
             );
             for _ in 0..16 {
                 let mut patterns = vec![0u64; aig.inputs.len()];

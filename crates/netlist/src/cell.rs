@@ -8,6 +8,8 @@
 //! 45nm open cell library's orders of magnitude.
 
 use nettag_expr::Expr;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Every cell kind the substrate can instantiate.
 ///
@@ -132,12 +134,11 @@ impl CellKind {
         ALL_CELL_KINDS.into_iter().find(|k| k.name() == s)
     }
 
-    /// Stable dense index (for classifier labels / count vectors).
+    /// Stable dense index (for classifier labels / count vectors): the
+    /// kind's position in [`ALL_CELL_KINDS`], which lists the variants in
+    /// declaration order.
     pub fn index(self) -> usize {
-        ALL_CELL_KINDS
-            .iter()
-            .position(|k| *k == self)
-            .expect("kind listed in ALL_CELL_KINDS")
+        self as usize
     }
 
     /// Number of input pins.
@@ -193,12 +194,13 @@ impl CellKind {
     ///
     /// For sequential cells this is the *next-state* function (what is
     /// captured at the clock edge), which is what register-cone chunking
-    /// needs. `Output`/`Buf` are identity.
+    /// needs. `Output`/`Buf` are identity. The inputs are moved into the
+    /// result; only pins the function reads twice are cloned.
     ///
     /// # Panics
     ///
     /// Panics if `ins.len() != self.arity()`.
-    pub fn expr(self, ins: &[Expr]) -> Expr {
+    pub fn expr(self, ins: Vec<Expr>) -> Expr {
         assert_eq!(
             ins.len(),
             self.arity(),
@@ -207,48 +209,113 @@ impl CellKind {
             self.arity(),
             ins.len()
         );
-        let i = |k: usize| ins[k].clone();
+        fn pins<const N: usize>(ins: Vec<Expr>) -> [Expr; N] {
+            ins.try_into().expect("arity checked")
+        }
         match self {
             CellKind::Input => unreachable!("inputs have no local function"),
             CellKind::Const0 => Expr::FALSE,
             CellKind::Const1 => Expr::TRUE,
-            CellKind::Output | CellKind::Buf | CellKind::Dff => i(0),
-            CellKind::Inv => Expr::not(i(0)),
-            CellKind::And2 | CellKind::And3 | CellKind::And4 => Expr::and(ins.to_vec()),
-            CellKind::Or2 | CellKind::Or3 | CellKind::Or4 => Expr::or(ins.to_vec()),
-            CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 => {
-                Expr::not(Expr::and(ins.to_vec()))
+            CellKind::Output | CellKind::Buf | CellKind::Dff => {
+                let [a] = pins(ins);
+                a
             }
-            CellKind::Nor2 | CellKind::Nor3 | CellKind::Nor4 => Expr::not(Expr::or(ins.to_vec())),
-            CellKind::Xor2 => Expr::xor2(i(0), i(1)),
-            CellKind::Xnor2 => Expr::not(Expr::xor2(i(0), i(1))),
+            CellKind::Inv => {
+                let [a] = pins(ins);
+                Expr::not(a)
+            }
+            CellKind::And2 | CellKind::And3 | CellKind::And4 => Expr::and(ins),
+            CellKind::Or2 | CellKind::Or3 | CellKind::Or4 => Expr::or(ins),
+            CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 => Expr::not(Expr::and(ins)),
+            CellKind::Nor2 | CellKind::Nor3 | CellKind::Nor4 => Expr::not(Expr::or(ins)),
+            CellKind::Xor2 | CellKind::FaSum => Expr::xor(ins),
+            CellKind::Xnor2 => Expr::not(Expr::xor(ins)),
             // AOI21: !((a & b) | c)
-            CellKind::Aoi21 => Expr::not(Expr::or2(Expr::and2(i(0), i(1)), i(2))),
+            CellKind::Aoi21 => {
+                let [a, b, c] = pins(ins);
+                Expr::not(Expr::or2(Expr::and2(a, b), c))
+            }
             // AOI22: !((a & b) | (c & d))
-            CellKind::Aoi22 => Expr::not(Expr::or2(Expr::and2(i(0), i(1)), Expr::and2(i(2), i(3)))),
+            CellKind::Aoi22 => {
+                let [a, b, c, d] = pins(ins);
+                Expr::not(Expr::or2(Expr::and2(a, b), Expr::and2(c, d)))
+            }
             // OAI21: !((a | b) & c)
-            CellKind::Oai21 => Expr::not(Expr::and2(Expr::or2(i(0), i(1)), i(2))),
+            CellKind::Oai21 => {
+                let [a, b, c] = pins(ins);
+                Expr::not(Expr::and2(Expr::or2(a, b), c))
+            }
             // OAI22: !((a | b) & (c | d))
-            CellKind::Oai22 => Expr::not(Expr::and2(Expr::or2(i(0), i(1)), Expr::or2(i(2), i(3)))),
+            CellKind::Oai22 => {
+                let [a, b, c, d] = pins(ins);
+                Expr::not(Expr::and2(Expr::or2(a, b), Expr::or2(c, d)))
+            }
             // MUX2: Ite(sel, a, b) with pin order [sel, a, b]
-            CellKind::Mux2 => Expr::ite(i(0), i(1), i(2)),
-            CellKind::FaSum => Expr::xor(ins.to_vec()),
+            CellKind::Mux2 => {
+                let [s, a, b] = pins(ins);
+                Expr::ite(s, a, b)
+            }
             // Majority of three.
-            CellKind::FaCarry => Expr::or(vec![
-                Expr::and2(i(0), i(1)),
-                Expr::and2(i(0), i(2)),
-                Expr::and2(i(1), i(2)),
-            ]),
+            CellKind::FaCarry => {
+                let [a, b, c] = pins(ins);
+                Expr::or(vec![
+                    Expr::and2(a.clone(), b.clone()),
+                    Expr::and2(a, c.clone()),
+                    Expr::and2(b, c),
+                ])
+            }
             // Next state: Ite(en, d, q_prev) — conservatively `d & en` form
             // is wrong; we model enable as Ite over the previous state var,
             // but chunking treats the register output as a frontier var, so
             // here we expose Ite(en, d, SELF) via the caller providing the
             // self variable as a third conceptual input. For the local
             // 2-input form we approximate with Ite(en, d, d) = d.
-            CellKind::DffE => Expr::ite(i(1), i(0), i(0)),
+            CellKind::DffE => {
+                let [d, en] = pins(ins);
+                Expr::ite(en, d.clone(), d)
+            }
             // Next state with sync reset: !rst & d.
-            CellKind::DffR => Expr::and2(Expr::not(i(1)), i(0)),
+            CellKind::DffR => {
+                let [d, rst] = pins(ins);
+                Expr::and2(Expr::not(rst), d)
+            }
         }
+    }
+
+    /// The cell's function as a truth table: bit `row` is the output when
+    /// pin `j` carries bit `j` of `row`. Derived once from
+    /// [`CellKind::expr`], so the function is defined in one place.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`CellKind::Input`], which has no local function.
+    fn truth_table(self) -> u16 {
+        static TABLES: OnceLock<[u16; ALL_CELL_KINDS.len()]> = OnceLock::new();
+        assert_ne!(self, CellKind::Input, "inputs have no local function");
+        TABLES.get_or_init(|| {
+            ALL_CELL_KINDS.map(|k| {
+                if k == CellKind::Input {
+                    return 0;
+                }
+                let env = HashMap::new();
+                (0..1usize << k.arity()).fold(0, |table, row| {
+                    let pins = (0..k.arity()).map(|j| Expr::Const(row >> j & 1 == 1));
+                    let bit = nettag_expr::eval(&k.expr(pins.collect()), &env);
+                    table | u16::from(bit) << row
+                })
+            })
+        })[self.index()]
+    }
+
+    /// The cell's output for the pin values packed into `row` (pin `j` in
+    /// bit `j`), read from a truth table derived once per kind from
+    /// [`CellKind::expr`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`CellKind::Input`], which has no local function.
+    pub fn eval_row(self, row: usize) -> bool {
+        self.truth_table() >> row & 1 == 1
     }
 }
 
@@ -382,7 +449,7 @@ mod tests {
             if k == CellKind::Input {
                 continue;
             }
-            let e = k.expr(&vars(k.arity()));
+            let e = k.expr(vars(k.arity()));
             // Function must not mention variables outside its pins.
             assert!(e.support().len() <= k.arity());
         }
@@ -391,24 +458,46 @@ mod tests {
     #[test]
     fn complex_cell_functions_match_datasheet() {
         let i = vars(4);
-        let aoi22 = CellKind::Aoi22.expr(&i);
+        let aoi22 = CellKind::Aoi22.expr(i.clone());
         let expected = parse_expr("!((i0 & i1) | (i2 & i3))").expect("parses");
         assert!(equivalent(&aoi22, &expected));
 
-        let oai21 = CellKind::Oai21.expr(&i[..3]);
+        let oai21 = CellKind::Oai21.expr(i[..3].to_vec());
         let expected = parse_expr("!((i0 | i1) & i2)").expect("parses");
         assert!(equivalent(&oai21, &expected));
 
-        let mux = CellKind::Mux2.expr(&i[..3]);
+        let mux = CellKind::Mux2.expr(i[..3].to_vec());
         let expected = parse_expr("Ite(i0, i1, i2)").expect("parses");
         assert!(equivalent(&mux, &expected));
     }
 
     #[test]
+    fn truth_tables_match_cell_functions() {
+        for k in ALL_CELL_KINDS {
+            if k == CellKind::Input {
+                continue;
+            }
+            let e = k.expr(vars(k.arity()));
+            for row in 0..1usize << k.arity() {
+                let env = (0..k.arity())
+                    .map(|j| (nettag_expr::Var::from(format!("i{j}")), row >> j & 1 == 1))
+                    .collect();
+                assert_eq!(
+                    k.eval_row(row),
+                    nettag_expr::eval(&e, &env),
+                    "{k} row {row}"
+                );
+            }
+        }
+        assert_eq!(CellKind::Nand2.truth_table(), 0b0111);
+        assert_eq!(CellKind::Mux2.truth_table(), 0b1101_1000);
+    }
+
+    #[test]
     fn full_adder_is_a_real_adder() {
         let i = vars(3);
-        let sum = CellKind::FaSum.expr(&i);
-        let carry = CellKind::FaCarry.expr(&i);
+        let sum = CellKind::FaSum.expr(i.clone());
+        let carry = CellKind::FaCarry.expr(i);
         // Exhaustive 3-bit check: a + b + cin == (carry, sum).
         for row in 0..8u64 {
             let bit = |k: usize| row >> k & 1 == 1;

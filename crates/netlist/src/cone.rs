@@ -9,7 +9,7 @@
 
 use crate::cell::CellKind;
 use crate::graph::{GateId, Netlist};
-use crate::traverse::backward_cone;
+use crate::traverse::{backward_cone, topo_order};
 
 /// A register cone: the combinational fan-in of one register's D pin.
 #[derive(Debug, Clone)]
@@ -17,19 +17,23 @@ pub struct Cone {
     /// The register this cone drives.
     pub root: GateId,
     /// All member gates (root register + combinational logic + frontier),
-    /// in arbitrary order.
+    /// in the parent netlist's topological order ([`topo_order`]) as
+    /// [`chunk_into_cones`] stores them, so [`cone_to_netlist`] adds every
+    /// gate after its fan-ins by walking this list.
     pub gates: Vec<GateId>,
     /// Frontier gates: registers and primary inputs whose *outputs* feed
-    /// the cone (treated as free variables of the transition function).
+    /// the cone (treated as free variables of the transition function),
+    /// in backtrace order.
     pub frontier: Vec<GateId>,
 }
 
-/// Extracts the register cone rooted at `reg`.
+/// Extracts the register cone rooted at `reg`, its gates in backtrace
+/// order ([`chunk_into_cones`] sorts them).
 ///
 /// # Panics
 ///
 /// Panics if `reg` is not a sequential gate.
-pub fn register_cone(netlist: &Netlist, reg: GateId) -> Cone {
+fn register_cone(netlist: &Netlist, reg: GateId) -> Cone {
     assert!(
         netlist.gate(reg).kind.is_sequential(),
         "register_cone root must be sequential"
@@ -60,11 +64,27 @@ pub fn register_cone(netlist: &Netlist, reg: GateId) -> Cone {
     }
 }
 
-/// Chunks a sequential netlist into one cone per register.
+/// Chunks a sequential netlist into one cone per register, in
+/// [`Netlist::registers`] order.
 ///
 /// Combinational designs (no registers) yield a single pseudo-cone per
 /// primary output instead, so downstream code can treat both uniformly.
+/// The netlist is sorted topologically once, and every cone lists its
+/// gates in that order.
 pub fn chunk_into_cones(netlist: &Netlist) -> Vec<Cone> {
+    let order = topo_order(netlist);
+    let mut rank = vec![0u32; order.len()];
+    for (i, id) in order.iter().enumerate() {
+        rank[id.index()] = i as u32;
+    }
+    // Sorting the members' plain ranks and reading the gates back from
+    // `order` beats sorting the gates by a looked-up key.
+    let sorted = |mut cone: Cone| {
+        let mut ranks: Vec<u32> = cone.gates.iter().map(|g| rank[g.index()]).collect();
+        ranks.sort_unstable();
+        cone.gates = ranks.into_iter().map(|r| order[r as usize]).collect();
+        cone
+    };
     let regs = netlist.registers();
     // Each cone's backtrace only reads the netlist, so the per-register
     // (or per-output) sweep parallelizes across worker threads.
@@ -77,55 +97,59 @@ pub fn chunk_into_cones(netlist: &Netlist) -> Vec<Cone> {
                 .copied()
                 .filter(|&g| netlist.gate(g).kind == CellKind::Input)
                 .collect();
-            Cone {
+            sorted(Cone {
                 root: out,
                 gates,
                 frontier,
-            }
+            })
         });
     }
-    nettag_par::map_slice(&regs, |&r| register_cone(netlist, r))
+    nettag_par::map_slice(&regs, |&r| sorted(register_cone(netlist, r)))
 }
 
 /// Materializes a cone as a standalone combinational netlist: frontier
 /// gates become primary inputs, the root's captured value becomes the
 /// primary output. Gate names are preserved so symbolic expressions match
 /// across the parent netlist and the extracted cone.
+///
+/// # Panics
+///
+/// Panics if `cone.gates` lists a gate before one of its fan-ins; cones
+/// from [`chunk_into_cones`] are in topological order.
 pub fn cone_to_netlist(netlist: &Netlist, cone: &Cone) -> Netlist {
-    // Members plus the output, allocated exactly once: extracted cones
-    // often outlive their parent (queued for serving, kept as samples).
+    // Members (less the root, unless it is also an input) plus the
+    // output, allocated exactly once: extracted cones often outlive their
+    // parent (queued for serving, kept as samples).
+    let root_is_input = cone.frontier.contains(&cone.root);
     let mut out = Netlist::with_capacity(
         format!("{}__cone_{}", netlist.name(), netlist.gate(cone.root).name),
-        cone.gates.len() + 1,
+        cone.gates.len() + usize::from(root_is_input),
     );
-    let mut map = std::collections::HashMap::new();
+    // Parent gate id -> cone gate id.
+    let mut map: Vec<Option<GateId>> = vec![None; netlist.gate_count()];
     // Frontier first, as inputs (this may include the root register itself
     // when it feeds its own next-state logic).
     for &f in &cone.frontier {
         let new = out.add_gate(netlist.gate(f).name.clone(), CellKind::Input, vec![]);
-        map.insert(f, new);
+        map[f.index()] = Some(new);
     }
-    let members: std::collections::HashSet<GateId> = cone.gates.iter().copied().collect();
-    // Interior combinational gates in topological order of the parent so
+    // Interior combinational gates in the parent's topological order, so
     // fan-ins are mapped before sinks.
-    let order = crate::traverse::topo_order(netlist);
-    for id in order {
-        if !members.contains(&id) || map.contains_key(&id) || id == cone.root {
+    for &id in &cone.gates {
+        if map[id.index()].is_some() || id == cone.root {
             continue;
         }
         let g = netlist.gate(id);
-        let fanin: Vec<GateId> = g.fanin.iter().map(|f| map[f]).collect();
-        let new = out.add_gate(g.name.clone(), g.kind, fanin);
-        map.insert(id, new);
+        let fanin: Vec<GateId> = g
+            .fanin
+            .iter()
+            .map(|f| map[f.index()].expect("cone gates in topological order"))
+            .collect();
+        map[id.index()] = Some(out.add_gate(g.name.clone(), g.kind, fanin));
     }
     // The root register's D input becomes the primary output.
     let root_gate = netlist.gate(cone.root);
-    let d = root_gate.fanin.first().copied();
-    let driver = match d {
-        Some(d) => map.get(&d).copied(),
-        None => None,
-    };
-    if let Some(driver) = driver {
+    if let Some(driver) = root_gate.fanin.first().and_then(|d| map[d.index()]) {
         out.add_gate(
             format!("{}_next", root_gate.name),
             CellKind::Output,
@@ -157,6 +181,14 @@ mod tests {
         n.validate().expect("valid")
     }
 
+    /// The chunked cone rooted at `root`.
+    fn cone_at(n: &Netlist, root: GateId) -> Cone {
+        chunk_into_cones(n)
+            .into_iter()
+            .find(|c| c.root == root)
+            .expect("every register roots a cone")
+    }
+
     #[test]
     fn chunking_yields_one_cone_per_register() {
         let n = two_regs();
@@ -168,7 +200,7 @@ mod tests {
     fn cone_frontier_contains_other_registers_and_inputs() {
         let n = two_regs();
         let r1 = n.find("R1").expect("exists");
-        let cone = register_cone(&n, r1);
+        let cone = cone_at(&n, r1);
         let names: Vec<&str> = cone
             .frontier
             .iter()
@@ -184,7 +216,7 @@ mod tests {
     fn cone_to_netlist_is_selfcontained_combinational() {
         let n = two_regs();
         let r2 = n.find("R2").expect("exists");
-        let cone = register_cone(&n, r2);
+        let cone = cone_at(&n, r2);
         let sub = cone_to_netlist(&n, &cone);
         assert!(
             sub.registers().is_empty(),
@@ -197,6 +229,22 @@ mod tests {
         // And the output exists.
         assert!(sub.find("R2_next").is_some());
         assert_eq!(sub.outputs().len(), 1);
+    }
+
+    #[test]
+    fn cone_gates_follow_the_parent_topological_order() {
+        let n = two_regs();
+        for cone in chunk_into_cones(&n) {
+            for (i, &id) in cone.gates.iter().enumerate() {
+                if n.gate(id).kind.is_sequential() {
+                    continue;
+                }
+                for f in &n.gate(id).fanin {
+                    let at = cone.gates.iter().position(|g| g == f).expect("member");
+                    assert!(at < i, "fan-in listed after its sink");
+                }
+            }
+        }
     }
 
     #[test]
@@ -221,7 +269,7 @@ mod tests {
         n.add_gate("R", CellKind::Dff, vec![inv]);
         n.add_gate("N", CellKind::Inv, vec![r]);
         let n = n.validate().expect("valid");
-        let cone = register_cone(&n, r);
+        let cone = cone_at(&n, r);
         assert!(cone.gates.contains(&r));
         assert!(cone.gates.contains(&inv));
     }

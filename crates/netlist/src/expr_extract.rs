@@ -6,12 +6,130 @@
 //! Boolean functions. The paper uses k = 2 "to balance the expression
 //! expansion and runtime" (footnote 3); `k` is a parameter here so the
 //! ablation harness can sweep it.
+//!
+//! Extraction runs over an [`ExprScratch`] built once per netlist and
+//! reused for every gate: hop distances live in a dense array indexed by
+//! [`GateId`] and stamped with a per-gate epoch (so nothing is cleared
+//! between gates), the breadth-first queue is reused, and each gate's
+//! name is interned once as an [`Expr::Var`] that every occurrence
+//! shares. The composed tree is built bottom-up by moving operands into
+//! their parents and simplified by value, so no subtree is cloned.
 
 use crate::cell::CellKind;
 use crate::graph::{GateId, Netlist};
-use crate::traverse::k_hop_fanin;
 use nettag_expr::{simplify, Expr};
-use std::collections::HashMap;
+
+/// Reusable per-netlist state for k-hop expression extraction.
+pub(crate) struct ExprScratch {
+    /// Current extraction; `stamp[g] == epoch` marks `dist[g]` as valid.
+    epoch: u32,
+    stamp: Vec<u32>,
+    /// Hop distance from the current target, valid where stamped.
+    dist: Vec<u32>,
+    /// Breadth-first queue, kept across gates for its allocation.
+    queue: Vec<GateId>,
+    /// Each gate's name as a variable, interned on first use.
+    vars: Vec<Option<Expr>>,
+}
+
+impl ExprScratch {
+    /// Scratch sized for `netlist`; use it only with that netlist.
+    pub(crate) fn new(netlist: &Netlist) -> ExprScratch {
+        let n = netlist.gate_count();
+        ExprScratch {
+            epoch: 0,
+            stamp: vec![0; n],
+            dist: vec![0; n],
+            queue: Vec::new(),
+            vars: vec![None; n],
+        }
+    }
+
+    /// The k-hop expression of `gate`; see [`gate_expr`].
+    pub(crate) fn gate_expr(&mut self, netlist: &Netlist, gate: GateId, k: usize) -> Expr {
+        assert!(k >= 1, "expression extraction needs k >= 1 hops");
+        let kind = netlist.gate(gate).kind;
+        if kind == CellKind::Input || kind.is_sequential() {
+            return self.var(netlist, gate);
+        }
+        if kind == CellKind::Const0 {
+            return Expr::FALSE;
+        }
+        if kind == CellKind::Const1 {
+            return Expr::TRUE;
+        }
+        self.mark_hops(netlist, gate, k);
+        // The target gate itself always expands (depth 0 < k).
+        let e = self.build(netlist, gate, k);
+        simplify(e)
+    }
+
+    /// Stamps the hop distance of every gate within `k` backward hops of
+    /// `from`, not crossing registers or inputs.
+    fn mark_hops(&mut self, netlist: &Netlist, from: GateId, k: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale stamps could collide with the new epochs.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let k = k as u32;
+        self.queue.clear();
+        self.stamp[from.index()] = self.epoch;
+        self.dist[from.index()] = 0;
+        self.queue.push(from);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let d = self.dist[u.index()];
+            if d == k {
+                continue;
+            }
+            let g = netlist.gate(u);
+            if u != from && (g.kind.is_sequential() || g.kind == CellKind::Input) {
+                continue;
+            }
+            for &f in &g.fanin {
+                if self.stamp[f.index()] != self.epoch {
+                    self.stamp[f.index()] = self.epoch;
+                    self.dist[f.index()] = d + 1;
+                    self.queue.push(f);
+                }
+            }
+        }
+    }
+
+    /// The composed expression of `id`: a frontier variable at the hop
+    /// horizon (or outside the marked region), its cell function over its
+    /// fan-ins' expressions inside it. A gate reached along several paths
+    /// is rebuilt on each: the result is a tree, so each occurrence needs
+    /// its own copy anyway.
+    fn build(&mut self, netlist: &Netlist, id: GateId, k: usize) -> Expr {
+        let marked = self.stamp[id.index()] == self.epoch;
+        if !marked || self.dist[id.index()] as usize >= k {
+            return self.var(netlist, id);
+        }
+        let g = netlist.gate(id);
+        match g.kind {
+            CellKind::Input | CellKind::Dff | CellKind::DffE | CellKind::DffR => {
+                self.var(netlist, id)
+            }
+            CellKind::Const0 => Expr::FALSE,
+            CellKind::Const1 => Expr::TRUE,
+            kind => {
+                let ins = g.fanin.iter().map(|&f| self.build(netlist, f, k)).collect();
+                kind.expr(ins)
+            }
+        }
+    }
+
+    /// `id`'s name as a variable, sharing one allocation per gate.
+    fn var(&mut self, netlist: &Netlist, id: GateId) -> Expr {
+        self.vars[id.index()]
+            .get_or_insert_with(|| Expr::var(&netlist.gate(id).name))
+            .clone()
+    }
+}
 
 /// Extracts the k-hop symbolic expression of one gate.
 ///
@@ -20,75 +138,16 @@ use std::collections::HashMap;
 /// paper's 2-hop NOR example `U3 = !((R1 ^ R2) | !R2)`.
 ///
 /// Pseudo-cells and registers return their own name as a variable (their
-/// output is a free value at the netlist stage).
+/// output is a free value at the netlist stage). Extracting many gates of
+/// one netlist this way repeats a per-netlist setup; [`all_gate_exprs`]
+/// and the TAG build share one scratch instead.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` (a 0-hop expression would be the gate's own name,
 /// which carries no functional content).
 pub fn gate_expr(netlist: &Netlist, gate: GateId, k: usize) -> Expr {
-    assert!(k >= 1, "expression extraction needs k >= 1 hops");
-    let g = netlist.gate(gate);
-    if g.kind == CellKind::Input || g.kind.is_sequential() {
-        return Expr::var(&g.name);
-    }
-    if g.kind == CellKind::Const0 {
-        return Expr::FALSE;
-    }
-    if g.kind == CellKind::Const1 {
-        return Expr::TRUE;
-    }
-    let hops: HashMap<GateId, usize> = k_hop_fanin(netlist, gate, k).into_iter().collect();
-    let mut memo: HashMap<GateId, Expr> = HashMap::new();
-    // The target gate itself always expands (depth 0 < k), so we can enter
-    // through the generic builder.
-    let e = build(netlist, gate, k, &hops, &mut memo);
-    simplify(&e)
-}
-
-fn build(
-    netlist: &Netlist,
-    id: GateId,
-    k: usize,
-    hops: &HashMap<GateId, usize>,
-    memo: &mut HashMap<GateId, Expr>,
-) -> Expr {
-    if let Some(e) = memo.get(&id) {
-        return e.clone();
-    }
-    // Gates at the hop horizon (or outside the BFS region entirely) are
-    // frontier variables.
-    let depth = hops.get(&id).copied().unwrap_or(k);
-    let e = if depth >= k {
-        Expr::var(&netlist.gate(id).name)
-    } else {
-        local_expr(netlist, id, k, hops, memo)
-    };
-    memo.insert(id, e.clone());
-    e
-}
-
-fn local_expr(
-    netlist: &Netlist,
-    id: GateId,
-    k: usize,
-    hops: &HashMap<GateId, usize>,
-    memo: &mut HashMap<GateId, Expr>,
-) -> Expr {
-    let g = netlist.gate(id);
-    match g.kind {
-        CellKind::Input | CellKind::Dff | CellKind::DffE | CellKind::DffR => Expr::var(&g.name),
-        CellKind::Const0 => Expr::FALSE,
-        CellKind::Const1 => Expr::TRUE,
-        kind => {
-            let ins: Vec<Expr> = g
-                .fanin
-                .iter()
-                .map(|&f| build(netlist, f, k, hops, memo))
-                .collect();
-            kind.expr(&ins)
-        }
-    }
+    ExprScratch::new(netlist).gate_expr(netlist, gate, k)
 }
 
 /// Extracts the k-hop expression of every mapped combinational
@@ -99,9 +158,19 @@ pub fn all_gate_exprs(netlist: &Netlist, k: usize) -> Vec<(GateId, Expr)> {
         .filter(|(_, g)| g.kind.is_combinational())
         .map(|(id, _)| id)
         .collect();
-    // Per-gate extraction is independent (each call owns its memo table),
-    // so the corpus-building sweep parallelizes over gates.
-    nettag_par::map_slice(&targets, |&id| (id, gate_expr(netlist, id, k)))
+    // Per-gate extraction is independent, so the corpus-building sweep
+    // parallelizes over contiguous blocks of gates, one scratch each.
+    let blocks = nettag_par::split_ranges(targets.len(), nettag_par::num_threads());
+    nettag_par::map_slice(&blocks, |block| {
+        let mut scratch = ExprScratch::new(netlist);
+        targets[block.clone()]
+            .iter()
+            .map(|&id| (id, scratch.gate_expr(netlist, id, k)))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 
-/// Longest name, in bytes, a [`GateName`] stores inline.
-pub const INLINE_NAME_BYTES: usize = 22;
+/// Longest name, in bytes, a [`GateName`] stores inline. With the length
+/// byte and the variant tag this fills 16 bytes, the size of the boxed
+/// form; every name the design generators emit fits.
+pub const INLINE_NAME_BYTES: usize = 14;
 
 /// Most pins a [`Pins`] list stores inline (the largest cell arity).
 pub const INLINE_PINS: usize = 4;
@@ -30,7 +32,9 @@ enum NameRepr {
         len: u8,
         bytes: [u8; INLINE_NAME_BYTES],
     },
-    Heap(Box<str>),
+    /// Boxed twice so this variant is one thin pointer and the whole
+    /// name stays 16 bytes (`Box<str>` alone would make it 24).
+    Heap(Box<Box<str>>),
 }
 
 impl GateName {
@@ -59,7 +63,7 @@ impl From<&str> for GateName {
                 bytes,
             })
         } else {
-            GateName(NameRepr::Heap(s.into()))
+            GateName(NameRepr::Heap(Box::new(s.into())))
         }
     }
 }
@@ -69,7 +73,7 @@ impl From<String> for GateName {
         if s.len() <= INLINE_NAME_BYTES {
             s.as_str().into()
         } else {
-            GateName(NameRepr::Heap(s.into_boxed_str()))
+            GateName(NameRepr::Heap(Box::new(s.into_boxed_str())))
         }
     }
 }

@@ -46,7 +46,7 @@ pub use aig::{
     Aig, Lit, LIT_FALSE, LIT_TRUE,
 };
 pub use cell::{CellKind, CellParams, Library, ALL_CELL_KINDS};
-pub use cone::{chunk_into_cones, cone_to_netlist, register_cone, Cone};
+pub use cone::{chunk_into_cones, cone_to_netlist, Cone};
 pub use expr_extract::{all_gate_exprs, gate_expr};
 pub use graph::{Gate, GateId, Netlist, NetlistError};
 pub use inline::{GateName, Pins, INLINE_NAME_BYTES, INLINE_PINS};
@@ -54,5 +54,5 @@ pub use sim::{next_register_values, simulate_comb};
 pub use stats::NetlistStats;
 pub use structural::{structural_hash, structural_hash_with_phys};
 pub use tag::{synthesis_phys_estimates, PhysProps, Tag, TagNode, TagOptions};
-pub use traverse::{backward_cone, k_hop_fanin, levels, logic_depth, topo_order};
+pub use traverse::{backward_cone, levels, logic_depth, topo_order};
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};

@@ -7,7 +7,6 @@
 use crate::cell::CellKind;
 use crate::graph::{GateId, Netlist};
 use crate::traverse::topo_order;
-use nettag_expr::Expr;
 use std::collections::HashMap;
 
 /// Evaluates all combinational logic for one cycle.
@@ -27,12 +26,12 @@ pub fn simulate_comb(netlist: &Netlist, sources: &HashMap<GateId, bool>) -> Vec<
             CellKind::Const1 => true,
             CellKind::Output | CellKind::Buf => values[g.fanin[0].index()],
             kind => {
-                let ins: Vec<Expr> = g
+                let row = g
                     .fanin
                     .iter()
-                    .map(|f| Expr::Const(values[f.index()]))
-                    .collect();
-                nettag_expr::eval(&kind.expr(&ins), &HashMap::new())
+                    .enumerate()
+                    .fold(0, |row, (j, f)| row | usize::from(values[f.index()]) << j);
+                kind.eval_row(row)
             }
         };
     }

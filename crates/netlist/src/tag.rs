@@ -4,14 +4,13 @@
 //! physical properties (Fig. 3(b)).
 
 use crate::cell::CellKind;
-use crate::expr_extract::gate_expr;
+use crate::expr_extract::ExprScratch;
 use crate::graph::{GateId, Netlist};
 use crate::inline::GateName;
 use nettag_expr::token::{
     frame_tail, tokenize_expr_canonical_into, CanonicalVars, Special, TokenId, Vocab,
 };
 use nettag_expr::Expr;
-use std::collections::HashMap;
 
 /// The eight physical characteristics the paper annotates per gate
 /// (Fig. 3(b)): power, area, delay, toggle rate, probability, load,
@@ -117,12 +116,13 @@ impl Tag {
     /// Panics if `phys.len() != netlist.gate_count()`.
     pub fn from_netlist_with_phys(netlist: &Netlist, phys: &[PhysProps], opts: &TagOptions) -> Tag {
         assert_eq!(phys.len(), netlist.gate_count(), "one PhysProps per gate");
+        let mut scratch = ExprScratch::new(netlist);
         let mut nodes = Vec::with_capacity(netlist.gate_count());
         for (id, g) in netlist.iter() {
             nodes.push(TagNode {
                 name: g.name.clone(),
                 kind: g.kind,
-                expr: bounded_expr(netlist, id, opts),
+                expr: bounded_expr(&mut scratch, netlist, id, opts),
                 phys: phys[id.index()],
             });
         }
@@ -213,12 +213,17 @@ impl Tag {
     }
 }
 
-fn bounded_expr(netlist: &Netlist, id: GateId, opts: &TagOptions) -> Expr {
-    let e = gate_expr(netlist, id, opts.hops);
+fn bounded_expr(
+    scratch: &mut ExprScratch,
+    netlist: &Netlist,
+    id: GateId,
+    opts: &TagOptions,
+) -> Expr {
+    let e = scratch.gate_expr(netlist, id, opts.hops);
     if e.size() <= opts.max_expr_size || opts.hops <= 1 {
         e
     } else {
-        gate_expr(netlist, id, 1)
+        scratch.gate_expr(netlist, id, 1)
     }
 }
 
@@ -244,13 +249,9 @@ pub fn synthesis_phys_estimates(netlist: &Netlist, lib: &crate::cell::Library) -
             k => {
                 // Weighted truth table: row bit `j` is pin `j`'s value, and
                 // every cell function reads all of its pins.
-                let mut ins = vec![Expr::FALSE; k.arity()];
                 let mut p1 = 0.0f64;
-                for row in 0..(1u64 << k.arity()) {
-                    for (j, e) in ins.iter_mut().enumerate() {
-                        *e = Expr::Const(row >> j & 1 == 1);
-                    }
-                    if !nettag_expr::eval(&k.expr(&ins), &HashMap::new()) {
+                for row in 0..1usize << k.arity() {
+                    if !k.eval_row(row) {
                         continue;
                     }
                     let mut w = 1.0;

@@ -83,34 +83,6 @@ pub fn backward_cone(netlist: &Netlist, from: GateId) -> Vec<GateId> {
     out
 }
 
-/// Gates within `k` backward hops of `from` (inclusive of `from`), with
-/// their hop distance. Traversal stops at sequential/input boundaries.
-pub fn k_hop_fanin(netlist: &Netlist, from: GateId, k: usize) -> Vec<(GateId, usize)> {
-    let mut dist = vec![usize::MAX; netlist.gate_count()];
-    let mut queue = VecDeque::new();
-    dist[from.index()] = 0;
-    queue.push_back(from);
-    let mut out = vec![(from, 0)];
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u.index()];
-        if d == k {
-            continue;
-        }
-        let g = netlist.gate(u);
-        if u != from && (g.kind.is_sequential() || g.kind == CellKind::Input) {
-            continue;
-        }
-        for &f in &g.fanin {
-            if dist[f.index()] == usize::MAX {
-                dist[f.index()] = d + 1;
-                out.push((f, d + 1));
-                queue.push_back(f);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,15 +150,5 @@ mod tests {
         assert!(names.contains(&"U2"));
         assert!(names.contains(&"U1"));
         assert!(names.contains(&"a"));
-    }
-
-    #[test]
-    fn k_hop_fanin_is_bounded() {
-        let n = chain();
-        let y = n.find("y").expect("exists");
-        let hops = k_hop_fanin(&n, y, 1);
-        assert_eq!(hops.len(), 2); // y + U3
-        let hops2 = k_hop_fanin(&n, y, 2);
-        assert_eq!(hops2.len(), 3); // y + U3 + R
     }
 }

@@ -922,7 +922,7 @@ fn run_batch(
             .get(&key)
             .or_else(|| cls_from_cache.get(&key))
             .expect("fused request's [CLS] embedding available");
-        let geom = cone_geometry(&netlist, &props, &shared.lib);
+        let (_, geom) = cone_geometry(&netlist, &props, &shared.lib);
         let emb = Arc::new(fuse_geometry(cls, &geom));
         shared
             .cache

@@ -485,7 +485,7 @@ fn hot_swap_with_concurrent_clients_serves_one_model_or_the_other() {
 /// The cone's deterministic geometry, as the engine extracts it.
 fn geometry(n: &Netlist) -> Tensor {
     let lib = Library::default();
-    cone_geometry(n, &synthesis_phys_estimates(n, &lib), &lib)
+    cone_geometry(n, &synthesis_phys_estimates(n, &lib), &lib).1
 }
 
 /// The offline reference for the fused path: plain `[CLS]` embedding

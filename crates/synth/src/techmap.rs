@@ -107,14 +107,13 @@ pub fn fold_constants(design: &Design) -> Design {
             CellKind::Inv => konst[g.fanin[0].index()].map(|b| !b),
             k if k.is_combinational() => {
                 let vals: Vec<Option<bool>> = g.fanin.iter().map(|f| konst[f.index()]).collect();
-                if vals.iter().all(Option::is_some) {
-                    let exprs: Vec<nettag_expr::Expr> = vals
-                        .iter()
-                        .map(|v| nettag_expr::Expr::Const(v.expect("checked")))
-                        .collect();
-                    Some(nettag_expr::eval(&k.expr(&exprs), &HashMap::new()))
-                } else {
-                    partial_const(k, &vals)
+                let row = vals
+                    .iter()
+                    .enumerate()
+                    .try_fold(0, |row, (j, v)| v.map(|b| row | usize::from(b) << j));
+                match row {
+                    Some(row) => Some(k.eval_row(row)),
+                    None => partial_const(k, &vals),
                 }
             }
             _ => None,

@@ -13,8 +13,9 @@
 //! contribution is read directly off the report.
 
 use crate::metrics::{regression_metrics, Regression};
-use nettag_core::{fuse_geometry, geometry_features, NetTag, RegressorHead};
-use nettag_netlist::{cone_to_netlist, register_cone, synthesis_phys_estimates, Library, Tag};
+use crate::register_cones;
+use nettag_core::{cone_geometry, fuse_geometry, NetTag, RegressorHead};
+use nettag_netlist::{cone_to_netlist, synthesis_phys_estimates, Library, Tag};
 use nettag_nn::Tensor;
 use nettag_physical::{run_flow, FlowConfig};
 use nettag_synth::Design;
@@ -35,9 +36,10 @@ pub struct GeomSamples {
 
 /// Extracts geometry-labeled register cones from a design.
 ///
-/// Geometry features come from the same deterministic default flow the
-/// serving engine's `cone_geometry` runs, so fine-tune features and
-/// served fused embeddings see identical inputs.
+/// Geometry features and the wirelength/congestion labels come from
+/// [`nettag_core::cone_geometry`], the entry point the serving engine
+/// calls, so fine-tune features and served fused embeddings see identical
+/// inputs.
 pub fn geom_samples(model: &NetTag, design: &Design, lib: &Library) -> GeomSamples {
     let optimized = FlowConfig {
         optimize: true,
@@ -52,21 +54,20 @@ pub fn geom_samples(model: &NetTag, design: &Design, lib: &Library) -> GeomSampl
         slack: Vec::new(),
     };
     let mut tags = Vec::new();
-    for reg in design.netlist.registers() {
-        let name = &design.netlist.gate(reg).name;
+    for cone in register_cones(&design.netlist) {
+        let name = &design.netlist.gate(cone.root).name;
         let Some(slack) = signoff.register_slack(name) else {
             continue;
         };
-        let cone = register_cone(&design.netlist, reg);
         let sub = cone_to_netlist(&design.netlist, &cone);
         if sub.gate_count() < 2 {
             continue;
         }
         let props = synthesis_phys_estimates(&sub, lib);
-        let outcome = run_flow(&sub, lib, &FlowConfig::default());
+        let (outcome, geom) = cone_geometry(&sub, &props, lib);
         let hpwl = outcome.placement.total_hpwl(&outcome.netlist);
         let die = outcome.placement.die.max(f64::MIN_POSITIVE);
-        out.geom.push(geometry_features(&outcome, &props));
+        out.geom.push(geom);
         tags.push(Tag::from_netlist(&sub, lib, &model.tag_options()));
         out.wirelength.push(hpwl.ln_1p() as f32);
         out.congestion.push((hpwl / (die * die)) as f32);

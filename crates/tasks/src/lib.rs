@@ -19,6 +19,8 @@ pub mod task2;
 pub mod task3;
 pub mod task4;
 
+use nettag_netlist::{chunk_into_cones, Cone, Netlist};
+
 pub use geom_tasks::{geom_samples, run_geom_tasks, GeomSamples, GeomScenario, GeomTaskReport};
 pub use gnn::{
     structural_features, GnnConfig, GnnEncoder, GnnGraph, GnnGraphModel, GnnNodeClassifier,
@@ -35,6 +37,15 @@ pub use task4::{
     nettag_task4, ppa_features, ppa_samples, run_task4, PpaSamples, PpaTarget, Task4Report,
     Task4Row,
 };
+
+/// The register cones of `netlist` from [`chunk_into_cones`], in
+/// [`Netlist::registers`] order (a combinational design's per-output
+/// pseudo-cones are dropped).
+fn register_cones(netlist: &Netlist) -> impl Iterator<Item = Cone> + '_ {
+    chunk_into_cones(netlist)
+        .into_iter()
+        .filter(|c| netlist.gate(c.root).kind.is_sequential())
+}
 
 /// Every item of `items` but the held-out `test`-th: the training side of
 /// a leave-one-design-out split.

@@ -7,10 +7,10 @@
 //! balanced accuracy, evaluated leave-one-design-out.
 
 use crate::gnn::{structural_features, GnnConfig, GnnGraph, GnnGraphModel};
-use crate::held_out;
 use crate::metrics::{sensitivity_metrics, BinarySensitivity};
+use crate::{held_out, register_cones};
 use nettag_core::{ClassifierHead, FinetuneConfig, NetTag};
-use nettag_netlist::{cone_to_netlist, register_cone, Library, Netlist, Tag};
+use nettag_netlist::{cone_to_netlist, Library, Netlist, Tag};
 use nettag_synth::Design;
 
 /// Register cone samples of one design.
@@ -31,11 +31,11 @@ pub fn register_samples(model: &NetTag, design: &Design, lib: &Library) -> Regis
     let mut graphs = Vec::new();
     let mut labels = Vec::new();
     let mut names = Vec::new();
-    for reg in design.netlist.registers() {
+    for cone in register_cones(&design.netlist) {
+        let reg = cone.root;
         let Some(is_state) = design.label(reg).is_state_reg else {
             continue;
         };
-        let cone = register_cone(&design.netlist, reg);
         let sub = cone_to_netlist(&design.netlist, &cone);
         if sub.gate_count() < 2 {
             continue;

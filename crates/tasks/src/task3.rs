@@ -7,11 +7,11 @@
 //! embeddings; the baseline is the netlist-adapted timing GNN of \[2\].
 
 use crate::gnn::{GnnConfig, GnnGraph, GnnGraphModel};
-use crate::held_out;
 use crate::metrics::{regression_metrics, Regression};
 use crate::task2::cone_graph;
+use crate::{held_out, register_cones};
 use nettag_core::{NetTag, RegressorHead};
-use nettag_netlist::{cone_to_netlist, register_cone, Library, Tag};
+use nettag_netlist::{cone_to_netlist, Library, Tag};
 use nettag_physical::{run_flow, FlowConfig};
 use nettag_synth::Design;
 
@@ -38,12 +38,11 @@ pub fn slack_samples(
     let mut tags = Vec::new();
     let mut graphs = Vec::new();
     let mut targets = Vec::new();
-    for reg in design.netlist.registers() {
-        let name = &design.netlist.gate(reg).name;
+    for cone in register_cones(&design.netlist) {
+        let name = &design.netlist.gate(cone.root).name;
         let Some(slack) = outcome.register_slack(name) else {
             continue;
         };
-        let cone = register_cone(&design.netlist, reg);
         let sub = cone_to_netlist(&design.netlist, &cone);
         if sub.gate_count() < 2 {
             continue;

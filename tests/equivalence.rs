@@ -111,6 +111,11 @@ fn equal_cone_digests_imply_equal_model_input() {
     // its gates renamed to names the expression parser rejects (`1g3`,
     // `g.4`) or reads as a constant (`1`): the digest ignores names, so
     // the renamed twin must tokenize like the original.
+    //
+    // The un-renamed cones also feed four FNV-1a fingerprints that pin the
+    // TAG front end's output bit for bit: the cone netlists (gate name,
+    // kind, fan-in and size bits, in order), `node_tokens(.., 1024,
+    // false)`, `attribute_text` and the synthesis phys estimates' bits.
     use nettag::core::NetTag;
     use nettag::netlist::{
         chunk_into_cones, cone_to_netlist, structural_hash_with_phys, synthesis_phys_estimates,
@@ -137,6 +142,19 @@ fn equal_cone_digests_imply_equal_model_input() {
         ..GenerateConfig::default()
     };
     type Input = (Vec<Vec<u32>>, Vec<[u32; 8]>, Vec<(u32, u32)>);
+    struct Fnv(u64);
+    impl Fnv {
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn word(&mut self, v: u64) {
+            self.write(&v.to_le_bytes());
+        }
+    }
+    let fnv = || Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut nets, mut tokens, mut texts, mut phys) = (fnv(), fnv(), fnv(), fnv());
     let mut seen: HashMap<u128, Input> = HashMap::new();
     let mut repeats = 0;
     for k in 0..48 {
@@ -145,10 +163,46 @@ fn equal_cone_digests_imply_equal_model_input() {
         for cone in chunk_into_cones(&design.netlist) {
             let sub = cone_to_netlist(&design.netlist, &cone);
             let twin = renamed(&sub);
-            for net in [&sub, &twin] {
+            for (twin_pass, net) in [(false, &sub), (true, &twin)] {
                 let props = synthesis_phys_estimates(net, &lib);
                 let key = structural_hash_with_phys(net, &props);
                 let tag = Tag::from_netlist_with_phys(net, &props, &opts);
+                if !twin_pass {
+                    for (_, g) in net.iter() {
+                        nets.word(g.name.len() as u64);
+                        nets.write(g.name.as_bytes());
+                        nets.word(g.kind.index() as u64);
+                        nets.word(g.fanin.len() as u64);
+                        for f in &g.fanin {
+                            nets.word(u64::from(f.0));
+                        }
+                        nets.word(g.size.to_bits());
+                    }
+                    for i in 0..tag.len() {
+                        let toks = tag.node_tokens(&vocab, i, 1024, false);
+                        tokens.word(toks.len() as u64);
+                        for t in toks {
+                            tokens.word(u64::from(t));
+                        }
+                        let text = tag.attribute_text(i);
+                        texts.word(text.len() as u64);
+                        texts.write(text.as_bytes());
+                    }
+                    for p in &props {
+                        for v in [
+                            p.power,
+                            p.area,
+                            p.delay,
+                            p.toggle_rate,
+                            p.probability,
+                            p.load,
+                            p.capacitance,
+                            p.resistance,
+                        ] {
+                            phys.word(v.to_bits());
+                        }
+                    }
+                }
                 let input: Input = (
                     (0..tag.len())
                         .map(|i| tag.node_tokens(&vocab, i, 1024, false))
@@ -176,4 +230,15 @@ fn equal_cone_digests_imply_equal_model_input() {
         }
     }
     assert!(repeats > 0, "the designs must repeat some cone structure");
+    let got = [nets.0, tokens.0, texts.0, phys.0];
+    let want = [
+        0x4b55_b432_2676_72b0,
+        0x762f_3ed4_f3d6_70d8,
+        0xa5a5_5f15_a8b4_0473,
+        0x3087_e8f0_77a5_c25f,
+    ];
+    assert_eq!(
+        got, want,
+        "the TAG front end changed its output (netlists, tokens, text, phys)"
+    );
 }
