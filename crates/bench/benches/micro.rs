@@ -136,7 +136,7 @@ fn bench_model_inference() {
     let model = NetTag::new(NetTagConfig::small());
     let vocab = NetTag::vocab();
     let expr = nettag_expr::parse_expr("!((R1 ^ R2) | !R2) & Ite(s, a, b ^ c)").expect("parses");
-    let toks = tokenize_expr(&vocab, &expr, model.config.max_tokens);
+    let toks = tokenize_expr(vocab, &expr, model.config.max_tokens);
     report("exprllm_encode", time_it(|| model.exprllm.encode(&toks)));
     let design = generate_design(Family::OpenCores, 0, 7, &GenerateConfig::default());
     let lib = Library::default();

@@ -135,7 +135,7 @@ fn table2(m: &mut Metrics, scale: &Scale) {
         let tokens = data
             .exprs
             .iter()
-            .map(|e| tokenize_expr(&vocab, e, 4096).len());
+            .map(|e| tokenize_expr(vocab, e, 4096).len());
         let nodes = data.cones.iter().map(|c| c.tag.len());
         let key = family.name();
         once(format!("table2/{key}/exprs"), data.exprs.len() as f64);

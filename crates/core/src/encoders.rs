@@ -11,7 +11,7 @@
 use crate::config::NetTagConfig;
 use crate::exprllm::ExprLlm;
 use crate::tagformer::TagFormer;
-use nettag_expr::token::{frame_tail, Special, TokenId, Vocab};
+use nettag_expr::token::{frame_tail, Grammar, Special, TokenId, Vocab};
 use nettag_nn::{Graph, Layer, NodeId, Param, Tensor};
 use nettag_physical::LayoutGraph;
 
@@ -83,18 +83,18 @@ pub fn tokenize_rtl(vocab: &Vocab, text: &str, max_len: usize) -> Vec<TokenId> {
             out.push(vocab.number(value));
         } else {
             let tok = match c {
-                '(' => Some("("),
-                ')' => Some(")"),
-                '!' | '~' => Some("!"),
-                '&' => Some("&"),
-                '|' => Some("|"),
-                '^' => Some("^"),
-                '=' => Some("="),
-                ',' => Some(","),
+                '(' => Some(Grammar::Open),
+                ')' => Some(Grammar::Close),
+                '!' | '~' => Some(Grammar::Not),
+                '&' => Some(Grammar::And),
+                '|' => Some(Grammar::Or),
+                '^' => Some(Grammar::Xor),
+                '=' => Some(Grammar::Eq),
+                ',' => Some(Grammar::Comma),
                 _ => None,
             };
             if let Some(t) = tok {
-                out.push(vocab.grammar(t));
+                out.push(vocab.grammar_id(t));
             }
             chars.next();
         }
@@ -206,7 +206,7 @@ mod tests {
         );
         assert!(toks.contains(&vocab.word("module")));
         assert!(toks.contains(&vocab.word("assign")));
-        assert!(toks.contains(&vocab.grammar("=")));
+        assert!(toks.contains(&vocab.grammar_id(Grammar::Eq)));
     }
 
     #[test]

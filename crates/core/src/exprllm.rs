@@ -339,7 +339,7 @@ mod tests {
         let distinct: HashSet<Vec<TokenId>> = all
             .iter()
             .flat_map(|t| {
-                (0..t.len()).map(|i| t.node_tokens(&vocab, i, model.config.max_tokens, false))
+                (0..t.len()).map(|i| t.node_tokens(vocab, i, model.config.max_tokens, false))
             })
             .collect();
         let cap = 8;

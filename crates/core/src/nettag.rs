@@ -10,6 +10,7 @@ use nettag_netlist::{
 };
 use nettag_nn::{Layer, Param, Tensor};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The pre-trainable NetTAG model.
 #[derive(Debug, Clone)]
@@ -55,8 +56,7 @@ impl TagEmbedding {
 impl NetTag {
     /// Builds a fresh (untrained) NetTAG with the standard cell vocabulary.
     pub fn new(config: NetTagConfig) -> NetTag {
-        let vocab = Self::vocab();
-        let exprllm = ExprLlm::new(&vocab, &config);
+        let exprllm = ExprLlm::new(Self::vocab(), &config);
         let tagformer = TagFormer::new(config.embed_dim + 8, &config);
         NetTag {
             config,
@@ -66,9 +66,11 @@ impl NetTag {
         }
     }
 
-    /// The shared token vocabulary (grammar + cell-type words + buckets).
-    pub fn vocab() -> Vocab {
-        Vocab::new(Library::default().cell_names())
+    /// The shared token vocabulary (grammar + cell-type words + buckets),
+    /// built once per process.
+    pub fn vocab() -> &'static Vocab {
+        static VOCAB: OnceLock<Vocab> = OnceLock::new();
+        VOCAB.get_or_init(|| Vocab::new(Library::default().cell_names()))
     }
 
     /// TAG construction options matching this model's hop setting.
@@ -112,7 +114,7 @@ impl NetTag {
                 .flat_map(|&t| (0..t.len()).map(move |i| (t, i)))
                 .collect();
             let seqs = nettag_par::map_slice(&nodes, |&(t, i)| {
-                t.node_tokens(&vocab, i, self.config.max_tokens, false)
+                t.node_tokens(vocab, i, self.config.max_tokens, false)
             });
             self.exprllm.encode_texts(&seqs)
         } else {

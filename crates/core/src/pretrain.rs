@@ -155,13 +155,13 @@ pub fn pretrain_exprllm(
             .collect();
         let anchors: Vec<Vec<_>> = batch
             .iter()
-            .map(|e| tokenize_expr(&vocab, e, model.config.max_tokens))
+            .map(|e| tokenize_expr(vocab, e, model.config.max_tokens))
             .collect();
         let positives: Vec<Vec<_>> = batch
             .iter()
             .map(|e| {
                 let variant = augment_equivalent(e, &aug, &mut rng);
-                tokenize_expr(&vocab, &variant, model.config.max_tokens)
+                tokenize_expr(vocab, &variant, model.config.max_tokens)
             })
             .collect();
         // Data-parallel step: each pair's anchor/positive encoder passes

@@ -18,7 +18,7 @@ fn reference_features(model: &NetTag, tag: &Tag) -> Tensor {
     let mut out = Tensor::zeros(tag.len(), dim + 8);
     for (i, row) in out.data.chunks_exact_mut(dim + 8).enumerate() {
         if model.text_scale != 0.0 {
-            let toks = tag.node_tokens(&vocab, i, model.config.max_tokens, false);
+            let toks = tag.node_tokens(vocab, i, model.config.max_tokens, false);
             let text = model.exprllm.encode(&toks);
             for (o, v) in row.iter_mut().zip(&text.data) {
                 *o = v * model.text_scale;
@@ -63,9 +63,7 @@ fn batch_features_match_per_gate_reference_at_every_text_scale() {
     let vocab = NetTag::vocab();
     let seqs: Vec<Vec<TokenId>> = tags
         .iter()
-        .flat_map(|t| {
-            (0..t.len()).map(|i| t.node_tokens(&vocab, i, model.config.max_tokens, false))
-        })
+        .flat_map(|t| (0..t.len()).map(|i| t.node_tokens(vocab, i, model.config.max_tokens, false)))
         .collect();
     let distinct: HashSet<&Vec<TokenId>> = seqs.iter().collect();
     assert!(

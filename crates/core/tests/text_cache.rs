@@ -39,9 +39,7 @@ fn tag_groups(model: &NetTag) -> Vec<Vec<Tag>> {
 fn distinct_texts(model: &NetTag, tags: &[Tag]) -> HashSet<Vec<TokenId>> {
     let vocab = NetTag::vocab();
     tags.iter()
-        .flat_map(|t| {
-            (0..t.len()).map(|i| t.node_tokens(&vocab, i, model.config.max_tokens, false))
-        })
+        .flat_map(|t| (0..t.len()).map(|i| t.node_tokens(vocab, i, model.config.max_tokens, false)))
         .collect()
 }
 

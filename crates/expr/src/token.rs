@@ -46,11 +46,50 @@ pub enum Special {
     Mask = 4,
 }
 
-/// Fixed grammar tokens that follow the specials.
+/// Fixed grammar tokens that follow the specials, in [`Grammar`] order.
 const GRAMMAR: [&str; 16] = [
     "(", ")", "!", "&", "|", "^", "=", ",", "Ite", "0", "1", "[NAME]", "[TYPE]", "[EXPR]",
     "[PHYS]", "[SEP]",
 ];
+
+/// A grammar token, by its position in the fixed grammar list, so its
+/// [`Vocab::grammar_id`] is one add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub enum Grammar {
+    /// `(`
+    Open,
+    /// `)`
+    Close,
+    /// `!`
+    Not,
+    /// `&`
+    And,
+    /// `|`
+    Or,
+    /// `^`
+    Xor,
+    /// `=`
+    Eq,
+    /// `,`
+    Comma,
+    /// `Ite`
+    Ite,
+    /// `0`
+    Zero,
+    /// `1`
+    One,
+    /// `[NAME]`
+    Name,
+    /// `[TYPE]`
+    Type,
+    /// `[EXPR]`
+    Expr,
+    /// `[PHYS]`
+    Phys,
+    /// `[SEP]`
+    Sep,
+}
 
 /// A closed token vocabulary shared by ExprLLM and the RTL encoder.
 #[derive(Debug, Clone)]
@@ -112,13 +151,9 @@ impl Vocab {
         s as TokenId
     }
 
-    /// Id of a grammar token, or `Unk` if it is not one.
-    pub fn grammar(&self, tok: &str) -> TokenId {
-        GRAMMAR
-            .iter()
-            .position(|g| *g == tok)
-            .map(|i| self.grammar_base + i as TokenId)
-            .unwrap_or(Special::Unk as TokenId)
+    /// Id of a grammar token.
+    pub fn grammar_id(&self, g: Grammar) -> TokenId {
+        self.grammar_base + g as TokenId
     }
 
     /// Id of a domain word, or `Unk` when not registered.
@@ -179,86 +214,106 @@ impl Default for Vocab {
 /// structurally identical expressions from different designs tokenize
 /// identically — small encoders cannot abstract over name noise the way
 /// an 8B LLM can, so canonicalization stands in for that capability.
+///
+/// It borrows the names it has seen, in slot order: a gate text holds a
+/// few dozen at most, so a scan beats hashing them.
 #[derive(Debug, Default)]
-pub struct CanonicalVars {
-    map: HashMap<String, u32>,
+pub struct CanonicalVars<'a> {
+    names: Vec<&'a str>,
 }
 
-impl CanonicalVars {
+impl<'a> CanonicalVars<'a> {
     /// Creates an empty numbering.
-    pub fn new() -> CanonicalVars {
+    pub fn new() -> CanonicalVars<'a> {
         CanonicalVars::default()
     }
 
     /// Token id for `name`, assigning the next canonical slot on first use.
-    /// Allocates only for a name it has not seen.
-    pub fn token(&mut self, vocab: &Vocab, name: &str) -> TokenId {
-        let slot = match self.map.get(name) {
-            Some(&slot) => slot,
+    pub fn token(&mut self, vocab: &Vocab, name: &'a str) -> TokenId {
+        let slot = match self.names.iter().position(|&n| n == name) {
+            Some(slot) => slot,
             None => {
-                let slot = self.map.len() as u32;
-                self.map.insert(name.to_string(), slot);
-                slot
+                self.names.push(name);
+                self.names.len() - 1
             }
         };
-        vocab.canonical_var(slot)
+        vocab.canonical_var(slot as u32)
     }
 }
 
 /// Streams the tokens of an expression into `out` with canonical variable
-/// numbering (no CLS/EOS framing).
-pub fn tokenize_expr_canonical_into(
+/// numbering (no CLS/EOS framing), stopping once `out` holds `cap` tokens
+/// (it may pass `cap` by a few). [`frame_tail`] keeps only the first
+/// `max_len - 1` tokens of a body, so a caller that frames with it passes
+/// that as `cap` and skips the rest of a long expression; `usize::MAX`
+/// streams it whole.
+pub fn tokenize_expr_canonical_into<'a>(
     vocab: &Vocab,
-    expr: &Expr,
-    canon: &mut CanonicalVars,
+    expr: &'a Expr,
+    canon: &mut CanonicalVars<'a>,
     out: &mut Vec<TokenId>,
+    cap: usize,
 ) {
+    if out.len() >= cap {
+        return;
+    }
+    let g = |t| vocab.grammar_id(t);
     match expr {
-        Expr::Const(false) => out.push(vocab.grammar("0")),
-        Expr::Const(true) => out.push(vocab.grammar("1")),
+        Expr::Const(false) => out.push(g(Grammar::Zero)),
+        Expr::Const(true) => out.push(g(Grammar::One)),
         Expr::Var(v) => out.push(canon.token(vocab, v)),
         Expr::Not(e) => {
-            out.push(vocab.grammar("!"));
-            group_canon(vocab, e, canon, out);
+            out.push(g(Grammar::Not));
+            group_canon(vocab, e, canon, out, cap);
         }
-        Expr::And(es) => infix_canon(vocab, es, "&", canon, out),
-        Expr::Or(es) => infix_canon(vocab, es, "|", canon, out),
-        Expr::Xor(es) => infix_canon(vocab, es, "^", canon, out),
+        Expr::And(es) => infix_canon(vocab, es, Grammar::And, canon, out, cap),
+        Expr::Or(es) => infix_canon(vocab, es, Grammar::Or, canon, out, cap),
+        Expr::Xor(es) => infix_canon(vocab, es, Grammar::Xor, canon, out, cap),
         Expr::Ite(s, t, e) => {
-            out.push(vocab.grammar("Ite"));
-            out.push(vocab.grammar("("));
-            tokenize_expr_canonical_into(vocab, s, canon, out);
-            out.push(vocab.grammar(","));
-            tokenize_expr_canonical_into(vocab, t, canon, out);
-            out.push(vocab.grammar(","));
-            tokenize_expr_canonical_into(vocab, e, canon, out);
-            out.push(vocab.grammar(")"));
+            out.push(g(Grammar::Ite));
+            out.push(g(Grammar::Open));
+            tokenize_expr_canonical_into(vocab, s, canon, out, cap);
+            out.push(g(Grammar::Comma));
+            tokenize_expr_canonical_into(vocab, t, canon, out, cap);
+            out.push(g(Grammar::Comma));
+            tokenize_expr_canonical_into(vocab, e, canon, out, cap);
+            out.push(g(Grammar::Close));
         }
     }
 }
 
-fn group_canon(vocab: &Vocab, e: &Expr, canon: &mut CanonicalVars, out: &mut Vec<TokenId>) {
+fn group_canon<'a>(
+    vocab: &Vocab,
+    e: &'a Expr,
+    canon: &mut CanonicalVars<'a>,
+    out: &mut Vec<TokenId>,
+    cap: usize,
+) {
     if e.is_leaf() {
-        tokenize_expr_canonical_into(vocab, e, canon, out);
+        tokenize_expr_canonical_into(vocab, e, canon, out, cap);
     } else {
-        out.push(vocab.grammar("("));
-        tokenize_expr_canonical_into(vocab, e, canon, out);
-        out.push(vocab.grammar(")"));
+        out.push(vocab.grammar_id(Grammar::Open));
+        tokenize_expr_canonical_into(vocab, e, canon, out, cap);
+        out.push(vocab.grammar_id(Grammar::Close));
     }
 }
 
-fn infix_canon(
+fn infix_canon<'a>(
     vocab: &Vocab,
-    es: &[Expr],
-    op: &str,
-    canon: &mut CanonicalVars,
+    es: &'a [Expr],
+    op: Grammar,
+    canon: &mut CanonicalVars<'a>,
     out: &mut Vec<TokenId>,
+    cap: usize,
 ) {
     for (i, e) in es.iter().enumerate() {
-        if i > 0 {
-            out.push(vocab.grammar(op));
+        if out.len() >= cap {
+            return;
         }
-        group_canon(vocab, e, canon, out);
+        if i > 0 {
+            out.push(vocab.grammar_id(op));
+        }
+        group_canon(vocab, e, canon, out, cap);
     }
 }
 
@@ -269,7 +324,7 @@ pub fn tokenize_expr(vocab: &Vocab, expr: &Expr, max_len: usize) -> Vec<TokenId>
     let mut out = Vec::with_capacity(max_len.min(expr.size() * 2 + 2));
     out.push(vocab.special(Special::Cls));
     let mut canon = CanonicalVars::new();
-    tokenize_expr_canonical_into(vocab, expr, &mut canon, &mut out);
+    tokenize_expr_canonical_into(vocab, expr, &mut canon, &mut out, max_len.saturating_sub(1));
     frame_tail(vocab, out, max_len)
 }
 
@@ -293,8 +348,8 @@ mod tests {
         let v = Vocab::new(["NOR", "NAND", "DFF"]);
         let ids = [
             v.special(Special::Cls),
-            v.grammar("("),
-            v.grammar("Ite"),
+            v.grammar_id(Grammar::Open),
+            v.grammar_id(Grammar::Ite),
             v.word("NOR"),
             v.word("DFF"),
             v.var("R1"),
@@ -305,6 +360,45 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "token classes overlap: {ids:?}");
         assert!(ids.iter().all(|&i| (i as usize) < v.len()));
+    }
+
+    #[test]
+    fn grammar_ids_name_their_text() {
+        let v = Vocab::default();
+        let all = [
+            (Grammar::Open, "("),
+            (Grammar::Close, ")"),
+            (Grammar::Not, "!"),
+            (Grammar::And, "&"),
+            (Grammar::Or, "|"),
+            (Grammar::Xor, "^"),
+            (Grammar::Eq, "="),
+            (Grammar::Comma, ","),
+            (Grammar::Ite, "Ite"),
+            (Grammar::Zero, "0"),
+            (Grammar::One, "1"),
+            (Grammar::Name, "[NAME]"),
+            (Grammar::Type, "[TYPE]"),
+            (Grammar::Expr, "[EXPR]"),
+            (Grammar::Phys, "[PHYS]"),
+            (Grammar::Sep, "[SEP]"),
+        ];
+        assert_eq!(all.len(), GRAMMAR.len());
+        for (g, text) in all {
+            assert_eq!(v.describe(v.grammar_id(g)), text);
+        }
+    }
+
+    #[test]
+    fn capped_streaming_frames_like_the_whole_stream() {
+        let v = Vocab::default();
+        let e = parse_expr("Ite(a, !(b & c), d ^ (e | !a)) & (f | g)").expect("parses");
+        let mut whole = vec![v.special(Special::Cls)];
+        tokenize_expr_canonical_into(&v, &e, &mut CanonicalVars::new(), &mut whole, usize::MAX);
+        for max_len in 2..whole.len() + 3 {
+            let capped = tokenize_expr(&v, &e, max_len);
+            assert_eq!(capped, frame_tail(&v, whole.clone(), max_len), "{max_len}");
+        }
     }
 
     #[test]
@@ -354,7 +448,7 @@ mod tests {
     fn describe_round_trips_token_classes() {
         let v = Vocab::new(["MUX2"]);
         assert_eq!(v.describe(v.word("MUX2")), "MUX2");
-        assert_eq!(v.describe(v.grammar("^")), "^");
+        assert_eq!(v.describe(v.grammar_id(Grammar::Xor)), "^");
         assert_eq!(v.describe(v.special(Special::Cls)), "<cls>");
         assert!(v.describe(v.var("R1")).starts_with("<var"));
         assert!(v.describe(v.number(2.0)).starts_with("<num"));

@@ -94,7 +94,7 @@ pub const ALL_CELL_KINDS: [CellKind; 30] = [
 
 impl CellKind {
     /// Library name, as printed in TAG attributes and Verilog output.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             CellKind::Input => "INPUT",
             CellKind::Output => "OUTPUT",

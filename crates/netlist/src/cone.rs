@@ -8,7 +8,7 @@
 //! functionally-equivalent units aligned across RTL / netlist / layout.
 
 use crate::cell::CellKind;
-use crate::graph::{GateId, Netlist};
+use crate::graph::{GateId, Netlist, NetlistError};
 use crate::traverse::{backward_cone, topo_order};
 
 /// A register cone: the combinational fan-in of one register's D pin.
@@ -114,8 +114,9 @@ pub fn chunk_into_cones(netlist: &Netlist) -> Vec<Cone> {
 ///
 /// # Panics
 ///
-/// Panics if `cone.gates` lists a gate before one of its fan-ins; cones
-/// from [`chunk_into_cones`] are in topological order.
+/// Panics if `cone.gates` lists a gate before one of its fan-ins (cones
+/// from [`chunk_into_cones`] are in topological order), or if the
+/// output's name `{root}_next` is already a member's name.
 pub fn cone_to_netlist(netlist: &Netlist, cone: &Cone) -> Netlist {
     // Members (less the root, unless it is also an input) plus the
     // output, allocated exactly once: extracted cones often outlive their
@@ -147,17 +148,22 @@ pub fn cone_to_netlist(netlist: &Netlist, cone: &Cone) -> Netlist {
             .collect();
         map[id.index()] = Some(out.add_gate(g.name.clone(), g.kind, fanin));
     }
-    // The root register's D input becomes the primary output.
+    // The root register's D input becomes the primary output. Its name is
+    // the only one the parent did not check: every other gate, pin and
+    // edge comes from the valid parent, in its topological order, so the
+    // cone is well-formed and acyclic by construction.
     let root_gate = netlist.gate(cone.root);
     if let Some(driver) = root_gate.fanin.first().and_then(|d| map[d.index()]) {
-        out.add_gate(
-            format!("{}_next", root_gate.name),
-            CellKind::Output,
-            vec![driver],
-        );
+        let name = format!("{}_next", root_gate.name);
+        if out.iter().any(|(_, g)| g.name == name.as_str()) {
+            let clash = NetlistError::DuplicateName(name);
+            panic!("cone extraction preserves acyclicity: {clash:?}");
+        }
+        out.add_gate(name, CellKind::Output, vec![driver]);
     }
-    out.validate()
-        .expect("cone extraction preserves acyclicity")
+    // As `validate` leaves it: fan-out tables built on first use.
+    out.rebuild_fanout();
+    out
 }
 
 #[cfg(test)]

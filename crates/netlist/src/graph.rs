@@ -28,7 +28,7 @@ impl fmt::Display for GateId {
 }
 
 /// One gate instance. Its name and pins are stored inline in the common
-/// case, so a gate owns no heap allocation (56 bytes in all).
+/// case, so a gate owns no heap allocation (48 bytes in all).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// Instance name (`U3`, `R1`, …).

@@ -1,10 +1,11 @@
 //! Small-size-optimized gate fields.
 //!
-//! Nearly every gate has a short instance name and at most four pins, so
+//! Nearly every gate has a short instance name and at most three pins, so
 //! storing both inline keeps a [`crate::Gate`] free of heap allocations:
 //! a netlist costs one `Vec<Gate>` instead of that plus two allocations
-//! per gate. Longer names, and the wider pin lists only a malformed
-//! netlist has, fall back to the heap.
+//! per gate. Longer names, the four-input cells (which the design
+//! generators never emit) and the wider pin lists only a malformed
+//! netlist has fall back to the heap.
 
 use crate::graph::GateId;
 use std::borrow::Borrow;
@@ -17,8 +18,11 @@ use std::ops::{Deref, DerefMut};
 /// form; every name the design generators emit fits.
 pub const INLINE_NAME_BYTES: usize = 14;
 
-/// Most pins a [`Pins`] list stores inline (the largest cell arity).
-pub const INLINE_PINS: usize = 4;
+/// Most pins a [`Pins`] list stores inline. With the length byte and the
+/// variant tag this fills 16 bytes, the size of the boxed form, and keeps
+/// a [`crate::Gate`] at 48 bytes; of the valid gates only the
+/// four-input cells box.
+pub const INLINE_PINS: usize = 3;
 
 /// A gate instance name: inline up to [`INLINE_NAME_BYTES`] bytes, boxed
 /// beyond. Dereferences to `str`.
@@ -138,11 +142,10 @@ pub struct Pins(PinsRepr);
 #[derive(Clone)]
 enum PinsRepr {
     /// The first `len` ids of `ids`, padded with `GateId(0)`.
-    Inline {
-        len: u8,
-        ids: [GateId; INLINE_PINS],
-    },
-    Heap(Box<[GateId]>),
+    Inline { len: u8, ids: [GateId; INLINE_PINS] },
+    /// Boxed twice so this variant is one thin pointer (as
+    /// [`GateName`]'s).
+    Heap(Box<Box<[GateId]>>),
 }
 
 impl Pins {
@@ -162,7 +165,7 @@ impl From<&[GateId]> for Pins {
                 ids,
             })
         } else {
-            Pins(PinsRepr::Heap(s.into()))
+            Pins(PinsRepr::Heap(Box::new(s.into())))
         }
     }
 }
@@ -172,7 +175,7 @@ impl From<Vec<GateId>> for Pins {
         if v.len() <= INLINE_PINS {
             v.as_slice().into()
         } else {
-            Pins(PinsRepr::Heap(v.into_boxed_slice()))
+            Pins(PinsRepr::Heap(Box::new(v.into_boxed_slice())))
         }
     }
 }
@@ -182,7 +185,7 @@ impl From<Box<[GateId]>> for Pins {
         if b.len() <= INLINE_PINS {
             (*b).into()
         } else {
-            Pins(PinsRepr::Heap(b))
+            Pins(PinsRepr::Heap(Box::new(b)))
         }
     }
 }

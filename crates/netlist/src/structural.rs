@@ -21,7 +21,7 @@
 //! negligible; two digests that differ merely mean a missed cache hit,
 //! never a wrong one.
 
-use crate::cell::CellKind;
+use crate::cell::{CellKind, ALL_CELL_KINDS};
 use crate::graph::{GateId, Netlist};
 use crate::tag::PhysProps;
 
@@ -37,7 +37,7 @@ const TAG_ROOT: u64 = 0x52;
 const TAG_BACKEDGE: u64 = 0x42;
 
 /// splitmix64-style finalizer used as the stream combiner.
-fn mix(h: u64, v: u64) -> u64 {
+const fn mix(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0xFF51_AFD7_ED55_8CCD).rotate_left(31);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -45,14 +45,28 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Stable per-kind code: hashes the cell's name bytes, so the digest
-/// survives enum reordering across versions.
-fn kind_code(kind: CellKind) -> u64 {
-    let mut h = 0x6b79_6e64u64; // "kynd"
-    for &b in kind.name().as_bytes() {
-        h = mix(h, b as u64);
+/// Stable per-kind codes, indexed by [`CellKind::index`]: each mixes the
+/// cell's name bytes, so the digest survives enum reordering across
+/// versions. Computed at compile time.
+const KIND_CODES: [u64; ALL_CELL_KINDS.len()] = {
+    let mut codes = [0u64; ALL_CELL_KINDS.len()];
+    let mut k = 0;
+    while k < codes.len() {
+        let name = ALL_CELL_KINDS[k].name().as_bytes();
+        let mut h = 0x6b79_6e64u64; // "kynd"
+        let mut i = 0;
+        while i < name.len() {
+            h = mix(h, name[i] as u64);
+            i += 1;
+        }
+        codes[k] = h;
+        k += 1;
     }
-    h
+    codes
+};
+
+fn kind_code(kind: CellKind) -> u64 {
+    KIND_CODES[kind.index()]
 }
 
 /// Folds one gate's phys fields into the stream (raw f64 bits: stricter

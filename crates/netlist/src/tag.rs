@@ -8,7 +8,7 @@ use crate::expr_extract::ExprScratch;
 use crate::graph::{GateId, Netlist};
 use crate::inline::GateName;
 use nettag_expr::token::{
-    frame_tail, tokenize_expr_canonical_into, CanonicalVars, Special, TokenId, Vocab,
+    frame_tail, tokenize_expr_canonical_into, CanonicalVars, Grammar, Special, TokenId, Vocab,
 };
 use nettag_expr::Expr;
 
@@ -188,19 +188,22 @@ impl Tag {
         let mut out = Vec::with_capacity(max_len.min(64));
         let mut canon = CanonicalVars::new();
         out.push(vocab.special(Special::Cls));
-        out.push(vocab.grammar("[NAME]"));
+        out.push(vocab.grammar_id(Grammar::Name));
         out.push(canon.token(vocab, &n.name));
-        out.push(vocab.grammar("[TYPE]"));
+        out.push(vocab.grammar_id(Grammar::Type));
         if mask_type {
             out.push(vocab.special(Special::Mask));
         } else {
             out.push(vocab.word(n.kind.name()));
         }
-        out.push(vocab.grammar("[EXPR]"));
+        out.push(vocab.grammar_id(Grammar::Expr));
         out.push(canon.token(vocab, &n.name));
-        out.push(vocab.grammar("="));
-        tokenize_expr_canonical_into(vocab, &n.expr, &mut canon, &mut out);
-        out.push(vocab.grammar("[PHYS]"));
+        out.push(vocab.grammar_id(Grammar::Eq));
+        // `frame_tail` keeps the first `max_len - 1` tokens: the rest of a
+        // long expression would be cut anyway.
+        let cap = max_len.saturating_sub(1);
+        tokenize_expr_canonical_into(vocab, &n.expr, &mut canon, &mut out, cap);
+        out.push(vocab.grammar_id(Grammar::Phys));
         out.push(vocab.number(n.phys.power));
         out.push(vocab.number(n.phys.area));
         out.push(vocab.number(n.phys.delay));

@@ -76,7 +76,7 @@ fn names_look_up_as_str_keys() {
 }
 
 #[test]
-fn pins_stay_inline_up_to_four_and_box_beyond() {
+fn pins_stay_inline_up_to_three_and_box_beyond() {
     for n in 0..=INLINE_PINS + 3 {
         let ids: Vec<GateId> = (0..n as u32).map(|i| GateId(i * 7 + 1)).collect();
         let forms = [
@@ -104,9 +104,9 @@ fn pins_stay_inline_up_to_four_and_box_beyond() {
 }
 
 #[test]
-fn gates_are_at_most_56_bytes() {
+fn gates_are_at_most_48_bytes() {
     assert!(
-        std::mem::size_of::<Gate>() <= 56,
+        std::mem::size_of::<Gate>() <= 48,
         "{}",
         std::mem::size_of::<Gate>()
     );

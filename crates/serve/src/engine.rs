@@ -1,22 +1,28 @@
 //! The serving engine: multi-lane dynamic batchers over the frozen
 //! NetTAG stack.
 //!
-//! Concurrent clients submit embed/predict requests; submission resolves
-//! physical attributes and the structural digest on the *caller's*
-//! thread, then routes the request to one of several **lanes** by digest
-//! (expressions by text hash), so multi-core boxes don't serialize on a
-//! single batch queue and identical structures always meet in the same
-//! lane (within-batch dedup and cache locality are preserved). Each lane
-//! is a bounded [`nettag_par::queue::BoundedQueue`] drained by its own
-//! batcher thread: when a lane is full the submit **sheds load** with a
-//! typed [`ServeError::Overloaded`] instead of queueing unboundedly.
+//! Concurrent clients submit embed/predict requests; submission makes
+//! only the cheap checks on the *caller's* thread (phys length, classifier
+//! present), then routes the request to one of several **lanes** by a
+//! name-blind structural key ([`lane_key`]; expressions by text hash), so
+//! multi-core boxes don't serialize on a single batch queue and identical
+//! structures always meet in the same lane (within-batch dedup and cache
+//! locality are preserved). Each lane is a bounded
+//! [`nettag_par::queue::BoundedQueue`] drained by its own batcher thread:
+//! when a lane is full the submit **sheds load** with a typed
+//! [`ServeError::Overloaded`] instead of queueing unboundedly. The batcher
+//! resolves each cone's physical attributes and structural digest as it
+//! pops the request, so that work overlaps the submitter's next requests.
 //!
 //! A batcher coalesces everything that arrives within a small window (up
-//! to `max_batch`) and answers it in three steps: plan (prune expired
-//! requests, answer cache hits, dedup identical structures), compute,
-//! reply. Every missing cone goes through the model's one embedding
-//! pipeline, [`NetTag::embed_tags`], and standalone expression requests
-//! through the same [`nettag_core::ExprLlm::encode_texts`]. Both read
+//! to `max_batch`), or until a **seal** tells it the burst has landed
+//! ([`Client::seal`]: the socket reader sends one to each lane it fed
+//! once it has decoded every byte the peer sent). It answers the batch in
+//! three steps: plan (prune expired requests, answer cache hits, dedup
+//! identical structures), compute, reply. Every missing cone goes
+//! through the model's one embedding pipeline, [`NetTag::embed_tags`],
+//! and standalone expression requests through the same
+//! [`nettag_core::ExprLlm::encode_texts`]. Both read
 //! gate-text rows from ExprLLM's own cache, which lives with the weights
 //! (engines sharing one [`load_checkpoint_shared`] model share it): a gate
 //! text is encoded once per served model, and every later batch reuses
@@ -56,7 +62,7 @@ use nettag_core::{
     cone_geometry, fnv1a, fuse_geometry, load_checkpoint_shared, reload_checkpoint_shared,
     ClassifierHead, NetTag,
 };
-use nettag_expr::token::{tokenize_expr, TokenId, Vocab};
+use nettag_expr::token::{tokenize_expr, TokenId};
 use nettag_expr::{parse_expr, Expr};
 use nettag_netlist::{
     structural_hash_with_phys, synthesis_phys_estimates, Library, Netlist, PhysProps, Tag,
@@ -101,35 +107,40 @@ pub struct ServeStats {
     /// deadline lapsed (the batch may still have computed the value —
     /// it stays cached either way).
     pub timeouts: u64,
-    /// Batch executions that panicked and were isolated: the waiters
-    /// resolved [`ServeError::Internal`] and the lane kept draining.
+    /// Batch executions (or a popped request's phys estimates and
+    /// digest) that panicked and were isolated: the waiters resolved
+    /// [`ServeError::Internal`] and the lane kept draining.
     pub panics_recovered: u64,
 }
 
 /// An un-routed request as the caller states it.
 pub(crate) enum RawRequest {
-    /// Embed (and optionally classify) a cone netlist.
+    /// Embed, classify or fuse a cone netlist.
     Cone {
-        /// The cone to embed.
+        /// The cone.
         netlist: Netlist,
         /// Optional per-gate sign-off attributes.
         phys: Option<Vec<PhysProps>>,
-        /// Route the embedding through the classifier head.
-        predict: bool,
+        /// What the request answers with.
+        out: ConeOut,
     },
     /// Embed a standalone symbolic gate expression.
     Expr {
         /// Expression source text.
         text: String,
     },
-    /// Embed a cone and fuse it with its layout geometry
+}
+
+/// What a cone request answers with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ConeOut {
+    /// The `[CLS]` embedding ([`Client::embed_cone`]).
+    Embed,
+    /// The classifier head's class ([`Client::predict`]).
+    Predict,
+    /// `[CLS]` fused with the layout geometry
     /// ([`Client::embed_cone_fused`]).
-    ConeFused {
-        /// The cone to embed.
-        netlist: Netlist,
-        /// Optional per-gate sign-off attributes.
-        phys: Option<Vec<PhysProps>>,
-    },
+    Fused,
 }
 
 /// Salt XORed into a cone's structural digest to key its *fused*
@@ -140,21 +151,30 @@ pub(crate) enum RawRequest {
 /// fused hit saves the cone's placement flow.
 const FUSED_SALT: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834;
 
-/// A routed request: validation done, digest computed, lane chosen.
+/// A checked request on its lane. A cone's physical attributes and
+/// digest are resolved when the batcher pops it ([`resolve`]).
 enum RequestKind {
     Cone {
         netlist: Netlist,
-        props: Vec<PhysProps>,
-        key: u128,
-        predict: bool,
+        phys: Option<Vec<PhysProps>>,
+        out: ConeOut,
     },
     Expr {
         expr: Expr,
     },
-    ConeFused {
+}
+
+/// A popped request, ready to plan: a cone carries its physical
+/// attributes and its digest, the cache key.
+enum Job {
+    Cone {
         netlist: Netlist,
         props: Vec<PhysProps>,
         key: u128,
+        out: ConeOut,
+    },
+    Expr {
+        expr: Expr,
     },
 }
 
@@ -203,6 +223,15 @@ struct Request {
     reply: ReplyTo,
 }
 
+/// An entry of a lane queue.
+enum Slot {
+    Request(Request),
+    /// The submitter has handed over every request it has for now: a
+    /// batch whose queue is empty after a seal closes at once
+    /// ([`Client::seal`]).
+    Seal,
+}
+
 /// The swappable part of the engine: the frozen weights (which carry their
 /// gate-text rows) and the cone-cache generation they define. Written only
 /// by [`Engine::swap_model`]; a batch snapshots both under one read lock,
@@ -216,7 +245,6 @@ struct Shared {
     state: RwLock<ModelState>,
     head: Option<ClassifierHead>,
     lib: Library,
-    vocab: Vocab,
     cache: ConeCache,
     stats: Mutex<ServeStats>,
     faults: Option<Arc<FaultState>>,
@@ -237,7 +265,7 @@ impl Shared {
     }
 }
 
-type Lanes = Arc<[Arc<BoundedQueue<Request>>]>;
+type Lanes = Arc<[Arc<BoundedQueue<Slot>>]>;
 
 /// The embedding-serving engine. Owns one batcher thread per lane; hand
 /// out [`Client`]s (cheaply cloneable) to callers on any thread.
@@ -302,7 +330,6 @@ impl Engine {
             }),
             head,
             lib: Library::default(),
-            vocab: NetTag::vocab(),
             cache: ConeCache::new(cfg.cache_capacity),
             stats: Mutex::new(ServeStats::default()),
             faults,
@@ -472,7 +499,7 @@ impl Client {
         match self.call(RawRequest::Cone {
             netlist,
             phys,
-            predict: false,
+            out: ConeOut::Embed,
         })? {
             Response::Embedding(e) => Ok(e),
             _ => unreachable!("embed request answered with a non-embedding"),
@@ -506,7 +533,11 @@ impl Client {
         netlist: Netlist,
         phys: Option<Vec<PhysProps>>,
     ) -> Result<Arc<Tensor>, ServeError> {
-        match self.call(RawRequest::ConeFused { netlist, phys })? {
+        match self.call(RawRequest::Cone {
+            netlist,
+            phys,
+            out: ConeOut::Fused,
+        })? {
             Response::Embedding(e) => Ok(e),
             _ => unreachable!("embed request answered with a non-embedding"),
         }
@@ -544,115 +575,94 @@ impl Client {
         match self.call(RawRequest::Cone {
             netlist,
             phys,
-            predict: true,
+            out: ConeOut::Predict,
         })? {
             Response::Class(c) => Ok(c),
             _ => unreachable!("predict request answered with a non-class"),
         }
     }
 
-    /// Validates a raw request, computes its routing digest, and picks
-    /// its lane. Runs on the caller's thread — hashing and physical
-    /// estimation are cheap next to the forward pass and keeping them out
-    /// of the batcher keeps the lanes hot.
+    /// Checks a raw request and picks its lane, on the caller's thread.
+    /// Only the cheap checks run here (phys length, classifier present,
+    /// expression syntax); a cone's lane comes from [`lane_key`], one pass
+    /// over its gates. The phys estimates and the digest wait for the
+    /// batcher, which computes them as it pops the request, so a socket
+    /// reader decodes the next frame meanwhile.
     fn route(&self, raw: RawRequest) -> Result<(usize, RequestKind), ServeError> {
+        let lanes = self.lanes.len();
         match raw {
-            RawRequest::Cone {
-                netlist,
-                phys,
-                predict,
-            } => {
-                if predict && self.shared.head.is_none() {
+            RawRequest::Cone { netlist, phys, out } => {
+                if out == ConeOut::Predict && self.shared.head.is_none() {
                     return Err(ServeError::NoClassifier);
                 }
-                let props = self.resolve_props(&netlist, phys)?;
-                let key = structural_hash_with_phys(&netlist, &props);
-                let lane = (key % self.lanes.len() as u128) as usize;
-                Ok((
-                    lane,
-                    RequestKind::Cone {
-                        netlist,
-                        props,
-                        key,
-                        predict,
-                    },
-                ))
-            }
-            RawRequest::ConeFused { netlist, phys } => {
-                let props = self.resolve_props(&netlist, phys)?;
-                let key = structural_hash_with_phys(&netlist, &props);
-                // Lane by the *plain* digest: fused and plain requests
-                // for the same structure meet in one lane and share the
-                // underlying `[CLS]` compute.
-                let lane = (key % self.lanes.len() as u128) as usize;
-                Ok((
-                    lane,
-                    RequestKind::ConeFused {
-                        netlist,
-                        props,
-                        key,
-                    },
-                ))
+                if let Some(p) = phys.as_ref().filter(|p| p.len() != netlist.gate_count()) {
+                    return Err(ServeError::Invalid(format!(
+                        "phys length {} != gate count {}",
+                        p.len(),
+                        netlist.gate_count()
+                    )));
+                }
+                let lane = (lane_key(&netlist) % lanes as u64) as usize;
+                Ok((lane, RequestKind::Cone { netlist, phys, out }))
             }
             RawRequest::Expr { text } => {
                 let expr = parse_expr(&text)
                     .map_err(|e| ServeError::Invalid(format!("expression: {e}")))?;
-                let lane = (fnv1a(text.as_bytes()) % self.lanes.len() as u64) as usize;
+                let lane = (fnv1a(text.as_bytes()) % lanes as u64) as usize;
                 Ok((lane, RequestKind::Expr { expr }))
             }
         }
     }
 
-    /// Validates caller-supplied physical attributes or falls back to
-    /// synthesis estimates.
-    fn resolve_props(
-        &self,
-        netlist: &Netlist,
-        phys: Option<Vec<PhysProps>>,
-    ) -> Result<Vec<PhysProps>, ServeError> {
-        match phys {
-            Some(p) if p.len() != netlist.gate_count() => Err(ServeError::Invalid(format!(
-                "phys length {} != gate count {}",
-                p.len(),
-                netlist.gate_count()
-            ))),
-            Some(p) => Ok(p),
-            None => Ok(synthesis_phys_estimates(netlist, &self.shared.lib)),
-        }
-    }
-
-    /// Routes and enqueues a request. On failure the reply slot is handed
-    /// back with the error, so the socket front-end can answer the frame
-    /// itself.
+    /// Routes and enqueues a request, returning the lane it joined. On
+    /// failure the reply slot is handed back with the error, so the
+    /// socket front-end can answer the frame itself.
     pub(crate) fn submit(
         &self,
         raw: RawRequest,
         deadline: Option<Instant>,
         reply: ReplyTo,
-    ) -> Result<(), (ReplyTo, ServeError)> {
+    ) -> Result<usize, (ReplyTo, ServeError)> {
         let (lane, kind) = match self.route(raw) {
             Ok(v) => v,
             Err(e) => return Err((reply, e)),
         };
-        match self.lanes[lane].try_push(Request {
+        match self.lanes[lane].try_push(Slot::Request(Request {
             kind,
             deadline,
             reply,
-        }) {
-            Ok(()) => Ok(()),
-            Err(TryPushError::Full(req)) => {
+        })) {
+            Ok(()) => Ok(lane),
+            Err(TryPushError::Full(Slot::Request(req))) => {
                 self.shared.stats().shed += 1;
                 Err((req.reply, ServeError::Overloaded))
             }
-            Err(TryPushError::Closed(req)) => Err((req.reply, ServeError::Closed)),
+            Err(TryPushError::Closed(Slot::Request(req))) => Err((req.reply, ServeError::Closed)),
+            Err(_) => unreachable!("a request was pushed"),
         }
+    }
+
+    /// Number of lanes [`Client::submit`] may return.
+    pub(crate) fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Tells `lane` that this submitter has handed over every request it
+    /// has for now (the socket reader calls it once it has decoded every
+    /// byte the peer sent). A batch whose queue is empty right after the
+    /// seal closes at once instead of waiting out `linger`; a request
+    /// queued behind the seal re-arms `linger`. A seal that finds the
+    /// lane full or closed is dropped, so it never sheds a request, and
+    /// it counts nowhere in [`ServeStats`].
+    pub(crate) fn seal(&self, lane: usize) {
+        let _ = self.lanes[lane].try_push(Slot::Seal);
     }
 
     fn call(&self, raw: RawRequest) -> Result<Response, ServeError> {
         let deadline = self.timeout.map(|t| Instant::now() + t);
         let (reply, rx) = channel();
         match self.submit(raw, deadline, ReplyTo::Oneshot(reply)) {
-            Ok(()) => match deadline {
+            Ok(_) => match deadline {
                 // If the batcher exits before answering, the queued
                 // request (and with it our reply sender) is dropped and
                 // recv reports Closed.
@@ -671,52 +681,117 @@ impl Client {
     }
 }
 
+/// The lane of a cone: its gate count plus the sum over gates of a mixed
+/// `(kind, fan-in count)`, mixed once more. Names play no part and the sum
+/// does not depend on gate order, so cones with equal digests meet in one
+/// lane, and so do fused and plain requests for one cone (they share the
+/// `[CLS]` compute). One pass over the gates, where a digest needs the
+/// phys estimates first.
+fn lane_key(netlist: &Netlist) -> u64 {
+    let sum = netlist
+        .iter()
+        .fold(netlist.gate_count() as u64, |acc, (_, g)| {
+            acc.wrapping_add(mix64((g.kind.index() as u64) << 32 | g.fanin.len() as u64))
+        });
+    mix64(sum)
+}
+
+/// The splitmix64 finalizer.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Resolves a popped request: a cone's physical attributes (the caller's,
+/// or synthesis estimates) and its digest.
+fn resolve(shared: &Shared, kind: RequestKind) -> Job {
+    match kind {
+        RequestKind::Cone { netlist, phys, out } => {
+            let props = phys.unwrap_or_else(|| synthesis_phys_estimates(&netlist, &shared.lib));
+            let key = structural_hash_with_phys(&netlist, &props);
+            Job::Cone {
+                netlist,
+                props,
+                key,
+                out,
+            }
+        }
+        RequestKind::Expr { expr } => Job::Expr { expr },
+    }
+}
+
+/// A popped request joins its batch once resolved. A panic while
+/// resolving (a malformed in-process netlist) answers
+/// [`ServeError::Internal`] for that request alone.
+fn admit(shared: &Shared, batch: &mut Vec<(Job, Option<Instant>, ReplyTo)>, req: Request) {
+    let Request {
+        kind,
+        deadline,
+        reply,
+    } = req;
+    match catch_unwind(AssertUnwindSafe(|| resolve(shared, kind))) {
+        Ok(job) => batch.push((job, deadline, reply)),
+        Err(payload) => {
+            reply.send(Err(ServeError::Internal(panic_message(payload.as_ref()))));
+            shared.stats().panics_recovered += 1;
+        }
+    }
+}
+
 /// One lane's batcher loop: block for the first request, then coalesce
 /// what arrives with it (up to `max_batch`) and process one batch. A
-/// batch closes when any of three cutoffs fires: it is full,
+/// batch closes when any of four cutoffs fires: it is full, the queue is
+/// empty right after a seal (the submitter has handed over its burst),
 /// `batch_window` has elapsed since its first request (hard latency cap),
 /// or the queue has stayed empty for `linger` (the burst has landed and
 /// every client is now blocked on a reply — waiting longer is dead time).
-/// A closed lane drains its accepted requests before the thread exits.
-fn batcher(shared: &Shared, queue: &BoundedQueue<Request>) {
+/// A seal with no batch open has nothing to close and is dropped. A
+/// closed lane drains its accepted requests before the thread exits.
+fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
     loop {
-        let mut batch = Vec::new();
-        match queue.pop() {
-            Pop::Item(r) => batch.push(r),
+        let first = match queue.pop() {
+            Pop::Item(Slot::Request(r)) => r,
+            Pop::Item(Slot::Seal) => continue,
             Pop::Closed => return,
             Pop::Empty => unreachable!("blocking pop never reports Empty"),
-        }
+        };
         let deadline = Instant::now() + shared.cfg.batch_window;
+        let mut batch = Vec::new();
+        admit(shared, &mut batch, first);
+        let mut accepted = 1;
         let mut quiet = Instant::now() + shared.cfg.linger;
-        while batch.len() < shared.cfg.max_batch {
-            // Scoop already-queued requests without waiting.
-            match queue.try_pop() {
-                Pop::Item(r) => {
-                    batch.push(r);
-                    quiet = Instant::now() + shared.cfg.linger;
-                    continue;
+        let mut sealed = false;
+        while accepted < shared.cfg.max_batch {
+            // Scoop already-queued entries without waiting.
+            let popped = match queue.try_pop() {
+                Pop::Empty if sealed => break,
+                Pop::Empty => {
+                    let now = Instant::now();
+                    let cutoff = deadline.min(quiet);
+                    if now >= cutoff {
+                        break;
+                    }
+                    queue.pop_timeout(cutoff - now)
                 }
-                Pop::Closed => break,
-                Pop::Empty => {}
-            }
-            let now = Instant::now();
-            let cutoff = deadline.min(quiet);
-            if now >= cutoff {
-                break;
-            }
-            match queue.pop_timeout(cutoff - now) {
-                Pop::Item(r) => {
-                    batch.push(r);
+                popped => popped,
+            };
+            match popped {
+                Pop::Item(Slot::Request(r)) => {
+                    admit(shared, &mut batch, r);
+                    accepted += 1;
                     quiet = Instant::now() + shared.cfg.linger;
+                    sealed = false;
                 }
+                Pop::Item(Slot::Seal) => sealed = true,
                 Pop::Closed | Pop::Empty => break,
             }
         }
         {
             let mut stats = shared.stats();
-            stats.requests += batch.len() as u64;
+            stats.requests += accepted as u64;
             stats.batches += 1;
-            stats.max_batch = stats.max_batch.max(batch.len() as u64);
+            stats.max_batch = stats.max_batch.max(accepted as u64);
         }
         process_batch(shared, batch);
     }
@@ -764,12 +839,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// cache inserts whole entries under a shard lock that recovers from
 /// poison, the counters are committed atomically at the end, and the
 /// model state is only read.
-fn process_batch(shared: &Shared, batch: Vec<Request>) {
-    let mut items: Vec<(RequestKind, Option<Instant>)> = Vec::with_capacity(batch.len());
+fn process_batch(shared: &Shared, batch: Vec<(Job, Option<Instant>, ReplyTo)>) {
+    let mut items: Vec<(Job, Option<Instant>)> = Vec::with_capacity(batch.len());
     let mut replies: Vec<Option<ReplyTo>> = Vec::with_capacity(batch.len());
-    for req in batch {
-        items.push((req.kind, req.deadline));
-        replies.push(Some(req.reply));
+    for (job, deadline, reply) in batch {
+        items.push((job, deadline));
+        replies.push(Some(reply));
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| run_batch(shared, items, &mut replies)));
     if let Err(payload) = outcome {
@@ -783,11 +858,7 @@ fn process_batch(shared: &Shared, batch: Vec<Request>) {
     }
 }
 
-fn run_batch(
-    shared: &Shared,
-    items: Vec<(RequestKind, Option<Instant>)>,
-    replies: &mut [Option<ReplyTo>],
-) {
+fn run_batch(shared: &Shared, items: Vec<(Job, Option<Instant>)>, replies: &mut [Option<ReplyTo>]) {
     // Fault hooks, inside the isolated region: an injected delay pushes
     // queued requests past their deadlines (exercising the pruning
     // below); an injected panic exercises the isolation itself.
@@ -844,29 +915,11 @@ fn run_batch(
             continue;
         }
         let plan = match kind {
-            RequestKind::Cone {
+            Job::Cone {
                 netlist,
                 props,
                 key,
-                predict,
-            } => {
-                if let Some(emb) = shared.cache.get(key, generation) {
-                    tally.cache_hits += 1;
-                    Plan::Ready { emb, predict }
-                } else {
-                    if scheduled.contains(&key) {
-                        tally.dedup_hits += 1;
-                    } else {
-                        tally.cache_misses += 1;
-                        schedule_cls(key, &netlist, &props, &mut compute, &mut scheduled);
-                    }
-                    Plan::Wait { key, predict }
-                }
-            }
-            RequestKind::ConeFused {
-                netlist,
-                props,
-                key,
+                out: ConeOut::Fused,
             } => {
                 // Fused entries live under the salted digest; the plain
                 // digest keys the shared `[CLS]` compute.
@@ -893,8 +946,32 @@ fn run_batch(
                     Plan::WaitFused { key }
                 }
             }
-            RequestKind::Expr { expr } => {
-                exprs.push(tokenize_expr(&shared.vocab, &expr, model.config.max_tokens));
+            Job::Cone {
+                netlist,
+                props,
+                key,
+                out,
+            } => {
+                let predict = out == ConeOut::Predict;
+                if let Some(emb) = shared.cache.get(key, generation) {
+                    tally.cache_hits += 1;
+                    Plan::Ready { emb, predict }
+                } else {
+                    if scheduled.contains(&key) {
+                        tally.dedup_hits += 1;
+                    } else {
+                        tally.cache_misses += 1;
+                        schedule_cls(key, &netlist, &props, &mut compute, &mut scheduled);
+                    }
+                    Plan::Wait { key, predict }
+                }
+            }
+            Job::Expr { expr } => {
+                exprs.push(tokenize_expr(
+                    NetTag::vocab(),
+                    &expr,
+                    model.config.max_tokens,
+                ));
                 Plan::ExprRow {
                     row: exprs.len() - 1,
                 }
@@ -972,5 +1049,120 @@ fn respond_cone(shared: &Shared, emb: Arc<Tensor>, predict: bool) -> Result<Resp
         Ok(Response::Class(class))
     } else {
         Ok(Response::Embedding(emb))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nettag_core::NetTagConfig;
+    use nettag_netlist::{CellKind, GateId};
+
+    /// `y = !((a & b) & (a | b))`, its gates named by `names` and, with
+    /// `reorder`, declared in another order (inputs and the two middle
+    /// gates swapped).
+    fn cone(names: [&str; 6], reorder: bool) -> Netlist {
+        let mut n = Netlist::new("c");
+        let (a, b) = if reorder {
+            let b = n.add_gate(names[1], CellKind::Input, vec![]);
+            (n.add_gate(names[0], CellKind::Input, vec![]), b)
+        } else {
+            let a = n.add_gate(names[0], CellKind::Input, vec![]);
+            (a, n.add_gate(names[1], CellKind::Input, vec![]))
+        };
+        let (and, or) = if reorder {
+            let or = n.add_gate(names[3], CellKind::Or2, vec![a, b]);
+            (n.add_gate(names[2], CellKind::And2, vec![a, b]), or)
+        } else {
+            let and = n.add_gate(names[2], CellKind::And2, vec![a, b]);
+            (and, n.add_gate(names[3], CellKind::Or2, vec![a, b]))
+        };
+        let m = n.add_gate(names[4], CellKind::Nand2, vec![and, or]);
+        n.add_gate(names[5], CellKind::Output, vec![m]);
+        n.validate().expect("valid")
+    }
+
+    #[test]
+    fn renamed_and_reordered_cones_share_a_lane_key() {
+        let lib = Library::default();
+        let digest = |n: &Netlist| structural_hash_with_phys(n, &synthesis_phys_estimates(n, &lib));
+        let base = cone(["a", "b", "g1", "g2", "m", "y"], false);
+        let twin = cone(["p", "q", "U7", "U3", "n", "out"], true);
+        assert_eq!(digest(&base), digest(&twin), "same structure, same digest");
+        assert_eq!(lane_key(&base), lane_key(&twin));
+        let mut other = base.clone();
+        other.gate_mut(GateId(4)).kind = CellKind::Nor2;
+        assert_ne!(lane_key(&base), lane_key(&other), "the key reads kinds");
+    }
+
+    #[test]
+    fn a_request_that_panics_in_its_lane_fails_alone() {
+        let engine = Engine::new(
+            Arc::new(NetTag::new(NetTagConfig::tiny())),
+            ServeConfig {
+                lanes: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let client = engine.client();
+        // In-process callers may pass an unvalidated netlist; its phys
+        // estimates index past the gates.
+        let mut bad = Netlist::new("bad");
+        bad.add_gate("g", CellKind::Inv, vec![GateId(99)]);
+        let err = client.embed_cone(bad, None).expect_err("dangling fan-in");
+        assert!(matches!(err, ServeError::Internal(_)), "{err:?}");
+        let n = cone(["a", "b", "g1", "g2", "m", "y"], false);
+        assert!(client.embed_cone(n, None).is_ok(), "the lane lives on");
+        let stats = engine.stats();
+        assert_eq!((stats.requests, stats.panics_recovered), (2, 1));
+    }
+
+    #[test]
+    fn a_seal_closes_its_batch_at_once_and_counts_nowhere() {
+        let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
+        let engine = Engine::new(
+            Arc::clone(&model),
+            ServeConfig {
+                lanes: 1,
+                linger: Duration::from_secs(5),
+                batch_window: Duration::from_secs(10),
+                ..ServeConfig::default()
+            },
+        );
+        let client = engine.client();
+        let n = cone(["a", "b", "g1", "g2", "m", "y"], false);
+        let tag = Tag::from_netlist(&n, &Library::default(), &model.tag_options());
+        let offline = model.embed_tag(&tag).cls.data;
+        // Each round: seals with no batch open (dropped), then one
+        // request and its seal, which answers long before `linger`. The
+        // lane is FIFO, so once a reply arrives every earlier seal has
+        // been popped.
+        for round in 1..=2u64 {
+            client.seal(0);
+            client.seal(0);
+            let (tx, rx) = channel();
+            let raw = RawRequest::Cone {
+                netlist: n.clone(),
+                phys: None,
+                out: ConeOut::Embed,
+            };
+            let lane = client
+                .submit(raw, None, ReplyTo::Oneshot(tx))
+                .ok()
+                .expect("accepted");
+            client.seal(lane);
+            let reply = rx
+                .recv_timeout(Duration::from_secs(3))
+                .expect("a sealed batch does not wait out linger");
+            let Ok(Response::Embedding(emb)) = reply else {
+                panic!("an embedding");
+            };
+            assert_eq!(emb.data, offline);
+            let stats = engine.stats();
+            assert_eq!(
+                (stats.requests, stats.batches, stats.shed),
+                (round, round, 0)
+            );
+        }
     }
 }

@@ -8,8 +8,13 @@
 //!   arriving within a small window coalesce into one batched forward
 //!   pass through the frozen ExprLLM/TAGFormer stack, which fans out
 //!   across the persistent `nettag-par` worker pool. Requests shard
-//!   across multiple batcher **lanes** by structural digest, so
-//!   multi-core boxes don't serialize on one batch queue.
+//!   across multiple batcher **lanes** by a name- and order-blind
+//!   structural key, so multi-core boxes don't serialize on one batch
+//!   queue while equal structures still meet in one lane. Each lane's
+//!   batcher computes the phys estimates and the digest of the cones it
+//!   pops. The socket reader only decodes: once it has drained the bytes
+//!   a peer sent, it seals the lanes it fed, and they close their batches
+//!   at once instead of waiting out `linger`.
 //! * **Backpressure** — every lane is a *bounded* queue: when requests
 //!   arrive faster than they drain, the excess is refused immediately
 //!   with a typed [`ServeError::Overloaded`] instead of queueing
@@ -122,7 +127,13 @@ pub struct ServeConfig {
     /// Quiescence cutoff: the batch closes early once the queue has
     /// stayed empty this long. Blocking clients send in bursts (then
     /// wait on replies), so after a burst lands nothing more is coming
-    /// and idling out the rest of `batch_window` is pure dead time.
+    /// and idling out the rest of `batch_window` is pure dead time. A
+    /// [`NetServer`] connection does not wait it out: once its reader has
+    /// decoded every byte the peer sent, it seals each lane it fed, and a
+    /// lane whose queue is empty after a seal closes its batch at once.
+    /// `linger` still governs in-process [`Client`]s, requests queued
+    /// behind a seal, and a lane that was full when the seal came (the
+    /// seal is dropped rather than shed a request).
     pub linger: Duration,
     /// Largest number of requests coalesced into one batch.
     pub max_batch: usize,
@@ -132,7 +143,8 @@ pub struct ServeConfig {
     /// count (`RAYON_NUM_THREADS` / `NETTAG_NUM_THREADS`, see
     /// [`nettag_par::num_threads`]) — one lane per thread slice, so
     /// multi-core hosts don't serialize on a single batch queue.
-    /// Requests shard to lanes by structural digest.
+    /// Cones shard to lanes by a name-blind structural key (equal
+    /// structures share a lane), expressions by text hash.
     pub lanes: usize,
     /// Per-lane bound on queued requests. When a lane is full, further
     /// submissions fail fast with [`ServeError::Overloaded`] — the

@@ -29,7 +29,7 @@
 //! — requests are idempotent (frozen weights, keyed caching), so a
 //! resend is answered with the same bits.
 
-use crate::engine::{Client, RawRequest, ReplyTo, Response};
+use crate::engine::{Client, ConeOut, RawRequest, ReplyTo, Response};
 use crate::faults::{FaultKind, FaultState};
 use crate::proto::{self, ErrorCode, RequestBody, ResponseBody};
 use crate::ServeError;
@@ -326,57 +326,24 @@ fn serve_connection(stream: TcpStream, client: &Client, conn: &ConnState, epoch:
         Ok(())
     })();
     if hello_ok.is_ok() {
+        // Lanes fed since the last seal.
+        let mut fed = vec![false; client.lane_count()];
         // The loop ends on clean EOF, a protocol violation, or a severed
         // socket — the framing is gone either way.
         while let Ok(Some(req)) = proto::read_request(&mut reader) {
             conn.touch(epoch);
-            // The server restarts the deadline clock on receipt: the
-            // budget excludes network transit, which the client's own
-            // read timeout already bounds.
-            let deadline = (req.deadline_ms > 0)
-                .then(|| Instant::now() + Duration::from_millis(u64::from(req.deadline_ms)));
-            let raw = match req.body {
-                RequestBody::Ping => {
-                    // Answered here, never entering a lane: a saturated
-                    // engine still pongs, which is the point of a health
-                    // check.
-                    let _ = tx.send((req.id, Ok(Response::Pong(client.generation()))));
-                    continue;
+            if let Some(lane) = dispatch(client, req, &tx) {
+                fed[lane] = true;
+            }
+            // Every byte the peer has sent so far is decoded: its burst
+            // has landed. Sealing the lanes it fed lets them close their
+            // batches now instead of waiting out `linger`.
+            if reader.buffer().is_empty() {
+                for (lane, fed) in fed.iter_mut().enumerate() {
+                    if std::mem::take(fed) {
+                        client.seal(lane);
+                    }
                 }
-                RequestBody::EmbedCone { netlist, phys } => match netlist.validate() {
-                    Ok(netlist) => RawRequest::Cone {
-                        netlist,
-                        phys,
-                        predict: false,
-                    },
-                    Err(e) => {
-                        let _ =
-                            tx.send((req.id, Err(ServeError::Invalid(format!("netlist: {e}")))));
-                        continue;
-                    }
-                },
-                RequestBody::Predict { netlist, phys } => match netlist.validate() {
-                    Ok(netlist) => RawRequest::Cone {
-                        netlist,
-                        phys,
-                        predict: true,
-                    },
-                    Err(e) => {
-                        let _ =
-                            tx.send((req.id, Err(ServeError::Invalid(format!("netlist: {e}")))));
-                        continue;
-                    }
-                },
-                RequestBody::EmbedExpr { text } => RawRequest::Expr { text },
-            };
-            let reply = ReplyTo::Tagged {
-                id: req.id,
-                tx: tx.clone(),
-            };
-            if let Err((reply, e)) = client.submit(raw, deadline, reply) {
-                // Routing/validation failure or load shed: this frame
-                // answers with its typed error and the connection lives on.
-                reply.send(Err(e));
             }
         }
     }
@@ -389,6 +356,48 @@ fn serve_connection(stream: TcpStream, client: &Client, conn: &ConnState, epoch:
     // without an EOF until server shutdown.
     let _ = reader.get_ref().shutdown(Shutdown::Both);
     conn.touch(epoch);
+}
+
+/// Answers or submits one decoded frame, returning the lane it fed.
+/// Pings are answered here; a netlist that fails validation, a request
+/// the engine refuses and a shed request answer their frame with a
+/// typed error, and the connection lives on.
+fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> Option<usize> {
+    // The server restarts the deadline clock on receipt: the budget
+    // excludes network transit, which the client's own read timeout
+    // already bounds.
+    let deadline = (req.deadline_ms > 0)
+        .then(|| Instant::now() + Duration::from_millis(u64::from(req.deadline_ms)));
+    let cone = |netlist: Netlist, phys, out| match netlist.validate() {
+        Ok(netlist) => Ok(RawRequest::Cone { netlist, phys, out }),
+        Err(e) => Err(ServeError::Invalid(format!("netlist: {e}"))),
+    };
+    let raw = match req.body {
+        RequestBody::Ping => {
+            // Answered here, never entering a lane: a saturated engine
+            // still pongs, which is the point of a health check.
+            let _ = tx.send((req.id, Ok(Response::Pong(client.generation()))));
+            return None;
+        }
+        RequestBody::EmbedCone { netlist, phys } => cone(netlist, phys, ConeOut::Embed),
+        RequestBody::Predict { netlist, phys } => cone(netlist, phys, ConeOut::Predict),
+        RequestBody::EmbedExpr { text } => Ok(RawRequest::Expr { text }),
+    };
+    let reply = ReplyTo::Tagged {
+        id: req.id,
+        tx: tx.clone(),
+    };
+    let submitted = match raw {
+        Ok(raw) => client.submit(raw, deadline, reply),
+        Err(e) => Err((reply, e)),
+    };
+    match submitted {
+        Ok(lane) => Some(lane),
+        Err((reply, e)) => {
+            reply.send(Err(e));
+            None
+        }
+    }
 }
 
 /// Drains tagged replies onto the socket. Batches of replies that are

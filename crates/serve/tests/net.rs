@@ -11,7 +11,7 @@ use nettag_serve::{Engine, NetClient, NetConfig, NetServer, ServeConfig, ServeEr
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small single-cone netlist; `salt` varies the structure.
 fn cone(salt: usize) -> Netlist {
@@ -74,7 +74,7 @@ fn remote_embeddings_match_offline_bitwise() {
     }
     let served = client.embed_expr("!((R1 ^ R2) | !R2)").expect("expr");
     let e = parse_expr("!((R1 ^ R2) | !R2)").expect("parses");
-    let toks = tokenize_expr(&NetTag::vocab(), &e, model.config.max_tokens);
+    let toks = tokenize_expr(NetTag::vocab(), &e, model.config.max_tokens);
     assert_eq!(served, model.exprllm.encode(&toks).data);
 }
 
@@ -143,6 +143,46 @@ fn eight_concurrent_remote_clients_are_bitwise_identical() {
         "six distinct structures must compute at most six forward passes, got {}",
         stats.cache_misses
     );
+}
+
+#[test]
+fn sealed_bursts_do_not_wait_out_linger() {
+    // The reader seals every lane it fed once it has decoded all the
+    // bytes the peer sent, so a burst's batches close without waiting
+    // out `linger` (2 s here) or `batch_window` (5 s).
+    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
+    let engine = Engine::new(
+        Arc::clone(&model),
+        ServeConfig {
+            linger: Duration::from_secs(2),
+            batch_window: Duration::from_secs(5),
+            ..ServeConfig::default()
+        },
+    );
+    let server = NetServer::bind(engine.client(), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let burst: Vec<Netlist> = (0..32).map(cone).collect();
+    let start = Instant::now();
+    let replies = client.embed_cones(&burst).expect("pipeline");
+    let burst_time = start.elapsed();
+    for (n, reply) in burst.iter().zip(replies) {
+        assert_eq!(reply.expect("embeds"), offline_cls(&model, n));
+    }
+    // A structure the burst did not have, so it computes.
+    let single = big_cone();
+    let start = Instant::now();
+    let served = client.embed_cone(&single, None).expect("embed");
+    let single_time = start.elapsed();
+    assert_eq!(served, offline_cls(&model, &single));
+    assert!(
+        burst_time < Duration::from_millis(200) && single_time < Duration::from_millis(200),
+        "sealed batches must not wait out linger: burst {burst_time:?}, single {single_time:?}"
+    );
+    // Seals are no requests and open no batches.
+    let stats = engine.stats();
+    assert_eq!(stats.requests, 33);
+    assert!(stats.batches <= stats.requests, "{stats:?}");
+    assert_eq!(stats.shed, 0);
 }
 
 #[test]

@@ -175,7 +175,7 @@ fn expr_requests_match_exprllm_encode_bitwise() {
         .expect("serve");
     let vocab = NetTag::vocab();
     let e = parse_expr("!((R1 ^ R2) | !R2)").expect("parses");
-    let toks = tokenize_expr(&vocab, &e, model.config.max_tokens);
+    let toks = tokenize_expr(vocab, &e, model.config.max_tokens);
     assert_eq!(served.data, model.exprllm.encode(&toks).data);
 }
 
@@ -215,7 +215,7 @@ fn mixed_cone_and_expr_batch_matches_offline_bitwise() {
     for h in expr_calls {
         let (text, served) = h.join().expect("no panics");
         let toks = tokenize_expr(
-            &vocab,
+            vocab,
             &parse_expr(text).expect("parses"),
             model.config.max_tokens,
         );

@@ -63,7 +63,7 @@ fn cold_cls(model: &NetTag, tag: &Tag) -> Vec<f32> {
 fn texts(model: &NetTag, tag: &Tag) -> HashSet<Vec<TokenId>> {
     let vocab = NetTag::vocab();
     (0..tag.len())
-        .map(|i| tag.node_tokens(&vocab, i, model.config.max_tokens, false))
+        .map(|i| tag.node_tokens(vocab, i, model.config.max_tokens, false))
         .collect()
 }
 
@@ -168,7 +168,7 @@ fn expression_requests_share_the_text_cache() {
     let src = "!((R1 ^ R2) | !R2)";
     let vocab = NetTag::vocab();
     let toks = tokenize_expr(
-        &vocab,
+        vocab,
         &parse_expr(src).expect("parses"),
         model.config.max_tokens,
     );

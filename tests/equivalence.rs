@@ -112,10 +112,12 @@ fn equal_cone_digests_imply_equal_model_input() {
     // `g.4`) or reads as a constant (`1`): the digest ignores names, so
     // the renamed twin must tokenize like the original.
     //
-    // The un-renamed cones also feed four FNV-1a fingerprints that pin the
+    // The un-renamed cones also feed five FNV-1a fingerprints that pin the
     // TAG front end's output bit for bit: the cone netlists (gate name,
     // kind, fan-in and size bits, in order), `node_tokens(.., 1024,
-    // false)`, `attribute_text` and the synthesis phys estimates' bits.
+    // false)`, `attribute_text`, the synthesis phys estimates' bits and
+    // the `structural_hash_with_phys` digests themselves (the serving
+    // cache's keys).
     use nettag::core::NetTag;
     use nettag::netlist::{
         chunk_into_cones, cone_to_netlist, structural_hash_with_phys, synthesis_phys_estimates,
@@ -154,7 +156,8 @@ fn equal_cone_digests_imply_equal_model_input() {
         }
     }
     let fnv = || Fnv(0xcbf2_9ce4_8422_2325);
-    let (mut nets, mut tokens, mut texts, mut phys) = (fnv(), fnv(), fnv(), fnv());
+    let (mut nets, mut tokens, mut texts, mut phys, mut digests) =
+        (fnv(), fnv(), fnv(), fnv(), fnv());
     let mut seen: HashMap<u128, Input> = HashMap::new();
     let mut repeats = 0;
     for k in 0..48 {
@@ -168,6 +171,7 @@ fn equal_cone_digests_imply_equal_model_input() {
                 let key = structural_hash_with_phys(net, &props);
                 let tag = Tag::from_netlist_with_phys(net, &props, &opts);
                 if !twin_pass {
+                    digests.write(&key.to_le_bytes());
                     for (_, g) in net.iter() {
                         nets.word(g.name.len() as u64);
                         nets.write(g.name.as_bytes());
@@ -179,7 +183,7 @@ fn equal_cone_digests_imply_equal_model_input() {
                         nets.word(g.size.to_bits());
                     }
                     for i in 0..tag.len() {
-                        let toks = tag.node_tokens(&vocab, i, 1024, false);
+                        let toks = tag.node_tokens(vocab, i, 1024, false);
                         tokens.word(toks.len() as u64);
                         for t in toks {
                             tokens.word(u64::from(t));
@@ -205,7 +209,7 @@ fn equal_cone_digests_imply_equal_model_input() {
                 }
                 let input: Input = (
                     (0..tag.len())
-                        .map(|i| tag.node_tokens(&vocab, i, 1024, false))
+                        .map(|i| tag.node_tokens(vocab, i, 1024, false))
                         .collect(),
                     tag.nodes
                         .iter()
@@ -230,15 +234,16 @@ fn equal_cone_digests_imply_equal_model_input() {
         }
     }
     assert!(repeats > 0, "the designs must repeat some cone structure");
-    let got = [nets.0, tokens.0, texts.0, phys.0];
+    let got = [nets.0, tokens.0, texts.0, phys.0, digests.0];
     let want = [
         0x4b55_b432_2676_72b0,
         0x762f_3ed4_f3d6_70d8,
         0xa5a5_5f15_a8b4_0473,
         0x3087_e8f0_77a5_c25f,
+        0xea5d_0996_18f1_c84d,
     ];
     assert_eq!(
         got, want,
-        "the TAG front end changed its output (netlists, tokens, text, phys)"
+        "the TAG front end changed its output (netlists, tokens, text, phys, digests)"
     );
 }

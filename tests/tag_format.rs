@@ -33,7 +33,7 @@ fn tag_tokens_are_in_vocab_range() {
     let d = generate_design(Family::VexRiscv, 0, 31, &GenerateConfig::default());
     let tag = Tag::from_netlist(&d.netlist, &lib, &TagOptions::default());
     for i in 0..tag.len().min(40) {
-        let toks = tag.node_tokens(&vocab, i, 96, false);
+        let toks = tag.node_tokens(vocab, i, 96, false);
         assert!(toks.len() >= 3);
         assert!(toks.iter().all(|&t| (t as usize) < vocab.len()));
     }
