@@ -161,8 +161,6 @@ pub fn cone_to_netlist(netlist: &Netlist, cone: &Cone) -> Netlist {
         }
         out.add_gate(name, CellKind::Output, vec![driver]);
     }
-    // As `validate` leaves it: fan-out tables built on first use.
-    out.rebuild_fanout();
     out
 }
 

@@ -90,6 +90,12 @@ impl std::error::Error for NetlistError {}
 
 /// A gate-level netlist.
 ///
+/// The gates' fan-ins are the graph; [`Netlist::fanout`] is derived from
+/// them and follows every edit, so a netlist answers the same whether or
+/// not it ran [`Netlist::validate`]. Code that assumes a well-formed
+/// netlist (topological order, TAG building) panics on a cyclic one;
+/// `validate` turns that into a [`NetlistError`].
+///
 /// # Examples
 ///
 /// ```
@@ -106,13 +112,12 @@ impl std::error::Error for NetlistError {}
 pub struct Netlist {
     name: Box<str>,
     gates: Vec<Gate>,
-    /// Derived fan-out adjacency: a snapshot of the fan-ins as of the last
-    /// `validate`/`rebuild_fanout` (`None` before either). The snapshot is
-    /// built on first use, since many netlists never ask (extracted cones
-    /// on their way to a socket, for one), and at the latest before a
-    /// gate changes. Boxed, so a netlist that never asks carries 24 bytes
-    /// here rather than 64.
-    fanouts: Option<OnceLock<Box<Fanouts>>>,
+    /// Fan-out adjacency of the current fan-ins, built on the first
+    /// [`Netlist::fanout`] (or kept from [`Netlist::validate`]) and dropped
+    /// by every edit, since many netlists never ask (extracted cones on
+    /// their way to a socket, for one). Boxed, so a netlist that never
+    /// asks carries 16 bytes here rather than 56.
+    fanouts: OnceLock<Box<Fanouts>>,
 }
 
 /// Fan-out adjacency in CSR form: gate `i`'s sinks are
@@ -165,7 +170,7 @@ impl Netlist {
         Netlist {
             name: name.into().into_boxed_str(),
             gates: Vec::with_capacity(gates),
-            fanouts: None,
+            fanouts: OnceLock::new(),
         }
     }
 
@@ -174,15 +179,14 @@ impl Netlist {
         &self.name
     }
 
-    /// Adds a gate and returns its id. Fan-out tables keep their last
-    /// snapshot until [`Netlist::validate`] / [`Netlist::rebuild_fanout`].
+    /// Adds a gate and returns its id.
     pub fn add_gate(
         &mut self,
         name: impl Into<GateName>,
         kind: CellKind,
         fanin: impl Into<Pins>,
     ) -> GateId {
-        self.settle_fanouts();
+        self.fanouts.take();
         let id = GateId(self.gates.len() as u32);
         self.gates.push(Gate {
             name: name.into(),
@@ -213,7 +217,7 @@ impl Netlist {
     ///
     /// Panics if `id` is out of range.
     pub fn gate_mut(&mut self, id: GateId) -> &mut Gate {
-        self.settle_fanouts();
+        self.fanouts.take();
         &mut self.gates[id.index()]
     }
 
@@ -255,32 +259,19 @@ impl Netlist {
             .collect()
     }
 
-    /// Fan-out list of a gate (empty before [`Netlist::rebuild_fanout`]).
+    /// Fan-out list of a gate: the gates that list `id` among their
+    /// fan-ins, in ascending order (a sink appears once per pin it ties to
+    /// `id`). Always follows the current fan-ins; the table behind it is
+    /// built on the first call after an edit.
     pub fn fanout(&self, id: GateId) -> &[GateId] {
-        match &self.fanouts {
-            Some(f) => f
-                .get_or_init(|| Box::new(Fanouts::of(&self.gates)))
-                .sinks(id),
-            None => &[],
-        }
-    }
-
-    /// Snapshots the fan-out adjacency of the current fan-in lists (the
-    /// tables are built on first use).
-    pub fn rebuild_fanout(&mut self) {
-        self.fanouts = Some(OnceLock::new());
-    }
-
-    /// Builds a requested fan-out snapshot still pending, so it records
-    /// the fan-ins of its request rather than a later edit.
-    fn settle_fanouts(&mut self) {
-        if let Some(f) = &self.fanouts {
-            f.get_or_init(|| Box::new(Fanouts::of(&self.gates)));
-        }
+        self.fanouts
+            .get_or_init(|| Box::new(Fanouts::of(&self.gates)))
+            .sinks(id)
     }
 
     /// Validates structure (arities, dangling refs, unique names, no
-    /// combinational cycles) and builds fan-out tables.
+    /// combinational cycles) and keeps the fan-out table it builds for the
+    /// cycle check.
     ///
     /// # Errors
     ///
@@ -341,7 +332,7 @@ impl Netlist {
             return Err(NetlistError::CombinationalCycle { gate });
         }
         self.gates.shrink_to_fit();
-        self.rebuild_fanout();
+        self.fanouts = OnceLock::from(Box::new(fanouts));
         Ok(self)
     }
 
@@ -382,20 +373,20 @@ mod tests {
     }
 
     #[test]
-    fn fanout_is_a_snapshot_until_rebuilt() {
-        // Fan-outs are built lazily, yet they keep reporting the fan-ins of
-        // the last validate/rebuild even when a gate changes before the
-        // first query.
-        let mut n = two_input_example().validate().expect("valid");
+    fn fanout_follows_edits() {
+        // Before any validate, and after each edit, with or without a
+        // query in between.
+        let mut n = two_input_example();
         let a = n.find("a").expect("exists");
         let b = n.find("b").expect("exists");
         let u1 = n.find("U1").expect("exists");
-        n.gate_mut(u1).fanin = [b, b].into();
         assert_eq!(n.fanout(a), &[u1]);
-        assert_eq!(n.fanout(b), &[u1]);
-        n.rebuild_fanout();
+        n.gate_mut(u1).fanin = [b, b].into();
         assert!(n.fanout(a).is_empty());
         assert_eq!(n.fanout(b), &[u1, u1]);
+        let mut n = n.validate().expect("valid");
+        let u2 = n.add_gate("U2", CellKind::Inv, vec![a]);
+        assert_eq!(n.fanout(a), &[u2]);
         assert!(Netlist::new("fresh").fanout(GateId(0)).is_empty());
     }
 

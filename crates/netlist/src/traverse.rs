@@ -32,7 +32,7 @@ pub fn topo_order(netlist: &Netlist) -> Vec<GateId> {
             }
         }
     }
-    debug_assert_eq!(order.len(), n, "netlist must be validated (acyclic)");
+    assert_eq!(order.len(), n, "netlist must be acyclic");
     order
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of netlist invariants: random DAG construction,
-//! cone chunking coverage, AIG lowering equivalence, and Verilog
-//! round-trips.
+//! fan-out that follows the fan-ins, cone chunking coverage, AIG lowering
+//! equivalence, and Verilog round-trips.
 
 use nettag_netlist::{
     aig_to_netlist, chunk_into_cones, gate_expr, netlist_to_aig, parse_verilog, simulate_comb,
@@ -50,8 +50,53 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
     })
 }
 
+/// Each gate's sinks derived from the fan-ins alone: ascending, once per
+/// pin, out-of-range fan-ins ignored.
+fn fanout_of_fanins(n: &Netlist) -> Vec<Vec<GateId>> {
+    let mut sinks = vec![Vec::new(); n.gate_count()];
+    for (id, g) in n.iter() {
+        for f in g.fanin.iter().filter(|f| f.index() < n.gate_count()) {
+            sinks[f.index()].push(id);
+        }
+    }
+    sinks
+}
+
+fn check_fanout(n: &Netlist) -> Result<(), TestCaseError> {
+    for (id, want) in n.ids().zip(fanout_of_fanins(n)) {
+        prop_assert_eq!(n.fanout(id), want.as_slice(), "gate {}", id);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `fanout` is a function of the current fan-ins: on the validated
+    /// netlist, on a replay that never ran `validate`, and after a pin
+    /// edit made once the table was built.
+    #[test]
+    fn fanout_follows_the_fanins(n in arb_netlist(), seed in any::<u64>()) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        check_fanout(&n)?;
+        let mut replay = Netlist::new("replay");
+        for (_, g) in n.iter() {
+            replay.add_gate(g.name.clone(), g.kind, g.fanin.clone());
+        }
+        check_fanout(&replay)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pinned: Vec<GateId> = replay
+            .iter()
+            .filter(|(_, g)| !g.fanin.is_empty())
+            .map(|(id, _)| id)
+            .collect();
+        let id = pinned[rng.gen_range(0..pinned.len())];
+        let pin = rng.gen_range(0..replay.gate(id).fanin.len());
+        let to = GateId(rng.gen_range(0..replay.gate_count() as u32));
+        replay.gate_mut(id).fanin[pin] = to;
+        check_fanout(&replay)?;
+    }
 
     /// Cone chunking covers every register exactly once and cone netlists
     /// are combinational and well-formed.

@@ -84,7 +84,6 @@ pub fn optimize_physical(
                 }
             }
         }
-        n.rebuild_fanout();
         buffers += 1;
     }
     let mut n = n.validate().expect("buffering preserves well-formedness");

@@ -3,7 +3,8 @@
 //!
 //! Concurrent clients submit embed/predict requests; submission makes
 //! only the cheap checks on the *caller's* thread (phys length, classifier
-//! present), then routes the request to one of several **lanes** by a
+//! present), so a socket reader only decodes and routes. It routes the
+//! request to one of several **lanes** by a
 //! name-blind structural key ([`lane_key`]; expressions by text hash), so
 //! multi-core boxes don't serialize on a single batch queue and identical
 //! structures always meet in the same lane (within-batch dedup and cache
@@ -11,8 +12,10 @@
 //! [`nettag_par::queue::BoundedQueue`] drained by its own batcher thread:
 //! when a lane is full the submit **sheds load** with a typed
 //! [`ServeError::Overloaded`] instead of queueing unboundedly. The batcher
-//! resolves each cone's physical attributes and structural digest as it
-//! pops the request, so that work overlaps the submitter's next requests.
+//! validates each cone and resolves its physical attributes and
+//! structural digest as it pops the request, so that work overlaps the
+//! submitter's next requests; a cone that fails validation answers
+//! [`ServeError::Invalid`], whichever way it arrived.
 //!
 //! A batcher coalesces everything that arrives within a small window (up
 //! to `max_batch`), or until a **seal** tells it the burst has landed
@@ -107,8 +110,8 @@ pub struct ServeStats {
     /// deadline lapsed (the batch may still have computed the value —
     /// it stays cached either way).
     pub timeouts: u64,
-    /// Batch executions (or a popped request's phys estimates and
-    /// digest) that panicked and were isolated: the waiters resolved
+    /// Batch executions (or a popped request's validation, phys
+    /// estimates and digest) that panicked and were isolated: the waiters resolved
     /// [`ServeError::Internal`] and the lane kept draining.
     pub panics_recovered: u64,
 }
@@ -484,9 +487,12 @@ impl Client {
     /// cache key, so the same structure under different corners never
     /// aliases.
     ///
+    /// The netlist need not be validated first: its lane validates it.
+    ///
     /// # Errors
     ///
-    /// [`ServeError::Invalid`] when `phys` has the wrong length;
+    /// [`ServeError::Invalid`] when `phys` has the wrong length or the
+    /// netlist fails [`Netlist::validate`];
     /// [`ServeError::Overloaded`] when the request's lane queue is full;
     /// [`ServeError::DeadlineExceeded`] when a configured timeout lapses
     /// first; [`ServeError::Internal`] when the request's batch
@@ -585,9 +591,9 @@ impl Client {
     /// Checks a raw request and picks its lane, on the caller's thread.
     /// Only the cheap checks run here (phys length, classifier present,
     /// expression syntax); a cone's lane comes from [`lane_key`], one pass
-    /// over its gates. The phys estimates and the digest wait for the
-    /// batcher, which computes them as it pops the request, so a socket
-    /// reader decodes the next frame meanwhile.
+    /// over its gates. Validation, the phys estimates and the digest wait
+    /// for the batcher, which runs them as it pops the request, so a
+    /// socket reader decodes the next frame meanwhile.
     fn route(&self, raw: RawRequest) -> Result<(usize, RequestKind), ServeError> {
         let lanes = self.lanes.len();
         match raw {
@@ -703,11 +709,15 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Resolves a popped request: a cone's physical attributes (the caller's,
-/// or synthesis estimates) and its digest.
-fn resolve(shared: &Shared, kind: RequestKind) -> Job {
-    match kind {
+/// Resolves a popped request: a cone is validated, then gets its
+/// physical attributes (the caller's, or synthesis estimates) and its
+/// digest. Every cone passes this one check, in-process or off a socket.
+fn resolve(shared: &Shared, kind: RequestKind) -> Result<Job, ServeError> {
+    Ok(match kind {
         RequestKind::Cone { netlist, phys, out } => {
+            let netlist = netlist
+                .validate()
+                .map_err(|e| ServeError::Invalid(format!("netlist: {e}")))?;
             let props = phys.unwrap_or_else(|| synthesis_phys_estimates(&netlist, &shared.lib));
             let key = structural_hash_with_phys(&netlist, &props);
             Job::Cone {
@@ -718,25 +728,38 @@ fn resolve(shared: &Shared, kind: RequestKind) -> Job {
             }
         }
         RequestKind::Expr { expr } => Job::Expr { expr },
-    }
+    })
 }
 
-/// A popped request joins its batch once resolved. A panic while
-/// resolving (a malformed in-process netlist) answers
-/// [`ServeError::Internal`] for that request alone.
-fn admit(shared: &Shared, batch: &mut Vec<(Job, Option<Instant>, ReplyTo)>, req: Request) {
+/// A popped request joins its batch once resolved. One that fails
+/// ([`ServeError::Invalid`], or [`ServeError::Internal`] if resolving
+/// panicked) is set aside with its error; the batcher answers it once the
+/// batch's counters are committed.
+fn admit(shared: &Shared, batch: &mut Batch, req: Request) {
     let Request {
         kind,
         deadline,
         reply,
     } = req;
     match catch_unwind(AssertUnwindSafe(|| resolve(shared, kind))) {
-        Ok(job) => batch.push((job, deadline, reply)),
+        Ok(Ok(job)) => batch.jobs.push((job, deadline, reply)),
+        Ok(Err(e)) => batch.rejected.push((reply, e)),
         Err(payload) => {
-            reply.send(Err(ServeError::Internal(panic_message(payload.as_ref()))));
-            shared.stats().panics_recovered += 1;
+            let e = ServeError::Internal(panic_message(payload.as_ref()));
+            batch.rejected.push((reply, e));
+            batch.panics += 1;
         }
     }
+}
+
+/// The requests one batcher pass popped: those that resolved, and those
+/// that failed to, with their errors.
+#[derive(Default)]
+struct Batch {
+    jobs: Vec<(Job, Option<Instant>, ReplyTo)>,
+    rejected: Vec<(ReplyTo, ServeError)>,
+    /// Rejections that were caught panics.
+    panics: u64,
 }
 
 /// One lane's batcher loop: block for the first request, then coalesce
@@ -757,7 +780,7 @@ fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
             Pop::Empty => unreachable!("blocking pop never reports Empty"),
         };
         let deadline = Instant::now() + shared.cfg.batch_window;
-        let mut batch = Vec::new();
+        let mut batch = Batch::default();
         admit(shared, &mut batch, first);
         let mut accepted = 1;
         let mut quiet = Instant::now() + shared.cfg.linger;
@@ -792,8 +815,14 @@ fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
             stats.requests += accepted as u64;
             stats.batches += 1;
             stats.max_batch = stats.max_batch.max(accepted as u64);
+            stats.panics_recovered += batch.panics;
         }
-        process_batch(shared, batch);
+        for (reply, e) in batch.rejected {
+            reply.send(Err(e));
+        }
+        if !batch.jobs.is_empty() {
+            process_batch(shared, batch.jobs);
+        }
     }
 }
 
@@ -1096,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn a_request_that_panics_in_its_lane_fails_alone() {
+    fn a_malformed_request_fails_alone_and_is_counted_before_its_reply() {
         let engine = Engine::new(
             Arc::new(NetTag::new(NetTagConfig::tiny())),
             ServeConfig {
@@ -1105,16 +1134,22 @@ mod tests {
             },
         );
         let client = engine.client();
-        // In-process callers may pass an unvalidated netlist; its phys
-        // estimates index past the gates.
+        // In-process callers may pass an unvalidated netlist; its lane
+        // validates it before the phys estimates index its fan-ins.
         let mut bad = Netlist::new("bad");
         bad.add_gate("g", CellKind::Inv, vec![GateId(99)]);
         let err = client.embed_cone(bad, None).expect_err("dangling fan-in");
-        assert!(matches!(err, ServeError::Internal(_)), "{err:?}");
+        assert!(matches!(err, ServeError::Invalid(_)), "{err:?}");
+        // The reply went out after its batch's counters were committed.
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.requests, stats.batches, stats.panics_recovered),
+            (1, 1, 0)
+        );
         let n = cone(["a", "b", "g1", "g2", "m", "y"], false);
         assert!(client.embed_cone(n, None).is_ok(), "the lane lives on");
         let stats = engine.stats();
-        assert_eq!((stats.requests, stats.panics_recovered), (2, 1));
+        assert_eq!((stats.requests, stats.panics_recovered), (2, 0));
     }
 
     #[test]

@@ -96,7 +96,7 @@
 //! let a = n.add_gate("a", CellKind::Input, vec![]);
 //! let g = n.add_gate("G", CellKind::Inv, vec![a]);
 //! n.add_gate("y", CellKind::Output, vec![g]);
-//! let emb = client.embed_cone(n.validate().unwrap(), None).unwrap();
+//! let emb = client.embed_cone(n, None).unwrap();
 //! assert_eq!(emb.rows, 1);
 //! ```
 

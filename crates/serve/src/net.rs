@@ -358,20 +358,19 @@ fn serve_connection(stream: TcpStream, client: &Client, conn: &ConnState, epoch:
     conn.touch(epoch);
 }
 
-/// Answers or submits one decoded frame, returning the lane it fed.
-/// Pings are answered here; a netlist that fails validation, a request
-/// the engine refuses and a shed request answer their frame with a
-/// typed error, and the connection lives on.
+/// Answers or routes one decoded frame, returning the lane it fed. Pings
+/// are answered here; everything else goes to [`Client::submit`], and a
+/// request it refuses or sheds answers its frame with a typed error. A
+/// netlist is validated in its lane, like an in-process one, and a bad
+/// one answers `Invalid` on its own frame. The connection lives on either
+/// way.
 fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> Option<usize> {
     // The server restarts the deadline clock on receipt: the budget
     // excludes network transit, which the client's own read timeout
     // already bounds.
     let deadline = (req.deadline_ms > 0)
         .then(|| Instant::now() + Duration::from_millis(u64::from(req.deadline_ms)));
-    let cone = |netlist: Netlist, phys, out| match netlist.validate() {
-        Ok(netlist) => Ok(RawRequest::Cone { netlist, phys, out }),
-        Err(e) => Err(ServeError::Invalid(format!("netlist: {e}"))),
-    };
+    let cone = |netlist, phys, out| RawRequest::Cone { netlist, phys, out };
     let raw = match req.body {
         RequestBody::Ping => {
             // Answered here, never entering a lane: a saturated engine
@@ -381,17 +380,13 @@ fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> O
         }
         RequestBody::EmbedCone { netlist, phys } => cone(netlist, phys, ConeOut::Embed),
         RequestBody::Predict { netlist, phys } => cone(netlist, phys, ConeOut::Predict),
-        RequestBody::EmbedExpr { text } => Ok(RawRequest::Expr { text }),
+        RequestBody::EmbedExpr { text } => RawRequest::Expr { text },
     };
     let reply = ReplyTo::Tagged {
         id: req.id,
         tx: tx.clone(),
     };
-    let submitted = match raw {
-        Ok(raw) => client.submit(raw, deadline, reply),
-        Err(e) => Err((reply, e)),
-    };
-    match submitted {
+    match client.submit(raw, deadline, reply) {
         Ok(lane) => Some(lane),
         Err((reply, e)) => {
             reply.send(Err(e));

@@ -368,9 +368,9 @@ fn encode_netlist(e: &mut Enc, netlist: &Netlist, phys: Option<&[PhysProps]>) {
 }
 
 /// Decodes a netlist body. The structure is rebuilt gate by gate and is
-/// **not** validated here — the server validates before serving so a bad
-/// netlist answers `Invalid` on its own frame instead of killing the
-/// connection.
+/// **not** validated here: the serving lane validates it, as it does an
+/// in-process netlist, so a bad netlist answers `Invalid` on its own
+/// frame instead of killing the connection.
 fn decode_netlist(d: &mut Dec<'_>) -> io::Result<(Netlist, Option<Vec<PhysProps>>)> {
     let name = d.str()?;
     let gates = d.u32()? as usize;

@@ -3,14 +3,22 @@
 //! clean `Err` — never a panic, never an unbounded allocation. The
 //! server trusts these decoders with hostile sockets, so "malformed
 //! frame → typed error → severed connection" is a safety property.
+//!
+//! One level up, a well-formed frame may carry any gate list at all:
+//! served in-process or over a socket, it answers the offline embedding
+//! of its validated netlist, or `Invalid` when validation fails — never
+//! `Internal`.
 
-use nettag_netlist::{CellKind, Netlist};
+use nettag_core::{NetTag, NetTagConfig};
+use nettag_netlist::{CellKind, GateId, Library, Netlist, Tag, ALL_CELL_KINDS};
 use nettag_serve::proto::{
     read_hello, read_request, read_response, write_request, write_response, Request, RequestBody,
     Response, ResponseBody,
 };
+use nettag_serve::{Engine, NetClient, NetServer, ServeConfig, ServeError};
 use proptest::prelude::*;
 use std::io::Cursor;
+use std::sync::Arc;
 
 /// Frames an arbitrary payload with a length prefix that matches it, so
 /// the decoder gets past the length check and into the body.
@@ -52,6 +60,84 @@ fn valid_response_frame() -> Vec<u8> {
     )
     .expect("encode");
     buf
+}
+
+/// One arbitrary gate: `(kind index, raw pins, arity roll, name roll)`.
+type RawGate = (usize, Vec<u32>, u32, u32);
+
+/// Builds a netlist from two inputs and arbitrary gates, without
+/// validating it. Most gates take their kind's arity in backward fan-ins;
+/// an arity roll of 0 keeps the raw pin list (often the wrong arity), and
+/// 1 takes pins anywhere up to one past the last gate (forward references
+/// make cycles, the last one dangles). A name roll of 0 repeats the
+/// previous gate's name.
+fn gate_list(gates: &[RawGate]) -> Netlist {
+    let mut n = Netlist::new("arb");
+    n.add_gate("g0", CellKind::Input, vec![]);
+    n.add_gate("g1", CellKind::Input, vec![]);
+    let end = gates.len() as u32 + 3;
+    for (k, pins, arity_roll, name_roll) in gates {
+        let i = n.gate_count();
+        let kind = ALL_CELL_KINDS[*k];
+        let pin = |j: usize| pins.get(j).copied().unwrap_or(j as u32);
+        let fanin: Vec<GateId> = match arity_roll {
+            0 => pins.iter().map(|&p| GateId(p)).collect(),
+            1 => (0..kind.arity()).map(|j| GateId(pin(j) % end)).collect(),
+            _ => (0..kind.arity())
+                .map(|j| GateId(pin(j) % i as u32))
+                .collect(),
+        };
+        let name = format!("g{}", if *name_roll == 0 { i - 1 } else { i });
+        n.add_gate(name, kind, fanin);
+    }
+    n
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn arb_gate_list() -> BoxedStrategy<Vec<RawGate>> {
+    let gate = (
+        0usize..ALL_CELL_KINDS.len(),
+        prop::collection::vec(0u32..20, 0..4),
+        0u32..24,
+        0u32..64,
+    );
+    prop::collection::vec(gate, 1..14)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn served_gate_lists_answer_offline_bits_or_invalid(gates in arb_gate_list()) {
+        let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
+        let engine = Engine::new(
+            Arc::clone(&model),
+            ServeConfig {
+                lanes: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let server = NetServer::bind(engine.client(), "127.0.0.1:0").expect("bind");
+        let mut remote = NetClient::connect(server.local_addr()).expect("connect");
+        let n = gate_list(&gates);
+        let local = engine.client().embed_cone(n.clone(), None).map(|e| e.data.clone());
+        let wire = remote.embed_cone(&n, None);
+        match n.validate() {
+            Ok(valid) => {
+                let tag = Tag::from_netlist(&valid, &Library::default(), &model.tag_options());
+                let offline = bits(&model.embed_tag(&tag).cls.data);
+                prop_assert_eq!(bits(&local.expect("a valid netlist serves")), offline.clone());
+                prop_assert_eq!(bits(&wire.expect("a valid netlist serves")), offline);
+            }
+            Err(e) => {
+                prop_assert!(matches!(local, Err(ServeError::Invalid(_))), "{e}: {local:?}");
+                prop_assert!(matches!(wire, Err(ServeError::Invalid(_))), "{e}: {wire:?}");
+            }
+        }
+    }
 }
 
 proptest! {

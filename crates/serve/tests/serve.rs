@@ -59,6 +59,26 @@ fn served_embedding_matches_offline_embed_tag_bitwise() {
 }
 
 #[test]
+fn unvalidated_netlists_embed_like_their_validated_copies() {
+    // Built gate by gate and never validated; `a` fans out twice, so its
+    // load, and with it the gate text, depends on the fan-out table.
+    let mut raw = Netlist::new("raw");
+    let a = raw.add_gate("a", CellKind::Input, vec![]);
+    let b = raw.add_gate("b", CellKind::Input, vec![]);
+    let x = raw.add_gate("x", CellKind::Nand2, vec![a, b]);
+    let g = raw.add_gate("g", CellKind::Nor2, vec![x, a]);
+    raw.add_gate("y", CellKind::Output, vec![g]);
+    let valid = raw.clone().validate().expect("well-formed");
+    let (model, engine) = tiny_engine();
+    let lib = Library::default();
+    let offline = model.embed_circuit(&valid, &lib, None).data;
+    assert_eq!(offline, offline_cls(&model, &valid));
+    assert_eq!(model.embed_circuit(&raw, &lib, None).data, offline);
+    let served = engine.client().embed_cone(raw, None).expect("serve");
+    assert_eq!(served.data, offline);
+}
+
+#[test]
 fn identical_requests_hit_the_cache_and_share_one_buffer() {
     let (_model, engine) = tiny_engine();
     let client = engine.client();

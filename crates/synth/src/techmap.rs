@@ -508,7 +508,6 @@ fn commute_random_pins(d: &Design, rng: &mut StdRng) -> Design {
     };
     let mut out = d.clone();
     out.netlist.gate_mut(id).fanin.reverse();
-    out.netlist.rebuild_fanout();
     out
 }
 
@@ -533,7 +532,6 @@ fn expand_and_to_nand_inv(d: &Design, rng: &mut StdRng) -> Design {
     let gate = out.netlist.gate_mut(id);
     gate.kind = CellKind::Inv;
     gate.fanin = [inner].into();
-    out.netlist.rebuild_fanout();
     out
 }
 
@@ -561,7 +559,6 @@ fn de_morgan_random(d: &Design, rng: &mut StdRng) -> Design {
         CellKind::And2
     };
     gate.fanin = [inv_a, inv_b].into();
-    out.netlist.rebuild_fanout();
     out
 }
 
@@ -585,7 +582,6 @@ fn insert_buffer(d: &Design, rng: &mut StdRng) -> Design {
     );
     out.labels.push(label);
     out.netlist.gate_mut(id).fanin[pin] = buf;
-    out.netlist.rebuild_fanout();
     out
 }
 
