@@ -45,17 +45,6 @@ pub struct ConeSample {
     pub root: String,
 }
 
-impl ConeSample {
-    /// Die-normalized placement coordinates of gate `i` in the cone's
-    /// layout graph — the target space of the TAG-style layout-distance
-    /// pretext objective.
-    pub fn norm_xy(&self, i: usize) -> (f32, f32) {
-        let n = &self.layout.nodes[i];
-        let die = self.die.max(f64::MIN_POSITIVE);
-        ((n.x / die) as f32, (n.y / die) as f32)
-    }
-}
-
 /// The assembled pre-training corpus.
 #[derive(Debug, Clone)]
 pub struct PretrainData {

@@ -37,10 +37,6 @@ pub struct Objectives {
     pub size_prediction: bool,
     /// Objective #3: cross-stage alignment.
     pub cross_stage: bool,
-    /// Layout-distance pretext: predict the die-normalized placement
-    /// distance between random gate pairs from their graph embeddings
-    /// (TAG-style spatial grounding of the geometry modality).
-    pub layout_distance: bool,
 }
 
 impl Default for Objectives {
@@ -51,7 +47,6 @@ impl Default for Objectives {
             graph_contrast: true,
             size_prediction: true,
             cross_stage: true,
-            layout_distance: true,
         }
     }
 }
@@ -107,9 +102,6 @@ pub struct PretrainHeads {
     pub mask_head: Mlp,
     /// Gate-count regressor over `N_cls` (`MLP_regr`).
     pub size_head: Mlp,
-    /// Pairwise placement-distance regressor over concatenated node
-    /// embeddings (the layout-distance pretext head).
-    pub dist_head: Mlp,
 }
 
 impl PretrainHeads {
@@ -119,13 +111,9 @@ impl PretrainHeads {
         PretrainHeads {
             mask_head: Mlp::new(&[embed_dim, embed_dim * 2, ALL_CELL_KINDS.len()], &mut rng),
             size_head: Mlp::new(&[embed_dim, embed_dim * 2, ALL_CELL_KINDS.len()], &mut rng),
-            dist_head: Mlp::new(&[embed_dim * 2, embed_dim, 1], &mut rng),
         }
     }
 }
-
-/// Gate pairs per cone the layout-distance pretext samples each step.
-const DIST_PAIRS_PER_CONE: usize = 4;
 
 /// Step 1: expression contrastive pre-training of ExprLLM (eq. 3).
 pub fn pretrain_exprllm(
@@ -282,46 +270,13 @@ pub fn pretrain_tagformer(
                     .collect()
             })
             .collect();
-        // Layout-distance pretext pairs (ids + die-normalized Manhattan
-        // distance targets), drawn after the masked sets so the draw
-        // order stays a pure function of the step when the flag is off.
-        let pair_sets: Vec<(Vec<u32>, Vec<u32>, Vec<f32>)> = batch
-            .iter()
-            .map(|fc| {
-                let cone: &ConeSample = &data.cones[fc.index];
-                let n = fc.features.rows;
-                if !obj.layout_distance || n < 2 || cone.layout.len() != n {
-                    return (Vec::new(), Vec::new(), Vec::new());
-                }
-                let mut ids_a = Vec::with_capacity(DIST_PAIRS_PER_CONE);
-                let mut ids_b = Vec::with_capacity(DIST_PAIRS_PER_CONE);
-                let mut targets = Vec::with_capacity(DIST_PAIRS_PER_CONE);
-                for _ in 0..DIST_PAIRS_PER_CONE {
-                    let a = rng.gen_range(0..n);
-                    // Distinct partner without rejection sampling.
-                    let mut b = rng.gen_range(0..n - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    let (xa, ya) = cone.norm_xy(a);
-                    let (xb, yb) = cone.norm_xy(b);
-                    ids_a.push(a as u32);
-                    ids_b.push(b as u32);
-                    // Normalized Manhattan distance, halved so the target
-                    // lives in [0, 1].
-                    targets.push(0.5 * ((xa - xb).abs() + (ya - yb).abs()));
-                }
-                (ids_a, ids_b, targets)
-            })
-            .collect();
         let any_mask = obj.masked_gate && masked_sets.iter().any(|m| !m.is_empty());
-        let any_dist = obj.layout_distance && pair_sets.iter().any(|p| !p.0.is_empty());
-        if !(any_mask || obj.size_prediction || obj.graph_contrast || obj.cross_stage || any_dist) {
+        if !(any_mask || obj.size_prediction || obj.graph_contrast || obj.cross_stage) {
             break;
         }
         // Per-sample outputs, in this fixed order (combine re-reads the
         // same flags): cls, [aug_cls], [rtl, layout], [mask_ce],
-        // [size_mse], [dist_mse].
+        // [size_mse].
         let batch_len = batch.len();
         let model_ref = &*model;
         let heads_ref = &*heads;
@@ -371,18 +326,6 @@ pub fn pretrain_tagformer(
                     let target = Tensor::row(cone.size_targets.clone());
                     outputs.push(g.mse(pred, target));
                 }
-                // Layout-distance pretext (per-sample scalar): regress
-                // the placement distance of each sampled gate pair from
-                // the pair's concatenated node embeddings.
-                let (ids_a, ids_b, targets) = &pair_sets[i];
-                if !ids_a.is_empty() {
-                    let rows_a = g.gather_rows(out.nodes, std::sync::Arc::new(ids_a.clone()));
-                    let rows_b = g.gather_rows(out.nodes, std::sync::Arc::new(ids_b.clone()));
-                    let pairs = g.concat_cols(&[rows_a, rows_b]);
-                    let pred = heads_ref.dist_head.forward(&mut g, pairs);
-                    let target = Tensor::from_vec(targets.len(), 1, targets.clone());
-                    outputs.push(g.mse(pred, target));
-                }
                 SampleTape { graph: g, outputs }
             },
             |g, leaves| {
@@ -409,10 +352,6 @@ pub fn pretrain_tagformer(
                         let mse = it.next().expect("size mse output");
                         objective_losses.push((mse, 1.0 / batch_len as f32));
                     }
-                    if !pair_sets[i].0.is_empty() {
-                        let mse = it.next().expect("dist mse output");
-                        objective_losses.push((mse, 1.0 / batch_len as f32));
-                    }
                 }
                 let cls = g.stack_rows(&cls_rows);
                 if obj.graph_contrast {
@@ -436,7 +375,6 @@ pub fn pretrain_tagformer(
         let mut params = model.tagformer.params_mut();
         params.extend(heads.mask_head.params_mut());
         params.extend(heads.size_head.params_mut());
-        params.extend(heads.dist_head.params_mut());
         params.extend(rtl_encoder.params_mut());
         params.extend(layout_encoder.params_mut());
         opt.step(&mut params, &store);
@@ -549,46 +487,11 @@ mod tests {
                 graph_contrast: false,
                 size_prediction: true,
                 cross_stage: false,
-                layout_distance: false,
             },
             ..PretrainConfig::default()
         };
         let report = pretrain(&mut model, &data, &config);
         assert!(report.step1_losses.is_empty());
         assert_eq!(report.step2_losses.len(), 3);
-    }
-
-    #[test]
-    fn layout_distance_objective_trains_alone() {
-        // The TAG-style pretext must be able to carry a step-2 run on its
-        // own: losses finite, and the spatial regression improves.
-        let mut model = NetTag::new(NetTagConfig::tiny());
-        let data = tiny_data();
-        let config = PretrainConfig {
-            step1_steps: 0,
-            step2_steps: 25,
-            step2_batch: 3,
-            objectives: Objectives {
-                expr_contrast: false,
-                masked_gate: false,
-                graph_contrast: false,
-                size_prediction: false,
-                cross_stage: false,
-                layout_distance: true,
-            },
-            ..PretrainConfig::default()
-        };
-        let report = pretrain(&mut model, &data, &config);
-        assert_eq!(report.step2_losses.len(), 25);
-        assert!(report.step2_losses.iter().all(|l| l.is_finite()));
-        let head: f32 = report.step2_losses[..5].iter().sum::<f32>() / 5.0;
-        let tail: f32 = report.step2_losses[report.step2_losses.len() - 5..]
-            .iter()
-            .sum::<f32>()
-            / 5.0;
-        assert!(
-            tail < head,
-            "layout-distance loss should fall: {head} -> {tail}"
-        );
     }
 }
