@@ -365,14 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_is_inverse_of_fanin() {
-        let n = two_input_example().validate().expect("valid");
-        let a = n.find("a").expect("exists");
-        let u1 = n.find("U1").expect("exists");
-        assert_eq!(n.fanout(a), &[u1]);
-    }
-
-    #[test]
     fn fanout_follows_edits() {
         // Before any validate, and after each edit, with or without a
         // query in between.

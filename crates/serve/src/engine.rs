@@ -4,11 +4,11 @@
 //! Concurrent clients submit embed/predict requests; submission makes
 //! only the cheap checks on the *caller's* thread (phys length, classifier
 //! present), so a socket reader only decodes and routes. It routes the
-//! request to one of several **lanes** by a
-//! name-blind structural key ([`lane_key`]; expressions by text hash), so
-//! multi-core boxes don't serialize on a single batch queue and identical
-//! structures always meet in the same lane (within-batch dedup and cache
-//! locality are preserved). Each lane is a bounded
+//! request to one of several **lanes** by a name-blind structural key
+//! ([`lane_key`]; expressions by text hash), so multi-core boxes don't
+//! serialize on a single batch queue and identical structures always
+//! meet in the same lane (within-batch dedup and cache locality are
+//! preserved). Each lane is a bounded
 //! [`nettag_par::queue::BoundedQueue`] drained by its own batcher thread:
 //! when a lane is full the submit **sheds load** with a typed
 //! [`ServeError::Overloaded`] instead of queueing unboundedly. The batcher
@@ -111,8 +111,9 @@ pub struct ServeStats {
     /// it stays cached either way).
     pub timeouts: u64,
     /// Batch executions (or a popped request's validation, phys
-    /// estimates and digest) that panicked and were isolated: the waiters resolved
-    /// [`ServeError::Internal`] and the lane kept draining.
+    /// estimates and digest) that panicked and were isolated: the
+    /// waiters resolved [`ServeError::Internal`] and the lane kept
+    /// draining.
     pub panics_recovered: u64,
 }
 
@@ -731,36 +732,24 @@ fn resolve(shared: &Shared, kind: RequestKind) -> Result<Job, ServeError> {
     })
 }
 
-/// A popped request joins its batch once resolved. One that fails
-/// ([`ServeError::Invalid`], or [`ServeError::Internal`] if resolving
-/// panicked) is set aside with its error; the batcher answers it once the
-/// batch's counters are committed.
-fn admit(shared: &Shared, batch: &mut Batch, req: Request) {
+/// Resolves a popped request for its batch. One that fails comes back
+/// with its error: [`ServeError::Invalid`], or [`ServeError::Internal`]
+/// if resolving panicked.
+fn admit(shared: &Shared, req: Request) -> Result<Admitted, (ReplyTo, ServeError)> {
     let Request {
         kind,
         deadline,
         reply,
     } = req;
     match catch_unwind(AssertUnwindSafe(|| resolve(shared, kind))) {
-        Ok(Ok(job)) => batch.jobs.push((job, deadline, reply)),
-        Ok(Err(e)) => batch.rejected.push((reply, e)),
-        Err(payload) => {
-            let e = ServeError::Internal(panic_message(payload.as_ref()));
-            batch.rejected.push((reply, e));
-            batch.panics += 1;
-        }
+        Ok(Ok(job)) => Ok((job, deadline, reply)),
+        Ok(Err(e)) => Err((reply, e)),
+        Err(payload) => Err((reply, ServeError::Internal(panic_message(payload.as_ref())))),
     }
 }
 
-/// The requests one batcher pass popped: those that resolved, and those
-/// that failed to, with their errors.
-#[derive(Default)]
-struct Batch {
-    jobs: Vec<(Job, Option<Instant>, ReplyTo)>,
-    rejected: Vec<(ReplyTo, ServeError)>,
-    /// Rejections that were caught panics.
-    panics: u64,
-}
+/// A resolved request: its job, deadline and reply slot.
+type Admitted = (Job, Option<Instant>, ReplyTo);
 
 /// One lane's batcher loop: block for the first request, then coalesce
 /// what arrives with it (up to `max_batch`) and process one batch. A
@@ -771,6 +760,9 @@ struct Batch {
 /// every client is now blocked on a reply — waiting longer is dead time).
 /// A seal with no batch open has nothing to close and is dropped. A
 /// closed lane drains its accepted requests before the thread exits.
+/// Requests that fail to resolve are answered once the batch's counters
+/// are committed, so a caller that reads [`Engine::stats`] after its
+/// reply sees its request counted.
 fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
     loop {
         let first = match queue.pop() {
@@ -780,8 +772,13 @@ fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
             Pop::Empty => unreachable!("blocking pop never reports Empty"),
         };
         let deadline = Instant::now() + shared.cfg.batch_window;
-        let mut batch = Batch::default();
-        admit(shared, &mut batch, first);
+        let mut batch = Vec::new();
+        let mut rejected = Vec::new();
+        let mut add = |req| match admit(shared, req) {
+            Ok(job) => batch.push(job),
+            Err(failed) => rejected.push(failed),
+        };
+        add(first);
         let mut accepted = 1;
         let mut quiet = Instant::now() + shared.cfg.linger;
         let mut sealed = false;
@@ -801,7 +798,7 @@ fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
             };
             match popped {
                 Pop::Item(Slot::Request(r)) => {
-                    admit(shared, &mut batch, r);
+                    add(r);
                     accepted += 1;
                     quiet = Instant::now() + shared.cfg.linger;
                     sealed = false;
@@ -815,13 +812,16 @@ fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
             stats.requests += accepted as u64;
             stats.batches += 1;
             stats.max_batch = stats.max_batch.max(accepted as u64);
-            stats.panics_recovered += batch.panics;
+            stats.panics_recovered += rejected
+                .iter()
+                .filter(|(_, e)| matches!(e, ServeError::Internal(_)))
+                .count() as u64;
         }
-        for (reply, e) in batch.rejected {
+        for (reply, e) in rejected {
             reply.send(Err(e));
         }
-        if !batch.jobs.is_empty() {
-            process_batch(shared, batch.jobs);
+        if !batch.is_empty() {
+            process_batch(shared, batch);
         }
     }
 }
@@ -868,7 +868,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// cache inserts whole entries under a shard lock that recovers from
 /// poison, the counters are committed atomically at the end, and the
 /// model state is only read.
-fn process_batch(shared: &Shared, batch: Vec<(Job, Option<Instant>, ReplyTo)>) {
+fn process_batch(shared: &Shared, batch: Vec<Admitted>) {
     let mut items: Vec<(Job, Option<Instant>)> = Vec::with_capacity(batch.len());
     let mut replies: Vec<Option<ReplyTo>> = Vec::with_capacity(batch.len());
     for (job, deadline, reply) in batch {

@@ -370,7 +370,6 @@ fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> O
     // already bounds.
     let deadline = (req.deadline_ms > 0)
         .then(|| Instant::now() + Duration::from_millis(u64::from(req.deadline_ms)));
-    let cone = |netlist, phys, out| RawRequest::Cone { netlist, phys, out };
     let raw = match req.body {
         RequestBody::Ping => {
             // Answered here, never entering a lane: a saturated engine
@@ -378,8 +377,16 @@ fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> O
             let _ = tx.send((req.id, Ok(Response::Pong(client.generation()))));
             return None;
         }
-        RequestBody::EmbedCone { netlist, phys } => cone(netlist, phys, ConeOut::Embed),
-        RequestBody::Predict { netlist, phys } => cone(netlist, phys, ConeOut::Predict),
+        RequestBody::EmbedCone { netlist, phys } => RawRequest::Cone {
+            netlist,
+            phys,
+            out: ConeOut::Embed,
+        },
+        RequestBody::Predict { netlist, phys } => RawRequest::Cone {
+            netlist,
+            phys,
+            out: ConeOut::Predict,
+        },
         RequestBody::EmbedExpr { text } => RawRequest::Expr { text },
     };
     let reply = ReplyTo::Tagged {

@@ -113,13 +113,7 @@ proptest! {
     #[test]
     fn served_gate_lists_answer_offline_bits_or_invalid(gates in arb_gate_list()) {
         let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
-        let engine = Engine::new(
-            Arc::clone(&model),
-            ServeConfig {
-                lanes: 1,
-                ..ServeConfig::default()
-            },
-        );
+        let engine = Engine::new(Arc::clone(&model), ServeConfig::default());
         let server = NetServer::bind(engine.client(), "127.0.0.1:0").expect("bind");
         let mut remote = NetClient::connect(server.local_addr()).expect("connect");
         let n = gate_list(&gates);
