@@ -60,8 +60,8 @@ fn served_embedding_matches_offline_embed_tag_bitwise() {
 
 #[test]
 fn unvalidated_netlists_embed_like_their_validated_copies() {
-    // Built gate by gate and never validated; `a` fans out twice, so its
-    // load, and with it the gate text, depends on the fan-out table.
+    // Built gate by gate and never validated; `a` fans out twice, so the
+    // phys estimates depend on the fan-out table.
     let mut raw = Netlist::new("raw");
     let a = raw.add_gate("a", CellKind::Input, vec![]);
     let b = raw.add_gate("b", CellKind::Input, vec![]);
