@@ -9,7 +9,8 @@
 //! layer would run.
 //!
 //! Reported per scenario: p50/p99 request latency (measured at the
-//! client, so it includes the batching window) and requests/second.
+//! client, so it includes queueing behind the batch in flight) and
+//! requests/second.
 //! A full run makes seven passes over every timed scenario and reports
 //! each of these, and each headline, as the median over the passes; a
 //! headline is a ratio within one pass first, so both of its legs see
@@ -198,7 +199,8 @@ fn run_scenario(
 
 /// Like [`run_scenario`] but through the loopback TCP front-end: each
 /// client thread drives its own connection with blocking round-trips, so
-/// per-request latency includes framing, syscalls, and the batch window.
+/// per-request latency includes framing, syscalls, and queueing behind
+/// the batch in flight.
 fn run_socket_scenario(
     model: &Arc<NetTag>,
     name: String,

@@ -68,7 +68,6 @@ enum Op {
     Scale(NodeId, f32),
     Relu(NodeId),
     Gelu(NodeId),
-    Tanh(NodeId),
     ConcatCols(Vec<NodeId>),
     GatherRows(NodeId, Arc<Vec<u32>>),
     LayerNorm {
@@ -313,12 +312,6 @@ impl Graph {
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
         let v = self.values[a].map(gelu);
         self.push(v, Op::Gelu(a))
-    }
-
-    /// Tanh.
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.values[a].map(f32::tanh);
-        self.push(v, Op::Tanh(a))
     }
 
     /// Concatenates tensors with equal row counts along columns.
@@ -795,19 +788,6 @@ impl Graph {
                     .zip(av.data.iter())
                 {
                     *o += g * gelu_grad(x);
-                }
-            }
-            Op::Tanh(a) => {
-                let yv = &self.values[id];
-                let (r, c) = shape(*a);
-                let ga = ensure(&mut inputs[*a], r, c);
-                for ((o, &g), &y) in ga
-                    .data
-                    .iter_mut()
-                    .zip(g_out.data.iter())
-                    .zip(yv.data.iter())
-                {
-                    *o += g * (1.0 - y * y);
                 }
             }
             Op::ConcatCols(parts) => {
@@ -1292,8 +1272,7 @@ mod tests {
         grad_check(rngt(2, 4, 3), |g, x| {
             let a = g.gelu(x);
             let b = g.relu(a);
-            let c = g.tanh(b);
-            g.mse(c, Tensor::zeros(2, 4))
+            g.mse(b, Tensor::zeros(2, 4))
         });
     }
 

@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a [`BoundedQueue::try_push`] was refused; the item is handed back.
 #[derive(Debug, PartialEq, Eq)]
@@ -30,7 +29,7 @@ pub enum TryPushError<T> {
 pub enum Pop<T> {
     /// An item was dequeued.
     Item(T),
-    /// Nothing available within the allowed wait (queue still open).
+    /// Nothing queued right now (queue still open).
     Empty,
     /// The queue is closed and fully drained — no item will ever come.
     Closed,
@@ -42,7 +41,7 @@ struct Inner<T> {
 }
 
 /// A bounded MPMC queue: producers shed load instead of blocking,
-/// consumers block (optionally with a timeout) until an item or close.
+/// consumers block until an item or close.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
@@ -118,29 +117,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Blocks up to `timeout` for an item; [`Pop::Empty`] on timeout.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Pop::Item(item);
-            }
-            if inner.closed {
-                return Pop::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Pop::Empty;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-        }
-    }
-
     /// Closes the queue: wakes all blocked consumers, refuses new pushes.
     /// Items already queued stay poppable. Idempotent.
     pub fn close(&self) {
@@ -184,6 +160,7 @@ impl<T> std::fmt::Debug for BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_capacity() {
@@ -227,14 +204,6 @@ mod tests {
         assert_eq!(second, Pop::Closed);
         assert_eq!(q.try_push(11), Err(TryPushError::Closed(11)));
         q.close(); // idempotent
-    }
-
-    #[test]
-    fn pop_timeout_reports_empty_then_item() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Empty);
-        q.try_push(1).expect("fits");
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Pop::Item(1));
     }
 
     #[test]

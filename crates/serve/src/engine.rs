@@ -13,19 +13,19 @@
 //! when a lane is full the submit **sheds load** with a typed
 //! [`ServeError::Overloaded`] instead of queueing unboundedly. The batcher
 //! validates each cone and resolves its physical attributes and
-//! structural digest as it pops the request, so that work overlaps the
-//! submitter's next requests; a cone that fails validation answers
-//! [`ServeError::Invalid`], whichever way it arrived.
+//! structural digest, or parses each expression, as it pops the request,
+//! so that work overlaps the submitter's next requests; a request that
+//! fails these checks answers [`ServeError::Invalid`], whichever way it
+//! arrived.
 //!
-//! A batcher coalesces everything that arrives within a small window (up
-//! to `max_batch`), or until a **seal** tells it the burst has landed
-//! ([`Client::seal`]: the socket reader sends one to each lane it fed
-//! once it has decoded every byte the peer sent). It answers the batch in
-//! three steps: plan (prune expired requests, answer cache hits, dedup
-//! identical structures), compute, reply. Every missing cone goes
-//! through the model's one embedding pipeline, [`NetTag::embed_tags`],
-//! and standalone expression requests through the same
-//! [`nettag_core::ExprLlm::encode_texts`]. Both read
+//! A batcher blocks for its first request, then takes whatever else is
+//! already queued (up to `max_batch`): requests that arrive while a batch
+//! computes form the next one, so batch size follows load with no timer.
+//! It answers the batch in three steps: plan (prune expired requests,
+//! answer cache hits, dedup identical structures), compute, reply. Every
+//! missing cone goes through the model's one embedding pipeline,
+//! [`NetTag::embed_tags`], and standalone expression requests through the
+//! same [`nettag_core::ExprLlm::encode_texts`]. Both read
 //! gate-text rows from ExprLLM's own cache, which lives with the weights
 //! (engines sharing one [`load_checkpoint_shared`] model share it): a gate
 //! text is encoded once per served model, and every later batch reuses
@@ -117,7 +117,8 @@ pub struct ServeStats {
     pub panics_recovered: u64,
 }
 
-/// An un-routed request as the caller states it.
+/// A request as the caller states it. Its lane checks it when it pops it
+/// ([`resolve`]).
 pub(crate) enum RawRequest {
     /// Embed, classify or fuse a cone netlist.
     Cone {
@@ -154,19 +155,6 @@ pub(crate) enum ConeOut {
 /// against the plain compute) but never alias the plain cache entry. A
 /// fused hit saves the cone's placement flow.
 const FUSED_SALT: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834;
-
-/// A checked request on its lane. A cone's physical attributes and
-/// digest are resolved when the batcher pops it ([`resolve`]).
-enum RequestKind {
-    Cone {
-        netlist: Netlist,
-        phys: Option<Vec<PhysProps>>,
-        out: ConeOut,
-    },
-    Expr {
-        expr: Expr,
-    },
-}
 
 /// A popped request, ready to plan: a cone carries its physical
 /// attributes and its digest, the cache key.
@@ -221,19 +209,10 @@ impl ReplyTo {
 }
 
 struct Request {
-    kind: RequestKind,
+    kind: RawRequest,
     /// Answer-by time; a request still queued past it is pruned.
     deadline: Option<Instant>,
     reply: ReplyTo,
-}
-
-/// An entry of a lane queue.
-enum Slot {
-    Request(Request),
-    /// The submitter has handed over every request it has for now: a
-    /// batch whose queue is empty after a seal closes at once
-    /// ([`Client::seal`]).
-    Seal,
 }
 
 /// The swappable part of the engine: the frozen weights (which carry their
@@ -256,6 +235,26 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(model: Arc<NetTag>, head: Option<ClassifierHead>, cfg: ServeConfig) -> Shared {
+        Shared {
+            state: RwLock::new(ModelState {
+                model,
+                generation: 0,
+            }),
+            head,
+            lib: Library::default(),
+            cache: ConeCache::new(cfg.cache_capacity),
+            stats: Mutex::new(ServeStats::default()),
+            // Engines with an empty plan carry no fault state at all: the
+            // injection sites reduce to one `is_some` branch.
+            faults: cfg
+                .faults
+                .enabled()
+                .then(|| Arc::new(FaultState::new(cfg.faults))),
+            cfg,
+        }
+    }
+
     /// The served model and its generation, recovered through poison: a
     /// swap writes both whole.
     fn state(&self) -> RwLockReadGuard<'_, ModelState> {
@@ -269,7 +268,7 @@ impl Shared {
     }
 }
 
-type Lanes = Arc<[Arc<BoundedQueue<Slot>>]>;
+type Lanes = Arc<[Arc<BoundedQueue<Request>>]>;
 
 /// The embedding-serving engine. Owns one batcher thread per lane; hand
 /// out [`Client`]s (cheaply cloneable) to callers on any thread.
@@ -321,24 +320,7 @@ impl Engine {
         } else {
             cfg.lanes
         };
-        // Engines with an empty plan carry no fault state at all — the
-        // injection sites reduce to one `is_some` branch.
-        let faults = cfg
-            .faults
-            .enabled()
-            .then(|| Arc::new(FaultState::new(cfg.faults)));
-        let shared = Arc::new(Shared {
-            state: RwLock::new(ModelState {
-                model,
-                generation: 0,
-            }),
-            head,
-            lib: Library::default(),
-            cache: ConeCache::new(cfg.cache_capacity),
-            stats: Mutex::new(ServeStats::default()),
-            faults,
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(model, head, cfg));
         let lanes: Lanes = (0..lane_count)
             .map(|_| Arc::new(BoundedQueue::new(cfg.queue_depth)))
             .collect::<Vec<_>>()
@@ -590,16 +572,16 @@ impl Client {
     }
 
     /// Checks a raw request and picks its lane, on the caller's thread.
-    /// Only the cheap checks run here (phys length, classifier present,
-    /// expression syntax); a cone's lane comes from [`lane_key`], one pass
-    /// over its gates. Validation, the phys estimates and the digest wait
-    /// for the batcher, which runs them as it pops the request, so a
-    /// socket reader decodes the next frame meanwhile.
-    fn route(&self, raw: RawRequest) -> Result<(usize, RequestKind), ServeError> {
-        let lanes = self.lanes.len();
-        match raw {
+    /// Only the cheap checks run here (phys length, classifier present); a
+    /// cone's lane comes from [`lane_key`], one pass over its gates, an
+    /// expression's from its text hash. Validation, the phys estimates,
+    /// the digest and expression parsing wait for the batcher, which runs
+    /// them as it pops the request, so a socket reader decodes the next
+    /// frame meanwhile.
+    fn route(&self, raw: &RawRequest) -> Result<usize, ServeError> {
+        let key = match raw {
             RawRequest::Cone { netlist, phys, out } => {
-                if out == ConeOut::Predict && self.shared.head.is_none() {
+                if *out == ConeOut::Predict && self.shared.head.is_none() {
                     return Err(ServeError::NoClassifier);
                 }
                 if let Some(p) = phys.as_ref().filter(|p| p.len() != netlist.gate_count()) {
@@ -609,67 +591,46 @@ impl Client {
                         netlist.gate_count()
                     )));
                 }
-                let lane = (lane_key(&netlist) % lanes as u64) as usize;
-                Ok((lane, RequestKind::Cone { netlist, phys, out }))
+                lane_key(netlist)
             }
-            RawRequest::Expr { text } => {
-                let expr = parse_expr(&text)
-                    .map_err(|e| ServeError::Invalid(format!("expression: {e}")))?;
-                let lane = (fnv1a(text.as_bytes()) % lanes as u64) as usize;
-                Ok((lane, RequestKind::Expr { expr }))
-            }
-        }
+            RawRequest::Expr { text } => fnv1a(text.as_bytes()),
+        };
+        Ok((key % self.lanes.len() as u64) as usize)
     }
 
-    /// Routes and enqueues a request, returning the lane it joined. On
-    /// failure the reply slot is handed back with the error, so the
-    /// socket front-end can answer the frame itself.
+    /// Routes and enqueues a request. On failure the reply slot is handed
+    /// back with the error, so the socket front-end can answer the frame
+    /// itself.
     pub(crate) fn submit(
         &self,
         raw: RawRequest,
         deadline: Option<Instant>,
         reply: ReplyTo,
-    ) -> Result<usize, (ReplyTo, ServeError)> {
-        let (lane, kind) = match self.route(raw) {
-            Ok(v) => v,
+    ) -> Result<(), (ReplyTo, ServeError)> {
+        let lane = match self.route(&raw) {
+            Ok(lane) => lane,
             Err(e) => return Err((reply, e)),
         };
-        match self.lanes[lane].try_push(Slot::Request(Request {
-            kind,
-            deadline,
-            reply,
-        })) {
-            Ok(()) => Ok(lane),
-            Err(TryPushError::Full(Slot::Request(req))) => {
-                self.shared.stats().shed += 1;
-                Err((req.reply, ServeError::Overloaded))
-            }
-            Err(TryPushError::Closed(Slot::Request(req))) => Err((req.reply, ServeError::Closed)),
-            Err(_) => unreachable!("a request was pushed"),
-        }
-    }
-
-    /// Number of lanes [`Client::submit`] may return.
-    pub(crate) fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Tells `lane` that this submitter has handed over every request it
-    /// has for now (the socket reader calls it once it has decoded every
-    /// byte the peer sent). A batch whose queue is empty right after the
-    /// seal closes at once instead of waiting out `linger`; a request
-    /// queued behind the seal re-arms `linger`. A seal that finds the
-    /// lane full or closed is dropped, so it never sheds a request, and
-    /// it counts nowhere in [`ServeStats`].
-    pub(crate) fn seal(&self, lane: usize) {
-        let _ = self.lanes[lane].try_push(Slot::Seal);
+        self.lanes[lane]
+            .try_push(Request {
+                kind: raw,
+                deadline,
+                reply,
+            })
+            .map_err(|e| match e {
+                TryPushError::Full(req) => {
+                    self.shared.stats().shed += 1;
+                    (req.reply, ServeError::Overloaded)
+                }
+                TryPushError::Closed(req) => (req.reply, ServeError::Closed),
+            })
     }
 
     fn call(&self, raw: RawRequest) -> Result<Response, ServeError> {
         let deadline = self.timeout.map(|t| Instant::now() + t);
         let (reply, rx) = channel();
         match self.submit(raw, deadline, ReplyTo::Oneshot(reply)) {
-            Ok(_) => match deadline {
+            Ok(()) => match deadline {
                 // If the batcher exits before answering, the queued
                 // request (and with it our reply sender) is dropped and
                 // recv reports Closed.
@@ -712,10 +673,11 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Resolves a popped request: a cone is validated, then gets its
 /// physical attributes (the caller's, or synthesis estimates) and its
-/// digest. Every cone passes this one check, in-process or off a socket.
-fn resolve(shared: &Shared, kind: RequestKind) -> Result<Job, ServeError> {
+/// digest; an expression is parsed. Every request passes this one check,
+/// in-process or off a socket.
+fn resolve(shared: &Shared, kind: RawRequest) -> Result<Job, ServeError> {
     Ok(match kind {
-        RequestKind::Cone { netlist, phys, out } => {
+        RawRequest::Cone { netlist, phys, out } => {
             let netlist = netlist
                 .validate()
                 .map_err(|e| ServeError::Invalid(format!("netlist: {e}")))?;
@@ -728,7 +690,9 @@ fn resolve(shared: &Shared, kind: RequestKind) -> Result<Job, ServeError> {
                 out,
             }
         }
-        RequestKind::Expr { expr } => Job::Expr { expr },
+        RawRequest::Expr { text } => Job::Expr {
+            expr: parse_expr(&text).map_err(|e| ServeError::Invalid(format!("expression: {e}")))?,
+        },
     })
 }
 
@@ -751,61 +715,31 @@ fn admit(shared: &Shared, req: Request) -> Result<Admitted, (ReplyTo, ServeError
 /// A resolved request: its job, deadline and reply slot.
 type Admitted = (Job, Option<Instant>, ReplyTo);
 
-/// One lane's batcher loop: block for the first request, then coalesce
-/// what arrives with it (up to `max_batch`) and process one batch. A
-/// batch closes when any of four cutoffs fires: it is full, the queue is
-/// empty right after a seal (the submitter has handed over its burst),
-/// `batch_window` has elapsed since its first request (hard latency cap),
-/// or the queue has stayed empty for `linger` (the burst has landed and
-/// every client is now blocked on a reply — waiting longer is dead time).
-/// A seal with no batch open has nothing to close and is dropped. A
-/// closed lane drains its accepted requests before the thread exits.
-/// Requests that fail to resolve are answered once the batch's counters
-/// are committed, so a caller that reads [`Engine::stats`] after its
-/// reply sees its request counted.
-fn batcher(shared: &Shared, queue: &BoundedQueue<Slot>) {
-    loop {
-        let first = match queue.pop() {
-            Pop::Item(Slot::Request(r)) => r,
-            Pop::Item(Slot::Seal) => continue,
-            Pop::Closed => return,
-            Pop::Empty => unreachable!("blocking pop never reports Empty"),
-        };
-        let deadline = Instant::now() + shared.cfg.batch_window;
+/// One lane's batcher loop: block for the first request, then take
+/// whatever is already queued and process one batch. A batch closes when
+/// it is full (`max_batch`) or the queue is empty; requests that arrive
+/// while it computes form the next one. A closed lane drains its accepted
+/// requests before the thread exits. Requests that fail to resolve are
+/// answered once the batch's counters are committed, so a caller that
+/// reads [`Engine::stats`] after its reply sees its request counted.
+fn batcher(shared: &Shared, queue: &BoundedQueue<Request>) {
+    while let Pop::Item(mut req) = queue.pop() {
         let mut batch = Vec::new();
         let mut rejected = Vec::new();
-        let mut add = |req| match admit(shared, req) {
-            Ok(job) => batch.push(job),
-            Err(failed) => rejected.push(failed),
-        };
-        add(first);
-        let mut accepted = 1;
-        let mut quiet = Instant::now() + shared.cfg.linger;
-        let mut sealed = false;
-        while accepted < shared.cfg.max_batch {
-            // Scoop already-queued entries without waiting.
-            let popped = match queue.try_pop() {
-                Pop::Empty if sealed => break,
-                Pop::Empty => {
-                    let now = Instant::now();
-                    let cutoff = deadline.min(quiet);
-                    if now >= cutoff {
-                        break;
-                    }
-                    queue.pop_timeout(cutoff - now)
-                }
-                popped => popped,
-            };
-            match popped {
-                Pop::Item(Slot::Request(r)) => {
-                    add(r);
-                    accepted += 1;
-                    quiet = Instant::now() + shared.cfg.linger;
-                    sealed = false;
-                }
-                Pop::Item(Slot::Seal) => sealed = true,
-                Pop::Closed | Pop::Empty => break,
+        let mut accepted = 0;
+        loop {
+            match admit(shared, req) {
+                Ok(job) => batch.push(job),
+                Err(failed) => rejected.push(failed),
             }
+            accepted += 1;
+            if accepted >= shared.cfg.max_batch {
+                break;
+            }
+            req = match queue.try_pop() {
+                Pop::Item(next) => next,
+                Pop::Empty | Pop::Closed => break,
+            };
         }
         {
             let mut stats = shared.stats();
@@ -1153,51 +1087,69 @@ mod tests {
     }
 
     #[test]
-    fn a_seal_closes_its_batch_at_once_and_counts_nowhere() {
+    fn a_queued_mixed_batch_runs_once_with_offline_bits() {
+        // Everything is queued before the batcher runs, so it takes all of
+        // it as one batch: four cone structures, one of them twice (its
+        // renamed twin dedups against it), next to three expressions, two
+        // of them equal.
         let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
-        let engine = Engine::new(
-            Arc::clone(&model),
-            ServeConfig {
-                lanes: 1,
-                linger: Duration::from_secs(5),
-                batch_window: Duration::from_secs(10),
-                ..ServeConfig::default()
-            },
-        );
-        let client = engine.client();
-        let n = cone(["a", "b", "g1", "g2", "m", "y"], false);
-        let tag = Tag::from_netlist(&n, &Library::default(), &model.tag_options());
-        let offline = model.embed_tag(&tag).cls.data;
-        // Each round: seals with no batch open (dropped), then one
-        // request and its seal, which answers long before `linger`. The
-        // lane is FIFO, so once a reply arrives every earlier seal has
-        // been popped.
-        for round in 1..=2u64 {
-            client.seal(0);
-            client.seal(0);
-            let (tx, rx) = channel();
-            let raw = RawRequest::Cone {
-                netlist: n.clone(),
-                phys: None,
-                out: ConeOut::Embed,
-            };
-            let lane = client
-                .submit(raw, None, ReplyTo::Oneshot(tx))
-                .ok()
-                .expect("accepted");
-            client.seal(lane);
-            let reply = rx
-                .recv_timeout(Duration::from_secs(3))
-                .expect("a sealed batch does not wait out linger");
-            let Ok(Response::Embedding(emb)) = reply else {
-                panic!("an embedding");
-            };
-            assert_eq!(emb.data, offline);
-            let stats = engine.stats();
-            assert_eq!(
-                (stats.requests, stats.batches, stats.shed),
-                (round, round, 0)
-            );
+        let shared = Shared::new(Arc::clone(&model), None, ServeConfig::default());
+        let base = cone(["a", "b", "g1", "g2", "m", "y"], false);
+        let mut cones = vec![base.clone()];
+        for kind in [CellKind::Nor2, CellKind::Xor2, CellKind::And2] {
+            let mut other = base.clone();
+            other.gate_mut(GateId(4)).kind = kind;
+            cones.push(other);
         }
+        cones.push(cone(["p", "q", "U7", "U3", "n", "out"], false));
+        let exprs = ["!((R1 ^ R2) | !R2)", "a & b", "!((R1 ^ R2) | !R2)"];
+        let lane = BoundedQueue::new(16);
+        let push = |kind| {
+            let (tx, rx) = channel();
+            let req = Request {
+                kind,
+                deadline: None,
+                reply: ReplyTo::Oneshot(tx),
+            };
+            lane.try_push(req).ok().expect("fits");
+            rx
+        };
+        let cone_replies: Vec<_> = cones
+            .iter()
+            .map(|n| {
+                push(RawRequest::Cone {
+                    netlist: n.clone(),
+                    phys: None,
+                    out: ConeOut::Embed,
+                })
+            })
+            .collect();
+        let expr_replies: Vec<_> = exprs
+            .iter()
+            .map(|text| {
+                push(RawRequest::Expr {
+                    text: text.to_string(),
+                })
+            })
+            .collect();
+        lane.close();
+        batcher(&shared, &lane);
+        let served = |rx: std::sync::mpsc::Receiver<_>| match rx.recv().expect("answered") {
+            Ok(Response::Embedding(emb)) => emb.data.clone(),
+            _ => panic!("an embedding"),
+        };
+        let lib = Library::default();
+        for (n, rx) in cones.iter().zip(cone_replies) {
+            let tag = Tag::from_netlist(n, &lib, &model.tag_options());
+            assert_eq!(served(rx), model.embed_tag(&tag).cls.data);
+        }
+        for (text, rx) in exprs.iter().zip(expr_replies) {
+            let expr = parse_expr(text).expect("parses");
+            let tokens = tokenize_expr(NetTag::vocab(), &expr, model.config.max_tokens);
+            assert_eq!(served(rx), model.exprllm.encode(&tokens).data, "{text}");
+        }
+        let stats = *shared.stats();
+        assert_eq!((stats.requests, stats.batches), (8, 1));
+        assert_eq!((stats.cache_misses, stats.dedup_hits), (4, 1));
     }
 }

@@ -4,17 +4,17 @@
 //! embeddings downstream flows query on demand (Sec. II-F); this crate
 //! provides that serving layer for the Rust reproduction:
 //!
-//! * **Dynamic batching, in lanes** — concurrent embed/predict requests
-//!   arriving within a small window coalesce into one batched forward
+//! * **Dynamic batching, in lanes** — a lane's batcher takes every
+//!   request already queued (up to `max_batch`) as one batched forward
 //!   pass through the frozen ExprLLM/TAGFormer stack, which fans out
-//!   across the persistent `nettag-par` worker pool. Requests shard
-//!   across multiple batcher **lanes** by a name- and order-blind
-//!   structural key, so multi-core boxes don't serialize on one batch
-//!   queue while equal structures still meet in one lane. Each lane's
-//!   batcher computes the phys estimates and the digest of the cones it
-//!   pops. The socket reader only decodes: once it has drained the bytes
-//!   a peer sent, it seals the lanes it fed, and they close their batches
-//!   at once instead of waiting out `linger`.
+//!   across the persistent `nettag-par` worker pool; requests that arrive
+//!   while a batch computes form the next one, so batch size follows load
+//!   with no timer. Requests shard across multiple batcher **lanes** by a
+//!   name- and order-blind structural key, so multi-core boxes don't
+//!   serialize on one batch queue while equal structures still meet in
+//!   one lane. Each lane's batcher validates the cones it pops and
+//!   computes their phys estimates and digests, and parses the
+//!   expressions; the socket reader only decodes.
 //! * **Backpressure** — every lane is a *bounded* queue: when requests
 //!   arrive faster than they drain, the excess is refused immediately
 //!   with a typed [`ServeError::Overloaded`] instead of queueing
@@ -121,21 +121,9 @@ use std::time::Duration;
 /// Tuning knobs for the serving engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Hard cap on how long a batcher waits after a batch's *first*
-    /// request before closing it — the most latency batching can add.
-    pub batch_window: Duration,
-    /// Quiescence cutoff: the batch closes early once the queue has
-    /// stayed empty this long. Blocking clients send in bursts (then
-    /// wait on replies), so after a burst lands nothing more is coming
-    /// and idling out the rest of `batch_window` is pure dead time. A
-    /// [`NetServer`] connection does not wait it out: once its reader has
-    /// decoded every byte the peer sent, it seals each lane it fed, and a
-    /// lane whose queue is empty after a seal closes its batch at once.
-    /// `linger` still governs in-process [`Client`]s, requests queued
-    /// behind a seal, and a lane that was full when the seal came (the
-    /// seal is dropped rather than shed a request).
-    pub linger: Duration,
-    /// Largest number of requests coalesced into one batch.
+    /// Largest number of requests coalesced into one batch. A batcher
+    /// never waits to fill a batch: it takes what is already queued, up
+    /// to this many.
     pub max_batch: usize,
     /// Cone-embedding cache capacity (entries; 0 disables caching).
     pub cache_capacity: usize,
@@ -165,8 +153,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            batch_window: Duration::from_millis(2),
-            linger: Duration::from_micros(300),
             max_batch: 64,
             cache_capacity: 1024,
             lanes: 0,

@@ -326,25 +326,13 @@ fn serve_connection(stream: TcpStream, client: &Client, conn: &ConnState, epoch:
         Ok(())
     })();
     if hello_ok.is_ok() {
-        // Lanes fed since the last seal.
-        let mut fed = vec![false; client.lane_count()];
+        // The reader only decodes and routes: each frame joins its lane at
+        // once, and the lane batches whatever is queued when it is free.
         // The loop ends on clean EOF, a protocol violation, or a severed
         // socket — the framing is gone either way.
         while let Ok(Some(req)) = proto::read_request(&mut reader) {
             conn.touch(epoch);
-            if let Some(lane) = dispatch(client, req, &tx) {
-                fed[lane] = true;
-            }
-            // Every byte the peer has sent so far is decoded: its burst
-            // has landed. Sealing the lanes it fed lets them close their
-            // batches now instead of waiting out `linger`.
-            if reader.buffer().is_empty() {
-                for (lane, fed) in fed.iter_mut().enumerate() {
-                    if std::mem::take(fed) {
-                        client.seal(lane);
-                    }
-                }
-            }
+            dispatch(client, req, &tx);
         }
     }
     // Drop our reply sender; once in-flight requests answer, the writer's
@@ -358,13 +346,13 @@ fn serve_connection(stream: TcpStream, client: &Client, conn: &ConnState, epoch:
     conn.touch(epoch);
 }
 
-/// Answers or routes one decoded frame, returning the lane it fed. Pings
-/// are answered here; everything else goes to [`Client::submit`], and a
-/// request it refuses or sheds answers its frame with a typed error. A
-/// netlist is validated in its lane, like an in-process one, and a bad
-/// one answers `Invalid` on its own frame. The connection lives on either
-/// way.
-fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> Option<usize> {
+/// Answers or routes one decoded frame. Pings are answered here;
+/// everything else goes to [`Client::submit`], and a request it refuses
+/// or sheds answers its frame with a typed error. A netlist is validated,
+/// and an expression parsed, in its lane, like an in-process one, and a
+/// bad one answers `Invalid` on its own frame. The connection lives on
+/// either way.
+fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) {
     // The server restarts the deadline clock on receipt: the budget
     // excludes network transit, which the client's own read timeout
     // already bounds.
@@ -375,7 +363,7 @@ fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> O
             // Answered here, never entering a lane: a saturated engine
             // still pongs, which is the point of a health check.
             let _ = tx.send((req.id, Ok(Response::Pong(client.generation()))));
-            return None;
+            return;
         }
         RequestBody::EmbedCone { netlist, phys } => RawRequest::Cone {
             netlist,
@@ -393,12 +381,8 @@ fn dispatch(client: &Client, req: proto::Request, tx: &Sender<TaggedReply>) -> O
         id: req.id,
         tx: tx.clone(),
     };
-    match client.submit(raw, deadline, reply) {
-        Ok(lane) => Some(lane),
-        Err((reply, e)) => {
-            reply.send(Err(e));
-            None
-        }
+    if let Err((reply, e)) = client.submit(raw, deadline, reply) {
+        reply.send(Err(e));
     }
 }
 

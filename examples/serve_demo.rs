@@ -45,10 +45,11 @@ fn main() {
     }
     println!("  {} cones from 4 designs", cones.len());
 
-    // 3. Eight concurrent clients, each embedding every 8th cone. All
-    // requests funnel into one batcher; requests that land in the same
-    // window share one batched ExprLLM pass, and repeated structures
-    // are answered from the cache (or deduplicated within their batch).
+    // 3. Eight concurrent clients, each embedding every 8th cone. Each
+    // lane takes the requests queued on it as one batch, so requests
+    // that queue while a batch computes share the next batched ExprLLM
+    // pass, and repeated structures are answered from the cache (or
+    // deduplicated within their batch).
     println!("\n== 3. serving with 8 concurrent clients ==");
     let t0 = Instant::now();
     std::thread::scope(|s| {
