@@ -4,15 +4,28 @@
 //! suite at `RAYON_NUM_THREADS=1` and `4`; combined with the
 //! serial-vs-parallel step equivalence tests in `nettag-nn`, that pins
 //! the whole training path to one result at any thread count.
+//!
+//! The `*_fingerprints` tests go further and pin the bits themselves, as
+//! FNV-1a constants: the loss traces, the trained model's `[CLS]`
+//! embeddings and ExprLLM's encodings. A change that must keep the
+//! model's numbers leaves them alone; one that changes them on purpose
+//! re-records them and says why.
 
-use nettag_core::data::{build_pretrain_data, DataConfig};
+use nettag_core::data::{build_pretrain_data, DataConfig, PretrainData};
 use nettag_core::{
-    pretrain, ClassifierHead, FinetuneConfig, NetTag, NetTagConfig, PretrainConfig, PretrainReport,
+    fnv1a, pretrain, ClassifierHead, ExprLlm, FinetuneConfig, NetTag, NetTagConfig, PretrainConfig,
+    PretrainReport,
 };
-use nettag_netlist::Library;
+use nettag_netlist::{Library, Tag};
 use nettag_synth::{generate_design, Family, GenerateConfig};
 
 fn run_once() -> PretrainReport {
+    trained().1
+}
+
+/// The pre-training corpus, and the model pre-trained on it with its
+/// report.
+fn trained() -> (PretrainData, PretrainReport, NetTag) {
     let lib = Library::default();
     let designs: Vec<_> = (0..2)
         .map(|i| generate_design(Family::OpenCores, i, 3, &GenerateConfig::default()))
@@ -33,11 +46,77 @@ fn run_once() -> PretrainReport {
         step2_batch: 3,
         ..PretrainConfig::default()
     };
-    pretrain(&mut model, &data, &config)
+    let report = pretrain(&mut model, &data, &config);
+    (data, report, model)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// FNV-1a over the little-endian bits of `rows`, in order.
+fn fingerprint<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    let bytes: Vec<u8> = rows
+        .into_iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+#[test]
+fn pretrain_fingerprints() {
+    let (data, report, model) = trained();
+    let tags: Vec<&Tag> = data.cones.iter().map(|c| &c.tag).collect();
+    let cls: Vec<Vec<f32>> = model
+        .embed_tags(&tags)
+        .into_iter()
+        .map(|e| e.cls.data)
+        .collect();
+    let got = [
+        fingerprint([&report.step1_losses[..]]),
+        fingerprint([&report.step2_losses[..]]),
+        fingerprint(cls.iter().map(Vec::as_slice)),
+    ];
+    assert_eq!(
+        got,
+        [
+            0xf770_96bf_33db_4ece,
+            0xb51b_4ec8_406d_7eca,
+            0x9755_3ad4_552a_fc49
+        ],
+        "step-1 losses, step-2 losses, trained [CLS] rows: {got:#018x?}"
+    );
+}
+
+#[test]
+fn exprllm_encode_fingerprints() {
+    let vocab = NetTag::vocab();
+    // Lengths from one token to past both configs' `max_tokens` (48, 160).
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let seqs: Vec<Vec<u32>> = [1usize, 2, 3, 5, 17, 48, 61, 170]
+        .iter()
+        .map(|&n| {
+            (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    ((state >> 33) % vocab.len() as u64) as u32
+                })
+                .collect()
+        })
+        .collect();
+    let got = [NetTagConfig::tiny(), NetTagConfig::small()].map(|config| {
+        let model = ExprLlm::new(vocab, &config);
+        let rows: Vec<Vec<f32>> = seqs.iter().map(|s| model.encode(s).data).collect();
+        fingerprint(rows.iter().map(Vec::as_slice))
+    });
+    assert_eq!(
+        got,
+        [0xd8b0_dcff_038a_c737, 0xc061_450a_f36c_a24f],
+        "tiny, small: {got:#018x?}"
+    );
 }
 
 #[test]
