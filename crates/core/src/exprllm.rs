@@ -10,7 +10,7 @@
 use crate::config::NetTagConfig;
 use nettag_expr::token::{TokenId, Vocab};
 use nettag_nn::{
-    Embedding, Graph, Layer, LayerNorm, Linear, NodeId, Param, Tensor, TransformerBlock,
+    Embedding, Graph, Layer, LayerNorm, Linear, NodeId, Param, QueryRows, Tensor, TransformerBlock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,6 +127,12 @@ impl ExprLlm {
 
     /// Differentiable forward for one token sequence → 1×embed_dim
     /// (the `[CLS]` position's projected output, `T_i = ExprLLM(t_i)`).
+    ///
+    /// Only row 0 leaves the last block: its queries, residual, FFN and
+    /// everything after run on that one row, while its keys and values,
+    /// and every earlier block, still cover all n rows. The other rows
+    /// of a full last block would be computed and dropped, so the output
+    /// has the same bits (see [`QueryRows`]).
     pub fn forward(&self, g: &mut Graph, tokens: &[TokenId]) -> NodeId {
         let n = tokens.len().min(self.max_tokens);
         let toks = &tokens[..n];
@@ -135,17 +141,23 @@ impl ExprLlm {
         let pos_ids: Vec<u32> = (0..n as u32).collect();
         let pos = g.gather_param_rows(&self.pos, &pos_ids);
         x = g.add(x, pos);
-        for b in &self.blocks {
-            x = b.forward(g, x);
-        }
-        let x = self.ln.forward(g, x);
-        let cls = g.select_row(x, 0);
+        let cls = match self.blocks.split_last() {
+            Some((last, earlier)) => {
+                for b in earlier {
+                    x = b.forward(g, x, QueryRows::All);
+                }
+                last.forward(g, x, QueryRows::First)
+            }
+            None => g.select_row(x, 0),
+        };
+        let cls = self.ln.forward(g, cls);
         self.proj.forward(g, cls)
     }
 
     /// Inference-only encoding: [`Self::forward`] on a
     /// [`Graph::no_grad`] graph, so the result is the tape pass's bits
-    /// with no backward state kept — this is the serving hot path.
+    /// with no backward state kept and no score matrix wider than 1×n in
+    /// the last block — this is the serving hot path.
     pub fn encode(&self, tokens: &[TokenId]) -> Tensor {
         let mut g = Graph::no_grad();
         let out = self.forward(&mut g, tokens);

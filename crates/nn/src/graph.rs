@@ -11,7 +11,9 @@
 //! but records no backward state: ops push values and no tape records,
 //! parameter operands (`&Param`) are read in place instead of
 //! being copied onto the tape, LayerNorm keeps no `xhat`/`1/std`, and an
-//! attention head (softmax or linear) keeps only its output. Inference
+//! attention head (softmax or linear) keeps only its output, not its
+//! scores (m×n for m query rows; ExprLLM's last block asks for one row,
+//! so its scores are 1×n in both modes). Inference
 //! entry points (the encoders' `encode`) are thin wrappers that run the
 //! training `forward` on such a graph, so served outputs are bitwise
 //! equal to the tape's by construction. `backward*` on a no-grad graph
@@ -180,7 +182,7 @@ impl Graph {
     /// docs): the same forward bits as [`Graph::new`], for inference.
     pub fn no_grad() -> Graph {
         Graph {
-            // Room for a tiny-config ExprLLM pass (~23 values) without
+            // Room for a tiny-config ExprLLM pass (25 values) without
             // regrowing: the per-sequence serving path is that short.
             values: Vec::with_capacity(32),
             no_grad: true,
@@ -383,7 +385,7 @@ impl Graph {
     /// One attention head, `softmax(q kᵀ · scale) v`, with the kernels in
     /// that order. Tape mode records the four ops (`matmul_bt`, `scale`,
     /// `softmax_rows_op`, `matmul`); no-grad mode keeps only the head
-    /// output, not the n×n score matrices.
+    /// output, not the m×n score matrices (m rows of `q`, n of `k`).
     pub fn attention(&mut self, q: NodeId, k: NodeId, v: NodeId, scale: f32) -> NodeId {
         if !self.no_grad {
             let scores = self.matmul_bt(q, k);

@@ -169,6 +169,32 @@ impl Layer for LayerNorm {
     }
 }
 
+/// The rows of a sequence that attention computes outputs for.
+///
+/// A block's output row i depends on the other input rows only through
+/// the keys and values, so an encoder that reads one pooled row (`[CLS]`,
+/// row 0) of its last block needs the others there only as keys and
+/// values. Every kernel reduces each output element in an order that
+/// does not depend on the row count, so row 0 comes out with the same
+/// bits either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryRows {
+    /// Every row: an n×d input gives an n×d output.
+    All,
+    /// Row 0 only: an n×d input gives a 1×d output.
+    First,
+}
+
+impl QueryRows {
+    /// `x` itself, or its row 0.
+    fn select(self, g: &mut Graph, x: NodeId) -> NodeId {
+        match self {
+            QueryRows::All => x,
+            QueryRows::First => g.select_row(x, 0),
+        }
+    }
+}
+
 /// Multi-head bidirectional (full) self-attention.
 ///
 /// NetTAG adapts a decoder LLM into an encoder by "converting causal
@@ -213,12 +239,17 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Full (unmasked) self-attention over an n×d sequence.
-    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
+    /// Full (unmasked) self-attention over an n×d sequence: every row is
+    /// a key and a value, and `rows` picks the query rows, so the output
+    /// is n×d or 1×d. With `First`, each head selects its own query row
+    /// right before its `wq`, which keeps the backward's order of adds
+    /// into `x`.
+    pub fn forward(&self, g: &mut Graph, x: NodeId, rows: QueryRows) -> NodeId {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut heads = Vec::with_capacity(self.wq.len());
         for h in 0..self.wq.len() {
-            let q = self.wq[h].forward(g, x);
+            let qx = rows.select(g, x);
+            let q = self.wq[h].forward(g, qx);
             let k = self.wk[h].forward(g, x);
             let v = self.wv[h].forward(g, x);
             heads.push(g.attention(q, k, v, scale));
@@ -286,10 +317,13 @@ impl TransformerBlock {
         }
     }
 
-    /// Forward pass with residual connections.
-    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
+    /// Forward pass with residual connections over the query `rows`:
+    /// LN1 and the keys and values see every row of `x`; the residual,
+    /// LN2 and the FFN see only the query rows.
+    pub fn forward(&self, g: &mut Graph, x: NodeId, rows: QueryRows) -> NodeId {
         let n1 = self.ln1.forward(g, x);
-        let a = self.attn.forward(g, n1);
+        let a = self.attn.forward(g, n1, rows);
+        let x = rows.select(g, x);
         let x1 = g.add(x, a);
         let n2 = self.ln2.forward(g, x1);
         let f = self.ffn.forward(g, n2);
@@ -406,7 +440,7 @@ mod tests {
         let attn = MultiHeadAttention::new(8, 2, &mut r);
         let mut g = Graph::new();
         let x = g.constant(Tensor::xavier(5, 8, &mut r));
-        let y = attn.forward(&mut g, x);
+        let y = attn.forward(&mut g, x, QueryRows::All);
         assert_eq!((g.value(y).rows, g.value(y).cols), (5, 8));
     }
 
@@ -423,7 +457,7 @@ mod tests {
         for step in 0..30 {
             let mut g = Graph::new();
             let x = g.constant(input.clone());
-            let y = block.forward(&mut g, x);
+            let y = block.forward(&mut g, x, QueryRows::All);
             let loss = g.mse(y, target.clone());
             let lv = g.value(loss).item();
             if step == 0 {
@@ -476,7 +510,7 @@ mod tests {
         let big = Tensor::xavier(1024, 80, &mut r);
         let run = |mut g: Graph| -> Vec<Tensor> {
             let x = emb.forward(&mut g, &[3, 1, 4, 1, 5, 9, 2]);
-            let y = block.forward(&mut g, x);
+            let y = block.forward(&mut g, x, QueryRows::All);
             let m = mlp.forward(&mut g, y);
             let b = g.constant(big.clone());
             let n = wide.forward(&mut g, b);

@@ -67,7 +67,7 @@ pub use gbdt::{GbdtConfig, GbdtRegressor};
 pub use grad::GradStore;
 pub use graph::{Graph, NodeId};
 pub use layers::{
-    Embedding, FeedForward, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, Param,
+    Embedding, FeedForward, Layer, LayerNorm, Linear, Mlp, MultiHeadAttention, Param, QueryRows,
     TransformerBlock,
 };
 pub use loss::{info_nce, info_nce_symmetric, weighted_sum};

@@ -1,8 +1,12 @@
 //! Property-based gradient checks: autograd gradients must match central
 //! finite differences for randomly composed computation graphs.
 
-use nettag_nn::{Graph, NodeId, Param, SparseMatrix, Tensor};
+use nettag_nn::{
+    GradStore, Graph, Layer, NodeId, Param, QueryRows, SparseMatrix, Tensor, TransformerBlock,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -39,8 +43,69 @@ fn check(input: Tensor, f: impl Fn(&mut Graph, NodeId) -> NodeId) -> Result<(), 
     Ok(())
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Row 0 of `block` over `input` through `rows`: its bits on a tape and
+/// on a no-grad graph, then the bits of every gradient (the input's under
+/// key 0, each parameter's under its key) of an MSE loss on that row.
+type RowZeroRun = (Vec<u32>, Vec<u32>, Vec<(usize, Vec<u32>)>);
+
+fn row_zero_run(
+    block: &TransformerBlock,
+    input: &Tensor,
+    target: &Tensor,
+    rows: QueryRows,
+) -> RowZeroRun {
+    let forward = |g: &mut Graph, x: NodeId| {
+        let y = block.forward(g, x, rows);
+        match rows {
+            QueryRows::All => g.select_row(y, 0),
+            QueryRows::First => y,
+        }
+    };
+    let mut no_grad = Graph::no_grad();
+    let x = no_grad.constant(input.clone());
+    let y = forward(&mut no_grad, x);
+    let no_grad_bits = bits(no_grad.value(y));
+    let mut g = Graph::new();
+    let x = g.param(0, input.clone());
+    let y = forward(&mut g, x);
+    let tape_bits = bits(g.value(y));
+    let loss = g.mse(y, target.clone());
+    let mut store = GradStore::new();
+    g.backward_into(loss, &mut store);
+    let mut grads: Vec<(usize, Vec<u32>)> = store.iter().map(|(k, t)| (k, bits(t))).collect();
+    grads.sort();
+    (tape_bits, no_grad_bits, grads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A block that computes only row 0 (ExprLLM's last block) gives row
+    /// 0 of the full block bit for bit, forward and backward.
+    #[test]
+    fn first_row_block_matches_row_zero_of_full_block(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for heads in [1, 2] {
+            for n in [1, 2, 3, 4, 5, 17, 48] {
+                let mut block = TransformerBlock::new(16, heads, 2, &mut rng);
+                for ln in [&mut block.ln1, &mut block.ln2] {
+                    ln.gain.value = Tensor::xavier(1, 16, &mut rng);
+                    ln.bias.value = Tensor::xavier(1, 16, &mut rng);
+                }
+                let input = Tensor::xavier(n, 16, &mut rng);
+                let target = Tensor::xavier(1, 16, &mut rng);
+                let full = row_zero_run(&block, &input, &target, QueryRows::All);
+                let first = row_zero_run(&block, &input, &target, QueryRows::First);
+                prop_assert_eq!(&full.0, &full.1, "full block: tape vs no-grad, n {}", n);
+                prop_assert_eq!(&full, &first, "n {}, {} heads", n, heads);
+                prop_assert_eq!(full.2.len(), block.params_mut().len() + 1);
+            }
+        }
+    }
 
     #[test]
     fn gradcheck_linear_gelu_layernorm(x in arb_tensor(3, 4), w in arb_tensor(4, 3)) {

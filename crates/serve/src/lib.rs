@@ -57,7 +57,18 @@
 //! Responses are bitwise identical to the offline API
 //! ([`nettag_core::NetTag::embed_tag`] /
 //! [`nettag_core::ExprLlm::encode`]) regardless of batch composition,
-//! cache state, lane assignment, transport, or thread count.
+//! lane assignment, transport, or thread count. Cache state and in-batch
+//! dedup narrow that for cones: both key by
+//! [`nettag_netlist::structural_hash_with_phys`], which is blind to gate
+//! names and to the order gates are declared in.
+//! * A cone whose twin differs only in gate names gets its own offline
+//!   bits: tokens name variables canonically, so the two feed the model
+//!   the same input.
+//! * A cone whose twin declares the same gates in another order gets the
+//!   first-seen twin's reply. `embed_tag` is not bitwise blind to that
+//!   order, so the reply can differ from the cone's own offline
+//!   embedding in the last bits (~1e-7). The strict per-cone check is
+//!   the aliasing gate of ROADMAP.md item 3.
 //!
 //! ## Error contract per opcode
 //!
