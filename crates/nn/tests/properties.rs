@@ -47,11 +47,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Tape bits, no-grad bits, and `(key, bits)` per gradient.
+type RowZeroRun = (Vec<u32>, Vec<u32>, Vec<(usize, Vec<u32>)>);
+
 /// Row 0 of `block` over `input` through `rows`: its bits on a tape and
 /// on a no-grad graph, then the bits of every gradient (the input's under
 /// key 0, each parameter's under its key) of an MSE loss on that row.
-type RowZeroRun = (Vec<u32>, Vec<u32>, Vec<(usize, Vec<u32>)>);
-
 fn row_zero_run(
     block: &TransformerBlock,
     input: &Tensor,
