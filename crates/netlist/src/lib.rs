@@ -52,7 +52,7 @@ pub use graph::{Gate, GateId, Netlist, NetlistError};
 pub use inline::{GateName, Pins, INLINE_NAME_BYTES, INLINE_PINS};
 pub use sim::{next_register_values, simulate_comb};
 pub use stats::NetlistStats;
-pub use structural::{structural_hash, structural_hash_with_phys};
+pub use structural::structural_hash_with_phys;
 pub use tag::{synthesis_phys_estimates, PhysProps, Tag, TagNode, TagOptions};
 pub use traverse::{backward_cone, levels, logic_depth, topo_order};
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};
