@@ -240,7 +240,7 @@ fn equal_cone_digests_imply_equal_model_input() {
         0x762f_3ed4_f3d6_70d8,
         0xa5a5_5f15_a8b4_0473,
         0x3087_e8f0_77a5_c25f,
-        0xea5d_0996_18f1_c84d,
+        0x1e93_a6f0_3cdc_3356,
     ];
     assert_eq!(
         got, want,
