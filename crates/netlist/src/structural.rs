@@ -315,9 +315,6 @@ mod tests {
             n.add_gate("N", kind, vec![r]);
             n.validate().expect("valid")
         };
-        assert_ne!(
-            digest(&build(CellKind::Inv)),
-            digest(&build(CellKind::Buf))
-        );
+        assert_ne!(digest(&build(CellKind::Inv)), digest(&build(CellKind::Buf)));
     }
 }

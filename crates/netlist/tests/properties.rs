@@ -1,10 +1,11 @@
 //! Property-based tests of netlist invariants: random DAG construction,
-//! fan-out that follows the fan-ins, cone chunking coverage, AIG lowering
-//! equivalence, and Verilog round-trips.
+//! fan-out that follows the fan-ins, the structural digest, cone chunking
+//! coverage, AIG lowering equivalence, and Verilog round-trips.
 
 use nettag_netlist::{
     aig_to_netlist, chunk_into_cones, gate_expr, netlist_to_aig, parse_verilog, simulate_comb,
-    write_verilog, Aig, CellKind, GateId, Netlist, NetlistStats,
+    structural_hash_with_phys, write_verilog, Aig, CellKind, GateId, Netlist, NetlistStats,
+    PhysProps, ALL_CELL_KINDS,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -69,6 +70,46 @@ fn check_fanout(n: &Netlist) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// One random value per gate and phys field.
+fn random_phys(n: &Netlist, rng: &mut impl rand::Rng) -> Vec<PhysProps> {
+    (0..n.gate_count())
+        .map(|_| PhysProps {
+            power: rng.gen(),
+            area: rng.gen(),
+            delay: rng.gen(),
+            toggle_rate: rng.gen(),
+            probability: rng.gen(),
+            load: rng.gen(),
+            capacitance: rng.gen(),
+            resistance: rng.gen(),
+        })
+        .collect()
+}
+
+/// `n` with gates `i` and `j` trading places in declaration order, every
+/// fan-in (and `phys`) remapped to follow them: the same circuit, declared
+/// in another order.
+fn swapped(n: &Netlist, phys: &[PhysProps], i: usize, j: usize) -> (Netlist, Vec<PhysProps>) {
+    let at = |k: usize| match k {
+        k if k == i => j,
+        k if k == j => i,
+        k => k,
+    };
+    let mut out = Netlist::new(n.name());
+    for k in 0..n.gate_count() {
+        let g = n.gate(GateId(at(k) as u32));
+        let fanin: Vec<GateId> = g
+            .fanin
+            .iter()
+            .map(|f| GateId(at(f.index()) as u32))
+            .collect();
+        let id = out.add_gate(g.name.clone(), g.kind, fanin);
+        out.gate_mut(id).size = g.size;
+    }
+    let phys = (0..n.gate_count()).map(|k| phys[at(k)]).collect();
+    (out.validate().expect("a permutation keeps the graph"), phys)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -96,6 +137,83 @@ proptest! {
         let to = GateId(rng.gen_range(0..replay.gate_count() as u32));
         replay.gate_mut(id).fanin[pin] = to;
         check_fanout(&replay)?;
+    }
+
+    /// The digest keys on exactly what the model reads: renaming every
+    /// gate keeps it; swapping one kind for another of the same arity,
+    /// retargeting one fan-in, flipping one bit of one phys field, or
+    /// declaring two independent gates in the other order each change it.
+    #[test]
+    fn digest_reads_the_model_input_and_nothing_else(n in arb_netlist(), seed in any::<u64>()) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let phys = random_phys(&n, &mut rng);
+        let base = structural_hash_with_phys(&n, &phys);
+        let count = n.gate_count();
+
+        let mut renamed = n.clone();
+        for k in 0..count {
+            renamed.gate_mut(GateId(k as u32)).name = format!("r{}", count - k).into();
+        }
+        prop_assert_eq!(structural_hash_with_phys(&renamed, &phys), base);
+
+        let others = |kind: CellKind| -> Vec<CellKind> {
+            ALL_CELL_KINDS
+                .into_iter()
+                .filter(|k| *k != kind && k.arity() == kind.arity())
+                .collect()
+        };
+        let swappable: Vec<GateId> = n
+            .iter()
+            .filter(|(_, g)| !others(g.kind).is_empty())
+            .map(|(id, _)| id)
+            .collect();
+        let id = swappable[rng.gen_range(0..swappable.len())];
+        let mut kinds = n.clone();
+        let others = others(n.gate(id).kind);
+        kinds.gate_mut(id).kind = others[rng.gen_range(0..others.len())];
+        prop_assert!(structural_hash_with_phys(&kinds, &phys) != base, "kind of {}", id);
+
+        let pinned: Vec<GateId> = n
+            .iter()
+            .filter(|(_, g)| !g.fanin.is_empty())
+            .map(|(id, _)| id)
+            .collect();
+        let id = pinned[rng.gen_range(0..pinned.len())];
+        let pin = rng.gen_range(0..n.gate(id).fanin.len());
+        let mut retargeted = n.clone();
+        let old = retargeted.gate(id).fanin[pin].index();
+        let to = (old + rng.gen_range(1..count)) % count;
+        retargeted.gate_mut(id).fanin[pin] = GateId(to as u32);
+        prop_assert!(structural_hash_with_phys(&retargeted, &phys) != base, "pin {} of {}", pin, id);
+
+        let mut flipped = phys.clone();
+        let p = &mut flipped[rng.gen_range(0..count)];
+        let field = [
+            &mut p.power,
+            &mut p.area,
+            &mut p.delay,
+            &mut p.toggle_rate,
+            &mut p.probability,
+            &mut p.load,
+            &mut p.capacitance,
+            &mut p.resistance,
+        ]
+        .into_iter()
+        .nth(rng.gen_range(0..8))
+        .expect("eight fields");
+        *field = f64::from_bits(field.to_bits() ^ 1 << rng.gen_range(0..64u32));
+        prop_assert!(structural_hash_with_phys(&n, &flipped) != base, "phys bit");
+
+        let reads = |a: usize, b: usize| n.gate(GateId(a as u32)).fanin.iter().any(|f| f.index() == b);
+        let independent: Vec<(usize, usize)> = (0..count)
+            .flat_map(|i| (i + 1..count).map(move |j| (i, j)))
+            .filter(|&(i, j)| !reads(i, j) && !reads(j, i))
+            .collect();
+        let (i, j) = independent[rng.gen_range(0..independent.len())];
+        let (twin, twin_phys) = swapped(&n, &phys, i, j);
+        prop_assert!(structural_hash_with_phys(&twin, &twin_phys) != base, "swap {} and {}", i, j);
     }
 
     /// Cone chunking covers every register exactly once and cone netlists

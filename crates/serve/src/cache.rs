@@ -2,10 +2,10 @@
 //!
 //! Keys are 128-bit structural digests
 //! ([`nettag_netlist::structural_hash_with_phys`]): two cones with equal
-//! keys are structurally isomorphic *and* carry bitwise-equal physical
-//! attributes, so their frozen embeddings are interchangeable (equal up
-//! to the last bits when the gates are declared in another order; see
-//! the crate docs). Values are
+//! keys declare the same gates in the same order with bitwise-equal
+//! physical attributes, differing at most in gate names, so the model
+//! reads the same input from both and their frozen embeddings are
+//! bitwise equal. Values are
 //! `Arc<Tensor>` — a hit hands the caller a second handle to the one
 //! buffer already computed, never a copy.
 //!

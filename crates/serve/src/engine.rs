@@ -462,7 +462,10 @@ impl Client {
     /// Embeds a netlist (typically one register cone extracted with
     /// [`nettag_netlist::cone_to_netlist`]) into its graph-level `[CLS]`
     /// embedding — `1 × embed_dim`, bitwise identical to
-    /// [`NetTag::embed_tag`] on the same structure.
+    /// [`NetTag::embed_tag`] on the same netlist, whatever the cache
+    /// holds: a cache hit or an in-batch dedup only ever answers with
+    /// the embedding of a cone that differs from this one at most in
+    /// gate names.
     ///
     /// `phys` optionally supplies one sign-off [`PhysProps`] per gate
     /// (indexed by [`nettag_netlist::GateId`]); otherwise synthesis
@@ -1045,17 +1048,42 @@ mod tests {
         n.validate().expect("valid")
     }
 
+    fn digest(n: &Netlist) -> u128 {
+        structural_hash_with_phys(n, &synthesis_phys_estimates(n, &Library::default()))
+    }
+
     #[test]
-    fn renamed_and_reordered_cones_share_a_lane_key() {
-        let lib = Library::default();
-        let digest = |n: &Netlist| structural_hash_with_phys(n, &synthesis_phys_estimates(n, &lib));
+    fn renamed_cones_share_the_digest_and_the_lane_key() {
         let base = cone(["a", "b", "g1", "g2", "m", "y"], false);
-        let twin = cone(["p", "q", "U7", "U3", "n", "out"], true);
-        assert_eq!(digest(&base), digest(&twin), "same structure, same digest");
+        let twin = cone(["p", "q", "U7", "U3", "n", "out"], false);
+        assert_eq!(digest(&base), digest(&twin), "names are not model input");
         assert_eq!(lane_key(&base), lane_key(&twin));
         let mut other = base.clone();
         other.gate_mut(GateId(4)).kind = CellKind::Nor2;
         assert_ne!(lane_key(&base), lane_key(&other), "the key reads kinds");
+    }
+
+    #[test]
+    fn reordered_cones_share_only_the_lane_key() {
+        let base = cone(["a", "b", "g1", "g2", "m", "y"], false);
+        let twin = cone(["a", "b", "g1", "g2", "m", "y"], true);
+        assert_ne!(digest(&base), digest(&twin), "gate order is model input");
+        assert_eq!(lane_key(&base), lane_key(&twin));
+    }
+
+    #[test]
+    fn a_reordered_twin_gets_its_own_offline_bits() {
+        let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
+        let engine = Engine::new(Arc::clone(&model), ServeConfig::default());
+        let client = engine.client();
+        let lib = Library::default();
+        for reorder in [false, true] {
+            let n = cone(["a", "b", "g1", "g2", "m", "y"], reorder);
+            let tag = Tag::from_netlist(&n, &lib, &model.tag_options());
+            let served = client.embed_cone(n, None).expect("served");
+            assert_eq!(served.data, model.embed_tag(&tag).cls.data, "{reorder}");
+        }
+        assert_eq!(engine.stats().cache_misses, 2);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   unboundedly, so an overloaded engine stays responsive for the load
 //!   it accepted.
 //! * **Structural cone-embedding cache, with generations** — results are
-//!   keyed by the 128-bit structural digest of
-//!   [`nettag_netlist::structural_hash_with_phys`] (canonical topology +
-//!   gate kinds + physical attributes), so re-embedding a cone the
-//!   engine has already seen — under any gate naming — is a lookup, not
-//!   a forward pass. A checkpoint hot-swap
+//!   keyed by the 128-bit digest of
+//!   [`nettag_netlist::structural_hash_with_phys`] (every gate's kind,
+//!   size, fan-ins and physical attributes, in declaration order), so
+//!   re-embedding a cone the engine has already seen — under any gate
+//!   naming — is a lookup, not a forward pass. A checkpoint hot-swap
 //!   ([`Engine::swap_checkpoint`]) bumps the cache generation and
 //!   lazily evicts embeddings computed under the old weights. The fused
 //!   geometry path ([`Client::embed_cone_fused`]), served by every
@@ -57,18 +57,12 @@
 //! Responses are bitwise identical to the offline API
 //! ([`nettag_core::NetTag::embed_tag`] /
 //! [`nettag_core::ExprLlm::encode`]) regardless of batch composition,
-//! lane assignment, transport, or thread count. Cache state and in-batch
-//! dedup narrow that for cones: both key by
-//! [`nettag_netlist::structural_hash_with_phys`], which is blind to gate
-//! names and to the order gates are declared in.
-//! * A cone whose twin differs only in gate names gets its own offline
-//!   bits: tokens name variables canonically, so the two feed the model
-//!   the same input.
-//! * A cone whose twin declares the same gates in another order gets the
-//!   first-seen twin's reply. `embed_tag` is not bitwise blind to that
-//!   order, so the reply can differ from the cone's own offline
-//!   embedding in the last bits (~1e-7). The strict per-cone check is
-//!   the aliasing gate of ROADMAP.md item 3.
+//! lane assignment, transport, thread count or what the cache holds.
+//! The cache and in-batch dedup key by
+//! [`nettag_netlist::structural_hash_with_phys`], which reads everything
+//! the model reads except gate names, and tokens name variables
+//! canonically; so a cone that shares a digest with an earlier one feeds
+//! the model the same input and gets its own offline bits.
 //!
 //! ## Error contract per opcode
 //!

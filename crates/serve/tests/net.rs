@@ -78,6 +78,41 @@ fn remote_embeddings_match_offline_bitwise() {
     assert_eq!(served, model.exprllm.encode(&toks).data);
 }
 
+/// `y = !((a & b) & (a | b))`; with `reorder`, the inputs and the two
+/// middle gates are declared in the other order.
+fn reorderable_cone(reorder: bool) -> Netlist {
+    let mut n = Netlist::new("c");
+    let (a, b) = if reorder {
+        let b = n.add_gate("b", CellKind::Input, vec![]);
+        (n.add_gate("a", CellKind::Input, vec![]), b)
+    } else {
+        let a = n.add_gate("a", CellKind::Input, vec![]);
+        (a, n.add_gate("b", CellKind::Input, vec![]))
+    };
+    let (and, or) = if reorder {
+        let or = n.add_gate("g2", CellKind::Or2, vec![a, b]);
+        (n.add_gate("g1", CellKind::And2, vec![a, b]), or)
+    } else {
+        let and = n.add_gate("g1", CellKind::And2, vec![a, b]);
+        (and, n.add_gate("g2", CellKind::Or2, vec![a, b]))
+    };
+    let m = n.add_gate("m", CellKind::Nand2, vec![and, or]);
+    n.add_gate("y", CellKind::Output, vec![m]);
+    n.validate().expect("valid")
+}
+
+#[test]
+fn a_reordered_twin_gets_its_own_offline_bits_over_the_wire() {
+    let (model, engine, server) = tiny_server();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    for reorder in [false, true] {
+        let n = reorderable_cone(reorder);
+        let served = client.embed_cone(&n, None).expect("embed over socket");
+        assert_eq!(served, offline_cls(&model, &n), "{reorder}");
+    }
+    assert_eq!(engine.stats().cache_misses, 2);
+}
+
 #[test]
 fn remote_predict_routes_through_the_head() {
     let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
